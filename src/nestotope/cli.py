@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -101,7 +100,7 @@ def _cmd_poset(args):
         "f": list(fv.f),
         "h": list(fv.h),
         "gamma": list(fv.gamma),
-        "vertices": [[str(Fraction(x)) for x in coords[v]] for v in p.vertices],
+        "vertices": [[str(x) for x in coords[v]] for v in p.vertices],
     }
     _write_json(emit, report)
     return 0

@@ -6,10 +6,13 @@ with union outside the building set.  Faces are enumerated as cliques of the
 compatibility relation and the clique property is verified against the
 stored structure by ``check_simple_and_flag`` rather than taken on faith.
 
-Vertex coordinates come from the support-count equations: at a vertex, each
-tube S of its tubing pins the coordinate sum over S to the number of tubes
-inside S, and the ground set pins the total.  The resulting points are
-integral, and an independent oracle recovers the same vertex set by
+Vertex coordinates come from Postnikov's closed form for the Minkowski sum
+of the simplices Delta_S over the tubes S (Postnikov, "Permutohedra,
+associahedra, and beyond", IMRN 2009, arXiv:math/0507163, section 7): at a
+vertex, coordinate j counts the tubes S with j in S contained in T_j, the
+smallest tube of the vertex's tubing (or the ground set) that holds j.  The
+points are integral; each is checked against the support-count equations
+and inequalities, and an independent oracle recovers the same vertex set by
 maximizing every strict linear order over the Minkowski summands.
 
 The last third of the module studies the simplicial projection onto the
@@ -23,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 from .errors import ValidationError
-from .graphs import BuildingSet, bits_of, mask_of, members
+from .graphs import bits_of
 
 _MAX_POSET_VERTICES = 10  # clique enumeration above this is not worth having
 
@@ -57,23 +59,16 @@ class FacePoset:
 
     ``faces_by_size[k]`` lists the k-tubings as sorted tuples of indexes into
     ``building_set.proper_tubes``; size 0 is the whole polytope and size
-    ``dim`` the vertices.  The raw constructor trusts its input; use
-    ``face_poset`` to build from scratch.
+    ``dim`` the vertices; ``support[i]`` is ``support_constant`` of proper tube
+    i.  The raw constructor trusts its input; use ``face_poset`` to build
+    from scratch.
     """
 
     def __init__(self, building_set, faces_by_size):
         self.b = building_set
         self.dim = building_set.n_vertices - 1
-        proper = building_set.proper_tubes
-        pairs = set()
-        for i in range(len(proper)):
-            for j in range(i + 1, len(proper)):
-                if compatible(building_set, proper[i], proper[j]):
-                    pairs.add((i, j))
-        self.compat = tuple(
-            sum(1 << j for j in range(len(proper))
-                if j != i and ((min(i, j), max(i, j)) in pairs))
-            for i in range(len(proper)))
+        self.support = tuple(support_constant(building_set, s)
+                             for s in building_set.proper_tubes)
         self.faces_by_size = tuple(tuple(level) for level in faces_by_size)
         self.face_sets = tuple(set(level) for level in self.faces_by_size)
 
@@ -162,14 +157,10 @@ def check_simple_and_flag(p):
         for (i, j) in stored[2]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    elif n == 1:
-        pass
     cliques = [set() for _ in range(n + 2)]
 
     def rec(members_tup, cand, ext):
         k = len(members_tup)
-        if k > n + 1:
-            return False
         if k <= n:
             cliques[k].add(members_tup)
         else:
@@ -187,7 +178,6 @@ def check_simple_and_flag(p):
             c ^= low
         return ok
 
-    full = (1 << m) - 1
     singles = {f[0] for f in stored[1]} if n >= 1 else set()
     start = sum(1 << i for i in singles)
     if not rec((), start, start if n >= 1 else 0):
@@ -254,74 +244,37 @@ def _binomials(n):
 def vertex_coordinates(p, vertex):
     """Integer coordinates of a vertex given as a tuple of tube indexes.
 
-    Solves the support-count equations of the vertex's tubes plus the total
-    over the ground set, then confirms the point satisfies every remaining
-    tube inequality strictly.  Coordinates of nestohedra are integral and the
-    result is returned as a tuple of ints.
+    Postnikov's formula (IMRN 2009, arXiv:math/0507163, section 7):
+    coordinate j counts the tubes S with j in S contained in T_j, the
+    smallest tube of the vertex holding j, or the ground set if none does.
+    The point is then checked to meet the support-count equation of every
+    tube of the vertex, and every other proper tube's inequality strictly.
+
+    >>> from nestotope.graphs import complete_graph, graph_building_set
+    >>> p = face_poset(graph_building_set(complete_graph(3)))
+    >>> sorted(vertex_coordinates(p, p.vertices[0]))
+    [1, 2, 4]
     """
     b = p.b
     if vertex not in p.face_sets[p.dim]:
         raise ValidationError("not a vertex of this face poset")
     proper = b.proper_tubes
-    nv = b.n_vertices
-    rows = []
-    for i in vertex:
-        s = proper[i]
-        rows.append([Fraction(1) if (s >> j) & 1 else Fraction(0)
-                     for j in range(nv)] + [Fraction(support_constant(b, s))])
-    rows.append([Fraction(1)] * nv + [Fraction(len(b.tubes))])
-    x = _solve_exact(rows, nv)
+    x = []
+    for j in range(b.n_vertices):
+        t = min((proper[i] for i in vertex if (proper[i] >> j) & 1),
+                key=int.bit_count, default=b.ground_mask)
+        x.append(sum(1 for s in b.tubes if (s >> j) & 1 and s & ~t == 0))
+    if sum(x) != len(b.tubes):
+        raise ValidationError("vertex equations failed to hold")
     for idx, s in enumerate(proper):
         total = sum(x[j] for j in bits_of(s))
-        k_s = support_constant(b, s)
         if idx in vertex:
-            if total != k_s:
+            if total != p.support[idx]:
                 raise ValidationError("vertex equations failed to hold")
-        elif total <= k_s:
+        elif total <= p.support[idx]:
             raise ValidationError(
                 "support inequality not strict off the vertex's own tubes")
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise ValidationError("vertex came out non-integral")
-        out.append(int(v))
-    return tuple(out)
-
-
-def _solve_exact(rows, n):
-    """Gaussian elimination over Fractions for an (n x n+1) augmented system."""
-    a = [row[:] for row in rows]
-    if len(a) != n:
-        # consistent overdetermined systems are reduced first
-        pass
-    m = len(a)
-    piv = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            raise ValidationError("singular vertex system")
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(piv) != n:
-        raise ValidationError("singular vertex system")
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise ValidationError("inconsistent vertex system")
-    return [a[i][n] for i in range(n)]
+    return tuple(x)
 
 
 def all_vertex_coordinates(p):
@@ -429,13 +382,11 @@ def _int_det(rows):
     return sign * a[-1][-1]
 
 
-def _det_sign_of_points(points):
-    """Orientation sign of n+1 rational points spanning a simplex in the
-    positive-sum hyperplane, via the ambient coordinate determinant."""
-    rows = []
-    for pt in points:
-        denom = lcm(*(v.denominator for v in pt))
-        rows.append([int(v * denom) for v in pt])
+def _det_sign(rows):
+    """Orientation sign of n+1 integer points spanning a simplex in the
+    positive-sum hyperplane, via the ambient coordinate determinant.  Scaling
+    a point by a positive factor leaves the sign alone, so callers pass
+    positive multiples of barycentres."""
     d = _int_det(rows)
     return (d > 0) - (d < 0)
 
@@ -467,7 +418,8 @@ def pi_degree(p):
                     raise ValidationError(
                         "face image meets a coordinate its tube forbids")
 
-    # barycentres of faces in the source polytope
+    # barycentres of faces in the source polytope, scaled by their vertex
+    # counts to stay integral
     bary = {}
     vert_sets = [frozenset(v) for v in p.vertices]
     vert_pts = [coords[v] for v in p.vertices]
@@ -477,9 +429,7 @@ def pi_degree(p):
             pts = [pt for vs, pt in zip(vert_sets, vert_pts) if fs <= vs]
             if not pts:
                 raise ValidationError("face with no vertices")
-            count = len(pts)
-            bary[face] = tuple(
-                Fraction(sum(pt[j] for pt in pts), count) for j in range(nv))
+            bary[face] = tuple(sum(pt[j] for pt in pts) for j in range(nv))
 
     def u_mask(face):
         covered = 0
@@ -495,7 +445,7 @@ def pi_degree(p):
         if degenerate:
             continue
         boundary_keys.add(key[:-1])
-        sdom = _det_sign_of_points([bary[face] for face in flag])
+        sdom = _det_sign([bary[face] for face in flag])
         if sdom == 0:
             raise ValidationError("degenerate source flag with nondegenerate image")
         acc[key] = acc.get(key, 0) + sdom
@@ -515,9 +465,7 @@ def pi_degree(p):
 
     degs = set()
     for key, total in acc.items():
-        simg = _det_sign_of_points(
-            [tuple(Fraction(1, m.bit_count()) if (m >> j) & 1 else Fraction(0)
-                   for j in range(nv)) for m in key])
+        simg = _det_sign([[(m >> j) & 1 for j in range(nv)] for m in key])
         if simg == 0:
             raise ValidationError("degenerate image flag slipped through")
         degs.add(total * simg)

@@ -1,6 +1,5 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -126,17 +125,23 @@ def test_vertex_coordinates_pentagon():
 
 
 def test_vertices_match_minkowski_oracle():
-    for g in (path_graph(3), complete_graph(3), path_graph(4),
-              star_graph(4), cycle_graph(4), complete_graph(4)):
+    graphs = [path_graph(3), complete_graph(3), path_graph(4),
+              star_graph(4), cycle_graph(4), complete_graph(4),
+              path_graph(6), complete_graph(6)]
+    for k in range(2, 6):
+        graphs.extend(connected_graph_representatives(k))
+    for g in graphs:
         p = _poset(g)
         mine = {tuple(v) for v in all_vertex_coordinates(p).values()}
         assert mine == minkowski_vertex_oracle(p.b)
 
 
 def test_hexagon_vertices_are_permutations():
-    p = _poset(complete_graph(3))
-    got = {tuple(v) for v in all_vertex_coordinates(p).values()}
-    assert got == set(permutations((1, 2, 4)))
+    # complete graphs: every subset is a tube, so x_j = 2^(|T_j| - 1)
+    for k in (3, 4):
+        p = _poset(complete_graph(k))
+        got = {tuple(v) for v in all_vertex_coordinates(p).values()}
+        assert got == set(permutations([2 ** i for i in range(k)]))
 
 
 def test_pi_map_lands_off_the_tubes():
