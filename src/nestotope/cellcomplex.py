@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
+from .graphs import members
 
 
 class SimplicialCellComplex:
@@ -438,22 +439,13 @@ def orientation_double_cover(c):
             sub = full
             while sub:
                 k, cid = instance_cell(sheet_top(t, s), sub)
-                bk, bid = c.subface(n, t, tuple(bits_of_mask(sub)))
+                bk, bid = c.subface(n, t, members(sub))
                 projection[k][cid] = bid
                 sub = (sub - 1) & mask
     for k in range(n + 1):
         if any(b is None for b in projection[k]):
             raise ValidationError("double cover projection left a cell unmapped")
     return cover, projection
-
-
-def bits_of_mask(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def barycentric_subdivide(c):
@@ -753,8 +745,9 @@ def complex_to_json_dict(c, orientation=None):
         for t in range(c.n_cells(c.n)):
             sub = full
             while sub:
-                k, cid = c.subface(c.n, t, tuple(bits_of_mask(sub)))
-                inst.append([t, bits_of_mask(sub), cid])
+                bits = members(sub)
+                k, cid = c.subface(c.n, t, bits)
+                inst.append([t, list(bits), cid])
                 sub = (sub - 1) & full
         out["instances"] = inst
     return out

@@ -16,8 +16,9 @@ class BudgetExceeded(RuntimeError):
 
 # Default size limits.  Gluing constructions refuse to materialize more top
 # cells than CELL_BUDGET; covering enumerations switch to sampled checks once
-# the configuration space exceeds OMEGA_BUDGET; conjugacy closures abort after
-# CLOSURE_BUDGET stored permutations.
+# the configuration space exceeds OMEGA_BUDGET; involution closures and their
+# index tables refuse before they store more than CLOSURE_BUDGET cell indexes
+# (each permutation counts its length, each table entry one).
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000

@@ -12,10 +12,11 @@ and the resulting degree does not depend on the probe cell.
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import BudgetExceeded, CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError
-from .graphs import bits_of, graph_building_set, members
-from .nestohedron import compatible, face_poset
+from .graphs import graph_building_set, members
+from .nestohedron import face_poset
 from .subdivision import subdivide_pseudomanifold
 
 _SAMPLE_SEED = 29
@@ -81,17 +82,23 @@ class InvolutionSet:
     tube: int
     perms: tuple
     words: tuple
-    index: dict
+    conj: dict   # bigger tube t -> rows[i_s][i_t], the index of mu_s.mu_t.mu_s
 
     def __len__(self):
         return len(self.perms)
+
+
+def _over_budget(what):
+    return BudgetExceeded(
+        f"{what} passed {CLOSURE_BUDGET} stored cell indexes")
 
 
 def involution_closure(sys, colour_set):
     """Conjugation closure of the smallest colour's involution.
 
     Returns (perms, words): each permutation with one witness word over
-    the given colours.
+    the given colours.  Refuses as soon as the stored permutations would
+    hold more than CLOSURE_BUDGET cell indexes.
     """
     cols = sorted(colour_set)
     seed = sys.xi[cols[0]]
@@ -102,6 +109,8 @@ def involution_closure(sys, colour_set):
         for i in cols:
             conj = compose(sys.xi[i], compose(mu, sys.xi[i]))
             if conj not in words:
+                if (len(words) + 1) * sys.size > CLOSURE_BUDGET:
+                    raise _over_budget("involution closure")
                 words[conj] = (i,) + words[mu] + (i,)
                 queue.append(conj)
     perms = tuple(words)
@@ -109,58 +118,63 @@ def involution_closure(sys, colour_set):
 
 
 def enumerate_involution_sets(sys, b):
-    """One conjugation-closed involution family per facet tube."""
+    """One conjugation-closed involution family per facet tube, with the
+    action of each family on the indexes of every bigger tube's family."""
     sets = {}
     total = 0
     for tube in b.proper_tubes:
         perms, words = involution_closure(sys, members(tube))
-        total += len(perms)
+        total += len(perms) * sys.size
         if total > CLOSURE_BUDGET:
-            raise BudgetExceeded(
-                f"involution closures passed {CLOSURE_BUDGET} permutations")
+            raise _over_budget("involution closures")
         for mu in perms:
             for x in range(sys.size):
                 if mu[mu[x]] != x:
                     raise ValidationError("closure member is not an involution")
                 if sys.plus[mu[x]] == sys.plus[x]:
                     raise ValidationError("closure member keeps a sign fixed")
-        sets[tube] = InvolutionSet(tube, perms, words,
-                                   {p: i for i, p in enumerate(perms)})
+        sets[tube] = InvolutionSet(tube, perms, words, {})
+    for t in b.proper_tubes:
+        index = {p: i for i, p in enumerate(sets[t].perms)}
+        for s in b.proper_tubes:
+            if s == t or (t & s) != s:
+                continue
+            total += len(sets[s]) * len(sets[t])
+            if total > CLOSURE_BUDGET:
+                raise _over_budget("involution closures and their tables")
+            rows = []
+            for mu_s in sets[s].perms:
+                row = [index.get(compose(mu_s, compose(mu_t, mu_s)))
+                       for mu_t in sets[t].perms]
+                if None in row:
+                    raise ValidationError("conjugation leaves the involution set")
+                rows.append(tuple(row))
+            sets[s].conj[t] = tuple(rows)
     return sets
 
 
-@dataclass(frozen=True)
-class OmegaElement:
-    sigma: int
-    mu: tuple   # per tube (canonical order), an index into that tube's set
-    g: int
-
-
 def phi_action(b, sets, s, omega):
-    """The face involution of one tube on a sheet label.
+    """The face involution of one tube on a sheet label (sigma, mu, g).
 
     The tube's own involution moves the cell; families at larger tubes
     are conjugated; the group coordinate flips the tube's bit.
     """
+    sigma, mu, g = omega
     j = b.proper_index[s]
     tube_set = sets[s]
-    mu_s = tube_set.perms[omega.mu[j]]
-    new_mu = list(omega.mu)
-    for t_idx, t in enumerate(b.proper_tubes):
-        if t != s and (t & s) == s:
-            bigger = sets[t]
-            conj = compose(mu_s, compose(bigger.perms[omega.mu[t_idx]], mu_s))
-            idx = bigger.index.get(conj)
-            if idx is None:
-                raise ValidationError("conjugation leaves the involution set")
-            new_mu[t_idx] = idx
-    return OmegaElement(mu_s[omega.sigma], tuple(new_mu), omega.g ^ (1 << j))
+    i_s = mu[j]
+    new_mu = list(mu)
+    for t, rows in tube_set.conj.items():
+        k = b.proper_index[t]
+        new_mu[k] = rows[i_s][mu[k]]
+    return tube_set.perms[i_s][sigma], tuple(new_mu), g ^ (1 << j)
 
 
 def epsilon(sys, omega):
     """Sign of a sheet label: cell sign times group-coordinate parity."""
-    sign = 1 if sys.plus[omega.sigma] else -1
-    if omega.g.bit_count() & 1:
+    sigma, _, g = omega
+    sign = 1 if sys.plus[sigma] else -1
+    if g.bit_count() & 1:
         sign = -sign
     return sign
 
@@ -175,15 +189,6 @@ class CoveringCertificate:
     fiber_histogram: dict
     checks: dict
     mode: str
-    omega: object = None
-
-
-def _mu_space(b, sets):
-    ranges = [range(len(sets[t])) for t in b.proper_tubes]
-    out = [()]
-    for rng in ranges:
-        out = [mu + (i,) for mu in out for i in rng]
-    return out
 
 
 def _orbit_check(b, sets, sys, omega, face):
@@ -207,7 +212,7 @@ def _orbit_check(b, sets, sys, omega, face):
     for s in tubes:
         bit = 1 << b.proper_index[s]
         span |= {g ^ bit for g in span}
-    return {w.g for w in seen} == {omega.g ^ d for d in span}
+    return {w[2] for w in seen} == {omega[2] ^ d for d in span}
 
 
 def build_covering(b, sets, sys, budget=None):
@@ -242,23 +247,24 @@ def build_covering(b, sets, sys, budget=None):
     faces = [face for level in p.faces_by_size for face in level]
     rng = random.Random(_SAMPLE_SEED)
 
+    mu_ranges = [range(len(sets[t])) for t in b.proper_tubes]
     if omega_total <= budget:
         mode = "full"
-        omegas = [OmegaElement(sg, mu, g)
+        omegas = [(sg, mu, g)
                   for g in range(1 << m)
-                  for mu in _mu_space(b, sets)
+                  for mu in product(*mu_ranges)
                   for sg in range(sys.size)]
     elif r <= budget:
         mode = "sampled"
-        omegas = [OmegaElement(sg, mu, 0)
-                  for mu in _mu_space(b, sets)
+        omegas = [(sg, mu, 0)
+                  for mu in product(*mu_ranges)
                   for sg in range(sys.size)]
     else:
         mode = "sampled"
         omegas = []
         for _ in range(min(_SAMPLE_SIZE, budget)):
             mu = tuple(rng.randrange(len(sets[t])) for t in b.proper_tubes)
-            omegas.append(OmegaElement(rng.randrange(sys.size), mu, 0))
+            omegas.append((rng.randrange(sys.size), mu, 0))
 
     exhaustive = mode == "full" and omega_total * m <= budget * 4
     if exhaustive:
@@ -274,10 +280,8 @@ def build_covering(b, sets, sys, budget=None):
         epsilon(sys, phi_action(b, sets, s, w)) == epsilon(sys, w)
         for w, s in pool)
 
-    compat_pairs = [(s, t)
-                    for i, s in enumerate(b.proper_tubes)
-                    for t in b.proper_tubes[i + 1:]
-                    if compatible(b, s, t)]
+    compat_pairs = [(b.proper_tubes[i], b.proper_tubes[j])
+                    for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
     if exhaustive and compat_pairs:
         pair_pool = [(w, pair) for w in omegas for pair in compat_pairs]
     elif compat_pairs:
@@ -296,7 +300,7 @@ def build_covering(b, sets, sys, budget=None):
         for face in faces:
             classes = {}
             for w in omegas:
-                key = w.g
+                key = w[2]
                 for i in face:
                     key &= ~(1 << i)
                 classes[key] = classes.get(key, 0) + 1
@@ -317,17 +321,16 @@ def build_covering(b, sets, sys, budget=None):
             _orbit_check(b, sets, sys, w, face) for w, face in orbit_pool)
         histogram = {r: sum(1 << (m - len(face)) for face in faces)}
 
-    degree, independent = _degree_counts(b, sets, sys, m, prod_i)
+    degree, independent = _degree_counts(sys, m, prod_i)
     checks["degree_independent"] = independent and degree == s_value
 
     i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
                for t in b.proper_tubes}
     return CoveringCertificate(r, degree, m, sys.size, i_sizes, histogram,
-                               checks, mode,
-                               omega=omegas if mode == "full" else None)
+                               checks, mode)
 
 
-def _degree_counts(b, sets, sys, m, prod_i):
+def _degree_counts(sys, m, prod_i):
     """Count positive-sign labels over probe cells; must agree everywhere."""
     parity_count = [0, 0]
     for g in range(1 << m):
@@ -339,21 +342,6 @@ def _degree_counts(b, sets, sys, m, prod_i):
         counts.add(prod_i * parity_count[need])
     only = counts.pop()
     return only, not counts
-
-
-def gamma_degree(b, sets, sys):
-    """Positive-sign labels over one probe cell: the covering degree."""
-    m = len(b.proper_tubes)
-    prod_i = 1
-    for t in b.proper_tubes:
-        prod_i *= len(sets[t])
-    degree, independent = _degree_counts(b, sets, sys, m, prod_i)
-    if not independent:
-        raise ValidationError("degree depends on the probe cell")
-    expect = (1 << (m - 1)) * prod_i
-    if degree != expect:
-        raise ValidationError(f"degree {degree} differs from {expect}")
-    return degree
 
 
 def realize(z, g, budget=None, apex=None):

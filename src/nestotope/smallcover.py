@@ -16,6 +16,7 @@ from .graphs import bits_of, members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
     SimplicialCellComplex,
+    gf2_rank,
     homology,
     homology_z2,
     orient,
@@ -105,7 +106,7 @@ def validate_characteristic(p, lam):
     if lam.rows != n:
         return False
     for vertex in p.vertices:
-        if _rank([lam.columns[i] for i in vertex]) != n:
+        if gf2_rank([lam.columns[i] for i in vertex]) != n:
             return False
     return True
 
@@ -116,30 +117,9 @@ def is_orientable_smallcover(lam):
     Equivalently the all-ones row lies in the row space, which is the
     combinatorial criterion for the glued manifold to be orientable.
     """
-    # Solve x . col = 1 for all columns by elimination on (col, 1) rows.
-    pivots = []
-    for col in lam.columns:
-        row = (col << 1) | 1
-        for piv in pivots:
-            if row >> (piv.bit_length() - 1) & 1:
-                row ^= piv
-        if row == 1:
-            return False  # 0 . x = 1 is unsatisfiable
-        if row:
-            pivots.append(row)
-            pivots.sort(key=int.bit_length, reverse=True)
-    return True
-
-
-def _rank(vectors):
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    # The row lies in the row space exactly when adjoining it keeps the rank.
+    cols = lam.columns
+    return gf2_rank(cols) == gf2_rank([c | 1 << lam.rows for c in cols])
 
 
 def _echelon(vectors):
@@ -403,7 +383,7 @@ def enumerate_characteristics(p):
             ok = True
             for vertex in p.vertices:
                 if all(i < j + 1 for i in vertex):
-                    if _rank([cols[i] for i in vertex]) != n:
+                    if gf2_rank([cols[i] for i in vertex]) != n:
                         ok = False
                         break
             if ok:

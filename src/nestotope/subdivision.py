@@ -17,11 +17,10 @@ subdivision into every barycentric cell.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .errors import ValidationError
-from .graphs import components_minus_vertex, members, path_order
+from .graphs import components_minus_vertex, path_order
 from .cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
@@ -249,13 +248,9 @@ def verify_lemma_conditions(k, g, a):
     return LemmaCertificate(ok, checks, failures)
 
 
-def _codim2_rule(c, colours, coords, g, failures):
-    """Codimension-2 cells missing two non-adjacent colours: four top
-    cofacets when interior, two on a boundary facet, nothing deeper."""
+def _codim2_cofacets(c):
+    """Top-cell count of every codimension-2 cell, in first-seen order."""
     n = c.n
-    if n < 2:
-        return True
-    nv = g.n_vertices
     counts = {}
     for t in range(c.n_cells(n)):
         hits = set()
@@ -265,8 +260,17 @@ def _codim2_rule(c, colours, coords, g, failures):
                 hits.add(c.subface(n, t, keep))
         for key in hits:
             counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _codim2_rule(c, colours, coords, g, failures):
+    """Codimension-2 cells missing two non-adjacent colours: four top
+    cofacets when interior, two on a boundary facet, nothing deeper."""
+    if c.n < 2:
+        return True
+    nv = g.n_vertices
     ok = True
-    for (kk, cid), cnt in counts.items():
+    for (kk, cid), cnt in _codim2_cofacets(c).items():
         verts = c.vertices_of[kk][cid] if kk else (cid,)
         missing = set(range(nv)) - {colours[v] for v in verts}
         if len(missing) != 2:
@@ -435,16 +439,7 @@ def condition_star_check(y, g):
     failures = []
     checked = 0
     if n >= 2:
-        counts = {}
-        for t in range(c.n_cells(n)):
-            hits = set()
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    keep = [s for s in range(n + 1) if s not in (i, j)]
-                    hits.add(c.subface(n, t, keep))
-            for key in hits:
-                counts[key] = counts.get(key, 0) + 1
-        for (kk, cid), cnt in counts.items():
+        for (kk, cid), cnt in _codim2_cofacets(c).items():
             verts = c.vertices_of[kk][cid] if kk else (cid,)
             missing = sorted(set(range(nv)) - {y.colours[v] for v in verts})
             if len(missing) != 2:

@@ -1,11 +1,16 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import os
+import resource
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nestotope
 from nestotope.errors import BudgetExceeded
 from nestotope import cli
 
@@ -171,6 +176,27 @@ def test_reports_are_byte_identical(tmp_path):
     for target in (a, b):
         cli.run(["poset", "--graph", "star:4", "--emit", str(target)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _cap_memory():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_realize_closure_budget_refuses_under_memory_cap():
+    # the 3-colour closures on star:4 are far over the budget; the refusal
+    # must come before they are stored, so a 1 GiB address space suffices
+    env = dict(os.environ)
+    src = str(Path(nestotope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestotope.cli", "realize",
+         "--pseudomanifold", "sphere:3", "--graph", "star:4"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget: involution closure")
 
 
 @pytest.mark.skipif(shutil.which("nestotope") is None,

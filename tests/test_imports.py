@@ -1,0 +1,37 @@
+"""Every name a module imports must be used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nestotope
+
+MODULES = sorted(Path(nestotope.__file__).parent.glob("*.py"))
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _referenced(tree):
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = sorted(set(_imported(tree)) - _referenced(tree))
+    assert not unused, f"{path.name} imports but never uses {unused}"

@@ -1,19 +1,19 @@
 """Covering certificates over subdivided glued manifolds."""
 
+from itertools import product
+
 import pytest
 
 from nestotope.errors import ValidationError
 from nestotope.cellcomplex import klein_bottle, simplex_sphere, torus7
 from nestotope.graphs import graph_building_set, mask_of, path_graph
 from nestotope.realization import (
-    OmegaElement,
     build_covering,
     build_sigma_system,
     certificate_to_json_dict,
     compose,
     enumerate_involution_sets,
     epsilon,
-    gamma_degree,
     involution_closure,
     phi_action,
     realize,
@@ -69,22 +69,65 @@ def test_involution_sets_on_torus():
 
 
 def test_nested_tubes_conjugate_into_larger_sets():
-    sys, b = _system(torus7(), path_graph(3))
+    # every table entry is the index of the conjugate it stands for
+    for z, g in ((torus7(), path_graph(3)), (simplex_sphere(3), path_graph(4))):
+        sys, b = _system(z, g)
+        sets = enumerate_involution_sets(sys, b)
+        for s in b.proper_tubes:
+            assert set(sets[s].conj) == {t for t in b.proper_tubes
+                                         if t != s and t & s == s}
+            for t, rows in sets[s].conj.items():
+                big = sets[t].perms
+                assert len(rows) == len(sets[s])
+                for small, row in zip(sets[s].perms, rows):
+                    assert len(row) == len(big)
+                    for mu, idx in zip(big, row):
+                        assert big[idx] == compose(small, compose(mu, small))
+
+
+def _phi_by_composition(b, sets, s, omega):
+    """Reference face involution that conjugates the permutations."""
+    sigma, mu, g = omega
+    j = b.proper_index[s]
+    mu_s = sets[s].perms[mu[j]]
+    new_mu = list(mu)
+    for k, t in enumerate(b.proper_tubes):
+        if t != s and t & s == s:
+            perms = sets[t].perms
+            new_mu[k] = perms.index(compose(mu_s, compose(perms[mu[k]], mu_s)))
+    return mu_s[sigma], tuple(new_mu), g ^ (1 << j)
+
+
+def _labels(b, sets, sigmas, gs):
+    mus = product(*(range(len(sets[t])) for t in b.proper_tubes))
+    return product(sigmas, mus, gs)
+
+
+def test_phi_action_matches_permutation_conjugation():
+    # every label in dimension 2; in dimension 3, where a tube with a bigger
+    # tube can have several involutions, every mu over one cell
+    sys, b = _system(simplex_sphere(2), path_graph(3))
     sets = enumerate_involution_sets(sys, b)
-    small = sets[mask_of([0])].perms[0]
-    big = sets[mask_of([0, 1])]
-    for mu in big.perms:
-        conj = compose(small, compose(mu, small))
-        assert conj in big.index
+    cases = [(b, sets, _labels(b, sets, range(sys.size),
+                               range(1 << len(b.proper_tubes))))]
+    sys, b = _system(simplex_sphere(3), path_graph(4))
+    sets = enumerate_involution_sets(sys, b)
+    assert max(len(sets[s]) for s in b.proper_tubes if sets[s].conj) > 1
+    cases.append((b, sets, _labels(b, sets, (0,), (0,))))
+    for b, sets, labels in cases:
+        for omega in labels:
+            for s in b.proper_tubes:
+                assert (phi_action(b, sets, s, omega)
+                        == _phi_by_composition(b, sets, s, omega))
 
 
 def test_phi_action_involutes_and_flips_bits():
     sys, b = _system(simplex_sphere(1), path_graph(2))
     sets = enumerate_involution_sets(sys, b)
-    start = OmegaElement(0, (0, 0), 0)
+    start = (0, (0, 0), 0)
     s = b.proper_tubes[0]
     once = phi_action(b, sets, s, start)
-    assert once.g == 1
+    assert once[2] == 1
     assert phi_action(b, sets, s, once) == start
     assert epsilon(sys, once) == epsilon(sys, start)
 
@@ -97,8 +140,6 @@ def test_full_certificate_on_circle():
     assert cert.mode == "full"
     assert cert.fiber_histogram == {6: 8}
     assert all(cert.checks.values())
-    assert cert.omega is not None and len(cert.omega) == 24
-    assert gamma_degree(b, sets, sys) == 2
 
 
 def test_full_certificate_on_torus():

@@ -211,6 +211,20 @@ def test_enumerate_characteristics_pentagon():
     assert not any(is_orientable_smallcover(lam) for lam in lams)
 
 
+def test_orientability_criterion_matches_orient():
+    # the rank criterion against the orientation of the glued complex
+    verdicts = {}
+    for graph in (path_graph(3), complete_graph(3)):
+        p = face_poset(graph_building_set(graph))
+        lams = enumerate_characteristics(p)
+        found = [is_orientable_smallcover(lam) for lam in lams]
+        for lam, ok in zip(lams, found):
+            glued = orient(small_cover(p, lam).complex)
+            assert ok == (glued.orientation != "non-orientable")
+        verdicts[len(p.b.proper_tubes)] = (len(lams), sum(found))
+    assert verdicts == {5: (30, 0), 6: (66, 6)}
+
+
 def test_enumerate_characteristics_budget():
     p = face_poset(graph_building_set(complete_graph(4)))
     with pytest.raises(BudgetExceeded):
