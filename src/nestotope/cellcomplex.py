@@ -17,7 +17,12 @@ Homology is computed from integer Smith normal forms of the boundary
 matrices: sparse elimination over unit pivots chosen Markowitz-style, with a
 dense textbook pass for whatever core remains.  Rational and mod-2 Betti
 numbers both fall out of the elementary divisors; an independent GF(2)
-row-reduction is kept alongside as a cross-check.
+row-reduction is kept alongside as a cross-check.  ``homology`` reads only
+cell counts and boundary matrices, so it also takes a bare ``ChainComplex``:
+glued manifolds hand it the cell structure of Davis and Januszkiewicz
+("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J. 62,
+1991), with one d-cell per d-face of the polytope and coset of the face's
+span, which for a small cover is f_d * 2^d cells in degree d.
 """
 
 from __future__ import annotations
@@ -638,6 +643,35 @@ def _gf2_boundary_columns(c, k):
     return cols
 
 
+class ChainComplex:
+    """A free chain complex over Z: cell counts per degree and sparse
+    boundary matrices, which is all ``homology`` reads.
+
+    ``boundaries[k]`` is the boundary of degree k as {(row, col): coef},
+    rows indexing (k-1)-cells; ``boundaries[0]`` is empty.
+    """
+
+    def __init__(self, counts, boundaries):
+        self.n = len(counts) - 1
+        self._counts = tuple(counts)
+        self._boundaries = boundaries
+
+    def n_cells(self, k):
+        return self._counts[k] if 0 <= k <= self.n else 0
+
+    def cell_counts(self):
+        return self._counts
+
+    def total_cells(self):
+        return sum(self._counts)
+
+    def euler_characteristic(self):
+        return sum((-1) ** k * c for k, c in enumerate(self._counts))
+
+    def boundary_entries(self, k):
+        return self._boundaries[k]
+
+
 @dataclass
 class HomologyProfile:
     betti_q: tuple
@@ -647,7 +681,12 @@ class HomologyProfile:
 
 
 def homology(c):
-    """Integral homology data in all degrees via Smith normal forms."""
+    """Integral homology data in all degrees via Smith normal forms.
+
+    Reads ``c.n``, ``n_cells``, ``boundary_entries`` and
+    ``euler_characteristic``, so ``c`` is a ``SimplicialCellComplex`` or a
+    ``ChainComplex``.
+    """
     n = c.n
     ranks = [0] * (n + 2)
     odd_ranks = [0] * (n + 2)

@@ -266,24 +266,28 @@ def build_covering(b, sets, sys, budget=None):
             mu = tuple(rng.randrange(len(sets[t])) for t in b.proper_tubes)
             omegas.append((rng.randrange(sys.size), mu, 0))
 
+    # Exhaustive pools are products streamed afresh for each check, so they
+    # never sit in memory; sampled pools are drawn from rng once, in order.
     exhaustive = mode == "full" and omega_total * m <= budget * 4
-    if exhaustive:
-        pool = [(w, s) for w in omegas for s in b.proper_tubes]
-    else:
-        pool = [(rng.choice(omegas),
-                 b.proper_tubes[rng.randrange(m)])
-                for _ in range(_SAMPLE_SIZE)]
+    if not exhaustive:
+        sample = [(rng.choice(omegas),
+                   b.proper_tubes[rng.randrange(m)])
+                  for _ in range(_SAMPLE_SIZE)]
+
+    def pool():
+        return product(omegas, b.proper_tubes) if exhaustive else sample
+
     checks["phi_involutions"] = all(
         phi_action(b, sets, s, phi_action(b, sets, s, w)) == w
-        for w, s in pool)
+        for w, s in pool())
     checks["epsilon_class_constant"] = all(
         epsilon(sys, phi_action(b, sets, s, w)) == epsilon(sys, w)
-        for w, s in pool)
+        for w, s in pool())
 
     compat_pairs = [(b.proper_tubes[i], b.proper_tubes[j])
                     for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
-    if exhaustive and compat_pairs:
-        pair_pool = [(w, pair) for w in omegas for pair in compat_pairs]
+    if exhaustive:
+        pair_pool = product(omegas, compat_pairs)
     elif compat_pairs:
         pair_pool = [(rng.choice(omegas), compat_pairs[rng.randrange(len(compat_pairs))])
                      for _ in range(_SAMPLE_SIZE)]
@@ -310,9 +314,9 @@ def build_covering(b, sets, sys, budget=None):
                 if cnt != fib << k:
                     ok = False
                 fibers[fib] = fibers.get(fib, 0) + 1
-        orbit_pool = [(w, face) for w in omegas for face in faces]
         checks["covering_fibers"] = ok and all(
-            _orbit_check(b, sets, sys, w, face) for w, face in orbit_pool)
+            _orbit_check(b, sets, sys, w, face)
+            for w, face in product(omegas, faces))
         histogram = fibers
     else:
         orbit_pool = [(rng.choice(omegas), faces[rng.randrange(len(faces))])

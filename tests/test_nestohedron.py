@@ -22,6 +22,7 @@ from nestotope.nestohedron import (
     barycentric_complex,
     check_simple_and_flag,
     compatible,
+    face_incidences,
     face_poset,
     face_vectors,
     minkowski_vertex_oracle,
@@ -176,3 +177,32 @@ def test_gamma_vector_nonnegative_small():
             fv = face_vectors(_poset(g))
             assert fv.h == fv.h[::-1]
             assert all(c >= 0 for c in fv.gamma)
+
+
+def test_face_incidences_square_to_zero():
+    # [F : G] [G : H] summed over the two faces G between F and H is 0 over Z
+    for k in range(2, 6):
+        for g in connected_graph_representatives(k):
+            p = _poset(g)
+            inc = p.incidences
+            for face in (f for level in p.faces_by_size[:p.dim] for f in level):
+                facets = inc[face]
+                assert [G for G, _ in facets] == sorted(
+                    G for G in p.faces_by_size[len(face) + 1]
+                    if set(face) < set(G))
+                assert all(sign in (1, -1) for _, sign in facets)
+                square = {}
+                for G, s in facets:
+                    for H, t in inc.get(G, ()):
+                        square[H] = square.get(H, 0) + s * t
+                assert not any(square.values())
+            assert set(inc) == {f for level in p.faces_by_size[:p.dim]
+                                for f in level}
+
+
+def test_face_incidences_refuse_an_edge_with_one_end():
+    p = _poset(path_graph(3))
+    faces = list(p.faces_by_size)
+    faces[2] = faces[2][1:]
+    with pytest.raises(ValidationError, match="two ends"):
+        face_incidences(FacePoset(p.b, faces))

@@ -1,12 +1,23 @@
 """Mirror gluings: small covers, moment-angle manifolds, covers between them."""
 
 import json
+import random
 
 import pytest
 
 from nestotope.errors import BudgetExceeded, ValidationError
-from nestotope.cellcomplex import homology, orient, orientation_double_cover
-from nestotope.graphs import complete_graph, graph_building_set, path_graph
+from nestotope.cellcomplex import (
+    gf2_rank,
+    homology,
+    orient,
+    orientation_double_cover,
+)
+from nestotope.graphs import (
+    complete_graph,
+    graph_building_set,
+    graph_from_spec,
+    path_graph,
+)
 from nestotope.nestohedron import face_poset, face_vectors
 from nestotope.smallcover import (
     CharacteristicFunction,
@@ -259,3 +270,86 @@ def test_lambda_from_spec_named():
         lambda_from_spec(b, "star")
     with pytest.raises(ValidationError, match="no such matrix file"):
         lambda_from_spec(b, "missing.json")
+
+
+# Every glued manifold the homology benchmark computes; the simplicial
+# Smith normal form of the glued complex is the oracle for the cellular one.
+COVERS = ["path:3/can", "star:3/can", "complete:3/can", "complete:3/tomei",
+          "path:4/can", "path:4/star", "star:4/can", "cycle:4/can",
+          "complete:4/can", "complete:4/tomei"]
+
+
+def _cover(entry, seed=None):
+    spec, name = entry.split("/")
+    b = graph_building_set(graph_from_spec(spec))
+    lam = lambda_from_spec(b, name)
+    if seed is not None:
+        # A.lambda for a seeded random invertible GF(2) matrix A
+        rng = random.Random(seed)
+        n = lam.rows
+        while True:
+            a = [rng.randrange(1, 1 << n) for _ in range(n)]
+            if gf2_rank(a) == n:
+                break
+        cols = []
+        for c in lam.columns:
+            image = 0
+            for i in range(n):
+                if c >> i & 1:
+                    image ^= a[i]
+            cols.append(image)
+        lam = CharacteristicFunction(b, n, cols)
+    return small_cover(face_poset(b), lam)
+
+
+def _eta(spec):
+    b = graph_building_set(graph_from_spec(spec))
+    return orientation_cover_via_eta(face_poset(b), lambda_can(b))
+
+
+def _rma(spec):
+    return real_moment_angle(face_poset(graph_building_set(graph_from_spec(spec))))
+
+
+GLUED = ([(entry, lambda e=entry: _cover(e)) for entry in COVERS]
+         + [(f"{entry}@A{seed}", lambda e=entry, s=seed: _cover(e, s))
+            for entry in COVERS[:4] for seed in (1, 2)]
+         + [(f"eta:{spec}", lambda s=spec: _eta(s))
+            for spec in ("path:3", "complete:3", "path:4")]
+         + [(f"rma:{spec}", lambda s=spec: _rma(s))
+            for spec in ("path:3", "complete:3")])
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED],
+                         ids=[name for name, _ in GLUED])
+def test_cellular_homology_matches_simplicial(make):
+    m = make()
+    assert m.homology() == homology(m.complex)
+    # one cell per face and coset of its span, and boundaries that compose to 0
+    c = m.cellular()
+    p = m.poset
+    n = p.dim
+    for d in range(n + 1):
+        want = sum(1 << (m.rank - gf2_rank([m.columns[i] for i in face]))
+                   for face in p.faces_by_size[n - d])
+        assert c.n_cells(d) == want
+    for k in range(2, n + 1):
+        low = {}
+        for (row, mid), w in c.boundary_entries(k - 1).items():
+            low.setdefault(mid, []).append((row, w))
+        square = {}
+        for (mid, col), v in c.boundary_entries(k).items():
+            for row, w in low.get(mid, ()):
+                square[row, col] = square.get((row, col), 0) + v * w
+        assert not any(square.values())
+    assert c.euler_characteristic() == m.complex.euler_characteristic()
+
+
+def test_small_cover_cells_are_f_times_two_to_the_d():
+    for entry in COVERS:
+        m = _cover(entry)
+        f = m.poset.f_counts()
+        n = m.poset.dim
+        assert m.cellular().cell_counts() == tuple(
+            f[n - d] << d for d in range(n + 1))
+    assert _cover("path:4/can").cellular().total_cells() == 100
