@@ -49,6 +49,7 @@ class SimplicialCellComplex:
             self.faces_of.append([tuple(f) for f in cell_faces[k]])
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
         self._subface_cache = {}
+        self._pseudo_failures = None   # memoised by pseudo_manifold_check
 
     # -- basic queries ------------------------------------------------------
 
@@ -315,22 +316,31 @@ class PseudoManifoldCertificate:
 
 
 def pseudo_manifold_check(c):
-    """Pure + every (n-1)-cell in exactly two top cells, counted with slots."""
-    failures = []
-    if not c.validate():
-        failures.append("not a valid simplicial cell complex")
-    elif not c.is_pure():
-        failures.append("not pure: some cell lies in no top cell")
-    else:
-        for f, inc in enumerate(c.facet_incidences()):
-            if len(inc) != 2:
-                failures.append(
-                    f"(n-1)-cell {f} lies in {len(inc)} top cells, expected 2"
-                )
-                if len(failures) > 20:
-                    failures.append("...")
-                    break
-    return PseudoManifoldCertificate(c.n, not failures, failures)
+    """Pure + every (n-1)-cell in exactly two top cells, counted with slots.
+
+    A complex is never changed after its constructor, so the verdict (the
+    tuple of failures) is memoised on it and the checks run once per
+    complex.  Each call still returns a fresh certificate, which callers
+    such as ``orient`` may fill in and change.
+    """
+    if c._pseudo_failures is None:
+        failures = []
+        if not c.validate():
+            failures.append("not a valid simplicial cell complex")
+        elif not c.is_pure():
+            failures.append("not pure: some cell lies in no top cell")
+        else:
+            for f, inc in enumerate(c.facet_incidences()):
+                if len(inc) != 2:
+                    failures.append(
+                        f"(n-1)-cell {f} lies in {len(inc)} top cells, expected 2"
+                    )
+                    if len(failures) > 20:
+                        failures.append("...")
+                        break
+        c._pseudo_failures = tuple(failures)
+    failures = c._pseudo_failures
+    return PseudoManifoldCertificate(c.n, not failures, list(failures))
 
 
 def orient(c):
@@ -617,30 +627,35 @@ def _dense_snf(a):
     return out
 
 
-def gf2_rank(columns):
-    """Rank over GF(2) of columns given as int bitmasks."""
+def _gf2_pivots(columns):
+    """Column reduction over GF(2) of int bitmask columns: a dict from each
+    pivot row (the highest set bit, the "lowest one") to its reduced column."""
     pivots = {}
-    rank = 0
     for col in columns:
         while col:
             h = col.bit_length() - 1
             p = pivots.get(h)
             if p is None:
                 pivots[h] = col
-                rank += 1
                 break
             col ^= p
-    return rank
+    return pivots
 
 
-def _gf2_boundary_columns(c, k):
-    cols = []
-    for faces in c.faces_of[k]:
-        m = 0
-        for f in faces:
-            m ^= 1 << f
-        cols.append(m)
-    return cols
+def gf2_rank(columns):
+    """Rank over GF(2) of columns given as int bitmasks."""
+    return len(_gf2_pivots(columns))
+
+
+def _gf2_boundary_columns(c, k, skip):
+    """The degree-k boundary columns as int bitmasks, generated one at a
+    time, leaving out the cells in ``skip``."""
+    for j, faces in enumerate(c.faces_of[k]):
+        if j not in skip:
+            col = 0
+            for f in faces:
+                col ^= 1 << f
+            yield col
 
 
 class ChainComplex:
@@ -715,11 +730,24 @@ def homology(c):
 
 def homology_z2(c):
     """Mod-2 Betti numbers by direct GF(2) elimination (fast path; also the
-    independent cross-check for the Smith-normal-form route)."""
+    independent cross-check for the Smith-normal-form route).
+
+    Boundaries are reduced from the top degree down with clearing, the
+    "twist" of Chen and Kerber ("Persistent homology computation with a
+    twist", EuroCG 2011): each pivot row j of the reduced boundary of
+    degree k+1 is the highest cell of a k-cycle, so column j of the
+    boundary of degree k is a sum of the other columns and is skipped.
+    Only the set of pivot rows is carried from one degree to the next.
+    """
     n = c.n
     ranks = [0] * (n + 2)
-    for k in range(1, n + 1):
-        ranks[k] = gf2_rank(_gf2_boundary_columns(c, k))
+    cleared = set()
+    for k in range(n, 0, -1):
+        pivots = _gf2_pivots(_gf2_boundary_columns(c, k, cleared))
+        ranks[k] = len(pivots)
+        # The reduced columns are big ints; let them go before the next degree.
+        cleared = set(pivots)
+        del pivots
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(n + 1))
 
 

@@ -19,6 +19,7 @@ coset of its copy.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import BudgetExceeded, CELL_BUDGET, ValidationError
 from .graphs import bits_of, members
@@ -145,10 +146,22 @@ def _echelon(vectors):
     return tuple(basis)
 
 
-def _reduce(g, basis):
-    for b in basis:
-        g = min(g, g ^ b)
-    return g
+def _coset_minima(basis, rank):
+    """The least element of g + span(basis), for every g < 2^rank.
+
+    ``basis`` is a reduced echelon basis, so the minimum is g with the
+    basis vector of each leading bit that g has added in; that map is
+    linear, and the table doubles one bit at a time.
+
+    >>> _coset_minima((0b11,), 2)
+    [0, 1, 1, 0]
+    """
+    lead = {b.bit_length() - 1: b for b in basis}
+    table = [0]
+    for i in range(rank):
+        image = (1 << i) ^ lead.get(i, 0)
+        table += [y ^ image for y in table]
+    return table
 
 
 @dataclass
@@ -165,8 +178,8 @@ class GluedManifold:
     complex: SimplicialCellComplex
     bar: SimplicialCellComplex
     copy_of_top: tuple
-    _ids: list = field(repr=False)          # per dim: (bar cell, reduced g) -> cell
-    _cell_basis: list = field(repr=False)   # per dim, per bar cell: echelon basis
+    _cells: list = field(repr=False)        # per dim, per g: bar cell -> cell
+    _reduced: dict = field(repr=False)      # polytope face -> coset minimum per g
     _face_vertex: dict = field(repr=False)  # polytope face -> bar vertex id
     _key_of: list = field(repr=False)       # per dim: cell -> (bar cell, reduced g)
     _cellular: ChainComplex = field(default=None, repr=False, compare=False)
@@ -174,11 +187,8 @@ class GluedManifold:
     def n_copies(self):
         return 1 << self.rank
 
-    def reduce(self, k, bar_cid, g):
-        return _reduce(g, self._cell_basis[k][bar_cid])
-
     def cell_id(self, k, bar_cid, g):
-        return self._ids[k][(bar_cid, self.reduce(k, bar_cid, g))]
+        return self._cells[k][g][bar_cid]
 
     def chamber(self, face, g):
         vid = self._face_vertex[tuple(face)]
@@ -207,13 +217,13 @@ class GluedManifold:
         if self._cellular is None:
             p = self.poset
             n = p.dim
+            reduced = self._reduced
             ids = []   # per degree: (face, reduced g) -> cell
             for d in range(n + 1):
                 cells = {}
                 for g in range(1 << self.rank):
                     for face in p.faces_by_size[n - d]:
-                        key = (face, self.reduce(0, self._face_vertex[face], g))
-                        cells.setdefault(key, len(cells))
+                        cells.setdefault((face, reduced[face][g]), len(cells))
                 ids.append(cells)
             boundaries = [{}]
             for d in range(1, n + 1):
@@ -221,8 +231,7 @@ class GluedManifold:
                 entries = {}
                 for (face, g), col in ids[d].items():
                     for facet, sign in p.incidences[face]:
-                        vid = self._face_vertex[facet]
-                        entries[rows[(facet, self.reduce(0, vid, g))], col] = sign
+                        entries[rows[(facet, reduced[facet][g])], col] = sign
                 boundaries.append(entries)
             self._cellular = ChainComplex([len(c) for c in ids], boundaries)
         return self._cellular
@@ -242,58 +251,58 @@ def _glue(p, columns, rank, what):
         raise BudgetExceeded(
             f"{what} needs {n_tops} top simplices, over the {CELL_BUDGET} budget")
 
-    face_basis = {}
+    reduced = {}
     for level in p.faces_by_size:
         for face in level:
-            face_basis[face] = _echelon([columns[i] for i in face])
+            reduced[face] = _coset_minima(
+                _echelon([columns[i] for i in face]), rank)
     face_vertex = {}
     for vid, (_, face) in enumerate(bar.vertex_labels):
         face_vertex[face] = vid
-    # Each chain cell is pinned by its largest face (the last vertex of the
-    # sorted simplex): that face's span is the smallest along the chain.
-    cell_basis = []
-    for k in range(n + 1):
-        row = []
-        for cid in range(bar.n_cells(k)):
-            last = bar.vertices_of[k][cid][-1]
-            row.append(face_basis[bar.vertex_labels[last][1]])
-        cell_basis.append(row)
 
-    ids = [dict() for _ in range(n + 1)]
-    key_of = [[] for _ in range(n + 1)]
+    cells = []     # per dim, per g: bar cell -> cell id
+    key_of = []
     labels = []
     cell_vertices = [None] * (n + 1)
     cell_faces = [None] * (n + 1)
-    for g in range(1 << rank):
-        for vid in range(bar.n_cells(0)):
-            key = (vid, _reduce(g, cell_basis[0][vid]))
-            if key not in ids[0]:
-                ids[0][key] = len(labels)
-                key_of[0].append(key)
-                labels.append((bar.vertex_labels[vid][1], key[1]))
-    for k in range(1, n + 1):
-        verts = []
-        faces = []
+    for k in range(n + 1):
+        # Each chain cell is pinned by its largest face (the last vertex of
+        # the sorted simplex): that face's span is the smallest along the chain.
+        pins = [reduced[bar.vertex_labels[verts[-1]][1]]
+                for verts in bar.vertices_of[k]]
+        if k:
+            vertex_ids = [itemgetter(*verts) for verts in bar.vertices_of[k]]
+            face_ids = [itemgetter(*faces) for faces in bar.faces_of[k]]
+        rows = []
+        keys = []
+        verts_out = []
+        faces_out = []
         for g in range(1 << rank):
-            for cid in range(bar.n_cells(k)):
-                key = (cid, _reduce(g, cell_basis[k][cid]))
-                if key in ids[k]:
+            # Cells are numbered in order of (coset minimum g, bar cell): a
+            # cell is new where g is its own minimum r, else it is r's cell.
+            row = []
+            for cid, pin in enumerate(pins):
+                r = pin[g]
+                if r != g:
+                    row.append(rows[r][cid])
                     continue
-                ids[k][key] = len(verts)
-                key_of[k].append(key)
-                verts.append(tuple(
-                    ids[0][(v, _reduce(g, cell_basis[0][v]))]
-                    for v in bar.vertices_of[k][cid]))
-                faces.append(tuple(
-                    ids[k - 1][(f, _reduce(g, cell_basis[k - 1][f]))]
-                    for f in bar.faces_of[k][cid]))
-        cell_vertices[k] = verts
-        cell_faces[k] = faces
+                row.append(len(keys))
+                keys.append((cid, g))
+                if k == 0:
+                    labels.append((bar.vertex_labels[cid][1], g))
+                else:
+                    verts_out.append(vertex_ids[cid](cells[0][g]))
+                    faces_out.append(face_ids[cid](cells[k - 1][g]))
+            rows.append(row)
+        cells.append(rows)
+        key_of.append(keys)
+        cell_vertices[k] = verts_out
+        cell_faces[k] = faces_out
     complex_ = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
                                      vertex_labels=labels)
     copy_of_top = tuple(g for (_, g) in key_of[n])
     glued = GluedManifold(p, rank, tuple(columns), complex_, bar, copy_of_top,
-                          ids, cell_basis, face_vertex, key_of)
+                          cells, reduced, face_vertex, key_of)
     cert = pseudo_manifold_check(complex_)
     if not cert.is_pseudo:
         raise ValidationError(f"{what} gluing failed: " + "; ".join(cert.failures))
@@ -341,10 +350,8 @@ def covering_projection(r, lam):
     n = r.complex.n
     maps = []
     for k in range(n + 1):
-        row = [None] * r.complex.n_cells(k)
-        for (cid, g), rid in r._ids[k].items():
-            row[rid] = cover.cell_id(k, cid, lam.apply(g))
-        maps.append(tuple(row))
+        maps.append(tuple(cover.cell_id(k, cid, lam.apply(g))
+                          for cid, g in r._key_of[k]))
     fold = 1 << (m - lam.rows)
     for k in range(n + 1):
         counts = [0] * cover.complex.n_cells(k)
@@ -360,7 +367,7 @@ def covering_projection(r, lam):
     for h in kernel[1:]:
         for k in range(n + 1):
             seen = set()
-            for (cid, g), rid in r._ids[k].items():
+            for rid, (cid, g) in enumerate(r._key_of[k]):
                 other = r.cell_id(k, cid, g ^ h)
                 if maps[k][other] != maps[k][rid]:
                     raise ValidationError("deck motion does not cover the identity")

@@ -27,6 +27,8 @@ from nestotope.cellcomplex import (
     smith_normal_form,
     torus7,
 )
+from nestotope.graphs import path_graph
+from nestotope.subdivision import subdivide_pseudomanifold
 
 
 def test_from_top_simplices_builds_valid_complexes():
@@ -108,6 +110,21 @@ def test_pseudo_manifold_check_flags_boundary():
     cert = pseudo_manifold_check(disc)
     assert not cert.is_pseudo
     assert any("expected 2" in f for f in cert.failures)
+
+
+def test_pseudo_manifold_verdict_is_memoised_not_shared():
+    disc = SimplicialCellComplex.from_top_simplices([(0, 1, 2)])
+    first = pseudo_manifold_check(disc)
+    second = pseudo_manifold_check(disc)
+    assert first == second and first is not second
+    assert first.failures is not second.failures
+    # orient fills in and may extend its own certificate, never the verdict
+    c = simplex_sphere(2)
+    cert = orient(c)
+    cert.failures.append("changed by the caller")
+    again = pseudo_manifold_check(c)
+    assert again.is_pseudo and again.failures == [] and again.orientation is None
+    assert orient(c).orientation == cert.orientation
 
 
 def test_orientation_signs_cancel_on_facets():
@@ -216,10 +233,12 @@ def test_boundary_squares_to_zero():
             assert all(v == 0 for v in acc.values())
 
 
-def test_homology_routes_agree():
+def test_homology_routes_agree(betti_z2_without_clearing):
+    subdivided = subdivide_pseudomanifold(torus7(), path_graph(3)).complex
     for c in (simplex_sphere(2), simplex_sphere(3), torus7(),
-              klein_bottle(), projective_plane()):
+              klein_bottle(), projective_plane(), subdivided):
         assert homology(c).betti_z2 == homology_z2(c)
+        assert betti_z2_without_clearing(c) == homology_z2(c)
 
 
 def test_json_round_trip_vertex_determined():

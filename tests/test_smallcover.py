@@ -1,5 +1,6 @@
 """Mirror gluings: small covers, moment-angle manifolds, covers between them."""
 
+import hashlib
 import json
 import random
 
@@ -7,12 +8,16 @@ import pytest
 
 from nestotope.errors import BudgetExceeded, ValidationError
 from nestotope.cellcomplex import (
+    SimplicialCellComplex,
+    complex_to_json_dict,
     gf2_rank,
     homology,
+    homology_z2,
     orient,
     orientation_double_cover,
 )
 from nestotope.graphs import (
+    Graph,
     complete_graph,
     graph_building_set,
     graph_from_spec,
@@ -21,6 +26,8 @@ from nestotope.graphs import (
 from nestotope.nestohedron import face_poset, face_vectors
 from nestotope.smallcover import (
     CharacteristicFunction,
+    _coset_minima,
+    _echelon,
     betti_z2_matches_h,
     cover_betti_match,
     covering_projection,
@@ -145,6 +152,58 @@ def test_chamber_and_cell_key_round_trip():
         for g in range(m.n_copies()):
             cell = m.chamber(vertex, g)
             assert 0 <= cell < m.complex.n_cells(0)
+
+
+# sha256 of the glued complex's JSON (with its orientation) and of the
+# (bar cell, reduced g) key of every cell, recorded before gluing moved to
+# coset tables: any change to the order in which cells are numbered fails.
+PINNED_NUMBERING = {
+    "path:4/can":
+        "5dbf551343454b60b2d40b4f58377a5767aec52258f914927027939bf749d6c8",
+    "complete:3/tomei":
+        "1b8aa33f9055b6fbe99959e068f5fcbee3bd5a2005413b784bee958f5135aea2",
+    "eta:path:3":
+        "42850356ddc44d29d95210e47e20336bec4ad1f21a0e34c8f4c187bf44bfcd18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NUMBERING))
+def test_cell_numbering_is_pinned(name):
+    m = _eta(name[4:]) if name.startswith("eta:") else _cover(name)
+    doc = complex_to_json_dict(m.complex,
+                               orientation=orient(m.complex).orientation)
+    text = json.dumps([doc, m._key_of], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NUMBERING[name]
+
+
+def test_glued_complex_is_checked_once(monkeypatch):
+    calls = []
+    validate = SimplicialCellComplex.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SimplicialCellComplex, "validate", counting)
+    p, b = _pentagon()
+    m = small_cover(p, lambda_can(b))
+    assert orient(m.complex).orientation == "non-orientable"
+    assert calls == [m.complex]
+
+
+def test_coset_minima_table():
+    b = graph_building_set(complete_graph(4))
+    p = face_poset(b)
+    lam = lambda_can(b)
+    for level in p.faces_by_size:
+        for face in level:
+            cols = [lam.columns[i] for i in face]
+            span = {0}
+            for c in cols:
+                span |= {s ^ c for s in span}
+            table = _coset_minima(_echelon(cols), lam.rows)
+            assert table == [min(g ^ s for s in span)
+                             for g in range(1 << lam.rows)]
 
 
 def test_moment_angle_of_segment_is_a_circle():
@@ -279,9 +338,17 @@ COVERS = ["path:3/can", "star:3/can", "complete:3/can", "complete:3/tomei",
           "complete:4/can", "complete:4/tomei"]
 
 
+# The connected 4-vertex graphs without a preset.
+EXTRA_GRAPHS = {
+    "paw:4": Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
+    "diamond:4": Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+}
+
+
 def _cover(entry, seed=None):
     spec, name = entry.split("/")
-    b = graph_building_set(graph_from_spec(spec))
+    graph = EXTRA_GRAPHS[spec] if spec in EXTRA_GRAPHS else graph_from_spec(spec)
+    b = graph_building_set(graph)
     lam = lambda_from_spec(b, name)
     if seed is not None:
         # A.lambda for a seeded random invertible GF(2) matrix A
@@ -314,6 +381,8 @@ def _rma(spec):
 GLUED = ([(entry, lambda e=entry: _cover(e)) for entry in COVERS]
          + [(f"{entry}@A{seed}", lambda e=entry, s=seed: _cover(e, s))
             for entry in COVERS[:4] for seed in (1, 2)]
+         + [(f"{spec}/can@A1", lambda s=spec: _cover(f"{s}/can", 1))
+            for spec in EXTRA_GRAPHS]
          + [(f"eta:{spec}", lambda s=spec: _eta(s))
             for spec in ("path:3", "complete:3", "path:4")]
          + [(f"rma:{spec}", lambda s=spec: _rma(s))
@@ -322,9 +391,13 @@ GLUED = ([(entry, lambda e=entry: _cover(e)) for entry in COVERS]
 
 @pytest.mark.parametrize("make", [m for _, m in GLUED],
                          ids=[name for name, _ in GLUED])
-def test_cellular_homology_matches_simplicial(make):
+def test_cellular_homology_matches_simplicial(make, betti_z2_without_clearing):
     m = make()
-    assert m.homology() == homology(m.complex)
+    prof = homology(m.complex)
+    assert m.homology() == prof
+    # GF(2) elimination with clearing against plain ranks and the SNF
+    assert homology_z2(m.complex) == betti_z2_without_clearing(m.complex)
+    assert homology_z2(m.complex) == prof.betti_z2
     # one cell per face and coset of its span, and boundaries that compose to 0
     c = m.cellular()
     p = m.poset
