@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import ValidationError
-from .graphs import bits_of, mask_of
+from .graphs import bits_of
 
 _MAX_POSET_VERTICES = 10  # clique enumeration above this is not worth having
 
@@ -196,80 +196,36 @@ def check_simple_and_flag(p):
 
 def face_incidences(p):
     """Cellular incidence numbers [F : F+t] in {1, -1} of every face F and
-    each of its facets F+t, as ``{F: ((F+t, sign), ...)}`` in increasing t.
+    each of its facets F+t, as ``{F: ((F+t, sign), ...)}`` in increasing t
+    (``face_poset`` lists every level in lexicographic order).
 
-    Signs come from a coherent orientation of each face's flags in the
-    barycentric complex.  A flag of F is a vertex v containing F together
-    with an order in which the tubes of v-F are added; it gets the sign
-    delta_F(v) * sgn(order), with sgn taken against increasing order.
-    Flags differing in a middle slot then get opposite signs by
-    themselves.  Flags differing in the last slot end at the two vertices
-    v, v' of an edge E of F, and get opposite signs exactly when
-    delta_F(v) * (-1)^#{s in E-F : s > t} = -delta_F(v') * (-1)^#{s in E-F :
-    s > t'}, with t = v-E and t' = v'-E; delta_F is propagated along the
-    edges of F, and a contradiction raises.  Dropping the first slot of the
-    flag (v; t, then v-F-t increasing) leaves the flag (v; v-F-t increasing)
-    of F+t, so [F : F+t] = delta_F(v) * delta_{F+t}(v) * (-1)^#{s in v-F-t :
-    s < t}; that must agree at every vertex v of F+t, or it raises.
+    The sign is (-1)^#{s in F : s < t}, that is (-1) to the position of t
+    in the sorted tubing F+t.  A face with k tubes is a (k-1)-simplex of
+    the simplicial complex of tubings, the boundary of the polar polytope,
+    and this is that complex's coboundary sign, so the boundary of the
+    polytope's cells squares to zero by construction: C_d of the polytope
+    is the augmented cochain group C^(n-1-d) of the tubings.  On a regular
+    CW complex, incidence numbers whose boundary squares to zero are unique
+    up to the sign of each cell (Lundell and Weingram, "The Topology of CW
+    Complexes", 1969), and a gluing of copies along faces takes the same
+    numbers in every copy, so its cellular homology does not depend on the
+    choice.  A face with dim-1 tubes is an edge and must have exactly two
+    ends, or this raises.
 
     >>> from nestotope.graphs import path_graph, graph_building_set
     >>> p = face_poset(graph_building_set(path_graph(2)))
     >>> face_incidences(p)[()]
-    (((0,), 1), ((1,), -1))
+    (((0,), 1), ((1,), 1))
     """
     n = p.dim
-    vertex_masks = [mask_of(v) for v in p.vertices]
-    ends = {}   # edge mask -> [(vertex mask, the tube it adds)]
-    for v in vertex_masks:
-        for i in bits_of(v):
-            ends.setdefault(v & ~(1 << i), []).append((v, i))
-    if any(len(pair) != 2 for pair in ends.values()):
+    out = {face: [] for level in p.faces_by_size[:n] for face in level}
+    for level in p.faces_by_size[1:]:
+        for facet in level:
+            for i in range(len(facet)):
+                out[facet[:i] + facet[i + 1:]].append((facet, (-1) ** i))
+    if n and any(len(out[edge]) != 2 for edge in p.faces_by_size[n - 1]):
         raise ValidationError("an edge of the polytope does not have two ends")
-
-    delta = {}
-    for level in p.faces_by_size:
-        for face in level:
-            f = mask_of(face)
-            verts = [v for v in vertex_masks if v & f == f]
-            signs = {verts[0]: 1}
-            todo = [verts[0]]
-            while todo:
-                v = todo.pop()
-                for t in bits_of(v & ~f):
-                    e = v & ~(1 << t)
-                    (a, ta), (b, tb) = ends[e]
-                    w, tw = (b, tb) if a == v else (a, ta)
-                    free = e & ~f
-                    flip = ((free >> (t + 1)).bit_count()
-                            + (free >> (tw + 1)).bit_count()) & 1
-                    want = signs[v] if flip else -signs[v]
-                    if w not in signs:
-                        signs[w] = want
-                        todo.append(w)
-                    elif signs[w] != want:
-                        raise ValidationError(
-                            "flags of a face admit no coherent orientation")
-            delta[f] = signs
-
-    out = {}
-    for level in p.faces_by_size[:n]:
-        for face in level:
-            f = mask_of(face)
-            below = 0
-            for v in delta[f]:
-                below |= v
-            facets = []
-            for t in bits_of(below & ~f):
-                g = f | 1 << t
-                signs = {delta[f][v] * delta[g][v]
-                         * (-1) ** (v & ~g & ((1 << t) - 1)).bit_count()
-                         for v in delta[g]}
-                if len(signs) != 1:
-                    raise ValidationError(
-                        "incidence sign of a facet differs between its vertices")
-                facets.append((tuple(sorted(face + (t,))), signs.pop()))
-            out[face] = tuple(facets)
-    return out
+    return {face: tuple(facets) for face, facets in out.items()}
 
 
 @dataclass

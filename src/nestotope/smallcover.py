@@ -8,17 +8,20 @@ matrix whose columns at every vertex form a basis gives a small cover;
 adjoining an extra always-on row to a non-orientable small cover's
 matrix gives its orientation cover.
 
-The glued complex is the barycentric subdivision of each copy, glued
-simplex by simplex.  Integral homology runs on a much smaller complex, the
-cell structure of Davis and Januszkiewicz ("Convex polytopes, Coxeter
-orbifolds and torus actions", Duke Math. J. 62, 1991): a face F of
-dimension d contributes one d-cell per coset of the span of F's columns,
-which for a small cover is f_d * 2^d cells in degree d, and the boundary
-of a cell is the polytope's own boundary of F, each facet taken in the
-coset of its copy.
+Constructing a manifold builds only the coset table of each face.
+Integral homology runs on the cell structure of Davis and Januszkiewicz
+("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J.
+62, 1991): a face F of dimension d contributes one d-cell per coset of the
+span of F's columns, which for a small cover is f_d * 2^d cells in degree
+d, and the boundary of a cell is the polytope's own boundary of F, each
+facet taken in the coset of its copy.  The simplicial complex, the
+barycentric subdivision of each copy glued simplex by simplex, is built
+on the first read of ``complex``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import factorial
 from operator import itemgetter
 
 from .errors import BudgetExceeded, CELL_BUDGET, ValidationError
@@ -168,35 +171,87 @@ def _coset_minima(basis, rank):
 class GluedManifold:
     """A complex assembled from mirror copies of one polytope.
 
-    ``copy_of_top`` remembers which group element each top simplex came
-    from; ``chamber(face, g)`` resolves a polytope face and a group
-    element to the vertex cell they were merged into.
+    Construction builds only the coset table of every face
+    (``_reduced``), from which ``cellular()`` and ``homology()`` work.
+    The simplicial gluing is built, budget-checked and checked to be a
+    pseudomanifold on the first read of ``complex``; ``cell_id`` and
+    ``_key_of`` number its cells.
     """
     poset: object
     rank: int
     columns: tuple
-    complex: SimplicialCellComplex
-    bar: SimplicialCellComplex
-    copy_of_top: tuple
-    _cells: list = field(repr=False)        # per dim, per g: bar cell -> cell
+    what: str
     _reduced: dict = field(repr=False)      # polytope face -> coset minimum per g
-    _face_vertex: dict = field(repr=False)  # polytope face -> bar vertex id
-    _key_of: list = field(repr=False)       # per dim: cell -> (bar cell, reduced g)
+    _cells: list = field(default=None, repr=False)   # per dim, per g: bar cell -> cell
+    _key_of: list = field(default=None, repr=False)  # per dim: cell -> (bar cell, reduced g)
     _cellular: ChainComplex = field(default=None, repr=False, compare=False)
 
     def n_copies(self):
         return 1 << self.rank
 
     def cell_id(self, k, bar_cid, g):
+        """The cell of ``complex`` that copy g's bar cell was glued into."""
+        self.complex  # glue first
         return self._cells[k][g][bar_cid]
 
-    def chamber(self, face, g):
-        vid = self._face_vertex[tuple(face)]
-        return self.cell_id(0, vid, g)
-
-    def cell_key(self, k, cell):
-        """Inverse of ``cell_id``: the (bar cell, reduced g) pair of a cell."""
-        return self._key_of[k][cell]
+    @cached_property
+    def complex(self):
+        """The barycentric subdivision of every copy, glued simplex by
+        simplex; built on first read."""
+        p = self.poset
+        n = p.dim
+        # A vertex of the simple polytope lies on n! complete flags.
+        n_tops = len(p.vertices) * factorial(n) << self.rank
+        if n_tops > CELL_BUDGET:
+            raise BudgetExceeded(f"{self.what} needs {n_tops} top simplices, "
+                                 f"over the {CELL_BUDGET} budget")
+        bar = barycentric_complex(p)
+        cells = []     # per dim, per g: bar cell -> cell id
+        key_of = []
+        labels = []
+        cell_vertices = [None] * (n + 1)
+        cell_faces = [None] * (n + 1)
+        for k in range(n + 1):
+            # Each chain cell is pinned by its largest face (the last vertex of
+            # the sorted simplex): that face's span is the smallest along the chain.
+            pins = [self._reduced[bar.vertex_labels[verts[-1]][1]]
+                    for verts in bar.vertices_of[k]]
+            if k:
+                vertex_ids = [itemgetter(*verts) for verts in bar.vertices_of[k]]
+                face_ids = [itemgetter(*faces) for faces in bar.faces_of[k]]
+            rows = []
+            keys = []
+            verts_out = []
+            faces_out = []
+            for g in range(1 << self.rank):
+                # Cells are numbered in order of (coset minimum g, bar cell): a
+                # cell is new where g is its own minimum r, else it is r's cell.
+                row = []
+                for cid, pin in enumerate(pins):
+                    r = pin[g]
+                    if r != g:
+                        row.append(rows[r][cid])
+                        continue
+                    row.append(len(keys))
+                    keys.append((cid, g))
+                    if k == 0:
+                        labels.append((bar.vertex_labels[cid][1], g))
+                    else:
+                        verts_out.append(vertex_ids[cid](cells[0][g]))
+                        faces_out.append(face_ids[cid](cells[k - 1][g]))
+                rows.append(row)
+            cells.append(rows)
+            key_of.append(keys)
+            cell_vertices[k] = verts_out
+            cell_faces[k] = faces_out
+        complex_ = SimplicialCellComplex(n, len(labels), cell_vertices,
+                                         cell_faces, vertex_labels=labels)
+        cert = pseudo_manifold_check(complex_)
+        if not cert.is_pseudo:
+            raise ValidationError(f"{self.what} gluing failed: "
+                                  + "; ".join(cert.failures))
+        self._cells, self._key_of = cells, key_of
+        return complex_
 
     def cellular(self):
         """The cellular chain complex, built on first use.
@@ -243,70 +298,18 @@ class GluedManifold:
         return homology_z2(self.complex)
 
 
-def _glue(p, columns, rank, what):
-    bar = barycentric_complex(p)
-    n = bar.n
-    n_tops = bar.n_cells(n) << rank
-    if n_tops > CELL_BUDGET:
+def _mirror_copies(p, columns, rank, what):
+    """The coset table of every face, after refusing a cell complex of
+    more than CELL_BUDGET cells.  Each face's columns are independent, so a
+    face with k tubes gives 2^(rank - k) cells."""
+    cells = sum(len(level) << rank - k
+                for k, level in enumerate(p.faces_by_size))
+    if cells > CELL_BUDGET:
         raise BudgetExceeded(
-            f"{what} needs {n_tops} top simplices, over the {CELL_BUDGET} budget")
-
-    reduced = {}
-    for level in p.faces_by_size:
-        for face in level:
-            reduced[face] = _coset_minima(
-                _echelon([columns[i] for i in face]), rank)
-    face_vertex = {}
-    for vid, (_, face) in enumerate(bar.vertex_labels):
-        face_vertex[face] = vid
-
-    cells = []     # per dim, per g: bar cell -> cell id
-    key_of = []
-    labels = []
-    cell_vertices = [None] * (n + 1)
-    cell_faces = [None] * (n + 1)
-    for k in range(n + 1):
-        # Each chain cell is pinned by its largest face (the last vertex of
-        # the sorted simplex): that face's span is the smallest along the chain.
-        pins = [reduced[bar.vertex_labels[verts[-1]][1]]
-                for verts in bar.vertices_of[k]]
-        if k:
-            vertex_ids = [itemgetter(*verts) for verts in bar.vertices_of[k]]
-            face_ids = [itemgetter(*faces) for faces in bar.faces_of[k]]
-        rows = []
-        keys = []
-        verts_out = []
-        faces_out = []
-        for g in range(1 << rank):
-            # Cells are numbered in order of (coset minimum g, bar cell): a
-            # cell is new where g is its own minimum r, else it is r's cell.
-            row = []
-            for cid, pin in enumerate(pins):
-                r = pin[g]
-                if r != g:
-                    row.append(rows[r][cid])
-                    continue
-                row.append(len(keys))
-                keys.append((cid, g))
-                if k == 0:
-                    labels.append((bar.vertex_labels[cid][1], g))
-                else:
-                    verts_out.append(vertex_ids[cid](cells[0][g]))
-                    faces_out.append(face_ids[cid](cells[k - 1][g]))
-            rows.append(row)
-        cells.append(rows)
-        key_of.append(keys)
-        cell_vertices[k] = verts_out
-        cell_faces[k] = faces_out
-    complex_ = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
-                                     vertex_labels=labels)
-    copy_of_top = tuple(g for (_, g) in key_of[n])
-    glued = GluedManifold(p, rank, tuple(columns), complex_, bar, copy_of_top,
-                          cells, reduced, face_vertex, key_of)
-    cert = pseudo_manifold_check(complex_)
-    if not cert.is_pseudo:
-        raise ValidationError(f"{what} gluing failed: " + "; ".join(cert.failures))
-    return glued
+            f"{what} needs {cells} cells, over the {CELL_BUDGET} budget")
+    reduced = {face: _coset_minima(_echelon([columns[i] for i in face]), rank)
+               for level in p.faces_by_size for face in level}
+    return GluedManifold(p, rank, tuple(columns), what, reduced)
 
 
 def real_moment_angle(p):
@@ -315,7 +318,8 @@ def real_moment_angle(p):
     The result is always orientable; that is asserted here.
     """
     m = len(p.b.proper_tubes)
-    glued = _glue(p, [1 << j for j in range(m)], m, "moment-angle manifold")
+    glued = _mirror_copies(p, [1 << j for j in range(m)], m,
+                           "moment-angle manifold")
     cert = orient(glued.complex)
     if cert.orientation == "non-orientable":
         raise ValidationError("moment-angle gluing came out non-orientable")
@@ -327,7 +331,7 @@ def small_cover(p, lam):
     if not validate_characteristic(p, lam):
         raise ValidationError("matrix is not characteristic: "
                               "columns at some vertex are dependent")
-    return _glue(p, lam.columns, lam.rows, "small cover")
+    return _mirror_copies(p, lam.columns, lam.rows, "small cover")
 
 
 @dataclass
@@ -394,7 +398,7 @@ def orientation_cover_via_eta(p, lam):
         raise ValidationError("orientation cover is disconnected; use two copies")
     n = lam.rows
     cols = [c | (1 << n) for c in lam.columns]
-    glued = _glue(p, cols, n + 1, "orientation cover")
+    glued = _mirror_copies(p, cols, n + 1, "orientation cover")
     cert = orient(glued.complex)
     if cert.orientation == "non-orientable":
         raise ValidationError("orientation cover came out non-orientable")

@@ -161,6 +161,13 @@ def test_exit_code_budget(monkeypatch):
                     "path:2"]) == 3
 
 
+def test_smallcover_refuses_the_gluing_over_budget(capsys):
+    # the cell complex (3,304 cells) fits; the glued simplices do not
+    assert cli.run(["smallcover", "--graph", "path:6", "--lambda", "can"]) == 3
+    assert capsys.readouterr().err == (
+        "budget: small cover needs 506880 top simplices, over the 200000 budget\n")
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit):
         cli.run(["frobnicate"])

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from nestotope.cellcomplex import ChainComplex, homology
 from nestotope.errors import ValidationError
 from nestotope.graphs import (
     BuildingSet,
@@ -198,6 +199,24 @@ def test_face_incidences_square_to_zero():
                 assert not any(square.values())
             assert set(inc) == {f for level in p.faces_by_size[:p.dim]
                                 for f in level}
+
+
+def test_polytope_cells_form_a_ball():
+    # the incidences alone give the homology of a point
+    for k in range(2, 6):
+        for g in connected_graph_representatives(k):
+            p = _poset(g)
+            n = p.dim
+            ids = [{face: i for i, face in enumerate(p.faces_by_size[n - d])}
+                   for d in range(n + 1)]
+            boundaries = [{}]
+            for d in range(1, n + 1):
+                boundaries.append({(ids[d - 1][facet], col): sign
+                                   for face, col in ids[d].items()
+                                   for facet, sign in p.incidences[face]})
+            prof = homology(ChainComplex(p.f_counts()[::-1], boundaries))
+            assert prof.betti_q == (1,) + (0,) * n
+            assert prof.torsion == ((),) * (n + 1)
 
 
 def test_face_incidences_refuse_an_edge_with_one_end():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nestotope import smallcover
 from nestotope.errors import BudgetExceeded, ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
@@ -23,7 +24,8 @@ from nestotope.graphs import (
     graph_from_spec,
     path_graph,
 )
-from nestotope.nestohedron import face_poset, face_vectors
+from nestotope.formulas import betti_as_can, betti_hessenberg, betti_tomei
+from nestotope.nestohedron import barycentric_complex, face_poset, face_vectors
 from nestotope.smallcover import (
     CharacteristicFunction,
     _coset_minima,
@@ -141,17 +143,20 @@ def test_orientable_path_gluing():
     assert orient(m.complex).orientation != "non-orientable"
 
 
-def test_chamber_and_cell_key_round_trip():
+def test_cell_id_and_key_of_round_trip():
     p, b = _pentagon()
     m = small_cover(p, lambda_can(b))
-    n = m.complex.n
-    for cell in range(m.complex.n_cells(n)):
-        cid, g = m.cell_key(n, cell)
-        assert m.cell_id(n, cid, g) == cell
-    for vertex in p.vertices:
-        for g in range(m.n_copies()):
-            cell = m.chamber(vertex, g)
-            assert 0 <= cell < m.complex.n_cells(0)
+    for k in range(m.complex.n + 1):
+        keys = m._key_of[k]
+        assert len(keys) == m.complex.n_cells(k)
+        for cell, (cid, g) in enumerate(keys):
+            assert m.cell_id(k, cid, g) == cell
+    # every copy of every bar cell lands on a cell, and every cell is hit
+    bar = barycentric_complex(p)
+    for k in range(bar.n + 1):
+        hit = {m.cell_id(k, cid, g) for cid in range(bar.n_cells(k))
+               for g in range(m.n_copies())}
+        assert hit == set(range(m.complex.n_cells(k)))
 
 
 # sha256 of the glued complex's JSON (with its orientation) and of the
@@ -217,6 +222,39 @@ def test_moment_angle_budget_refusal():
     p = face_poset(graph_building_set(complete_graph(4)))
     with pytest.raises(BudgetExceeded):
         real_moment_angle(p)
+
+
+def _must_not_run(*args):
+    raise AssertionError("called where nothing may be built")
+
+
+def test_cell_budget_refuses_before_coset_tables(monkeypatch):
+    monkeypatch.setattr(smallcover, "_coset_minima", _must_not_run)
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
+    p = face_poset(graph_building_set(path_graph(6)))
+    # 2^20 copies of the 5-dimensional polytope alone are over the budget
+    with pytest.raises(BudgetExceeded, match="cells, over the 200000 budget"):
+        real_moment_angle(p)
+
+
+def test_simplicial_budget_refuses_on_first_read(monkeypatch):
+    m = _cover("path:6/can")
+    assert m.cellular().total_cells() == 3304
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
+    with pytest.raises(BudgetExceeded,
+                       match="small cover needs 506880 top simplices"):
+        m.complex
+
+
+@pytest.mark.parametrize("entry, betti", [
+    ("path:5/can", betti_as_can(4)),
+    ("complete:5/can", betti_hessenberg(4)),
+    ("complete:5/tomei", betti_tomei(4)),
+])
+def test_closed_forms_on_four_manifolds(monkeypatch, entry, betti):
+    # homology comes from the cell complex alone; nothing is glued
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
+    assert _cover(entry).homology().betti_q == betti
 
 
 def test_covering_projection_pentagon():
