@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from .errors import ValidationError
 from .graphs import bits_of
@@ -81,6 +82,23 @@ class FacePoset:
     def incidences(self):
         """``face_incidences`` of this poset, computed on first use."""
         return face_incidences(self)
+
+    @cached_property
+    def coordinate_table(self):
+        """One row per proper tube T, in index order, and a last row for the
+        ground set: entry j counts the tubes S with j in S contained in T
+        (0 off T).  ``vertex_coordinates`` reads its coordinates from here,
+        and nothing else reads it, so only that path builds it."""
+        b = self.b
+        rows = []
+        for t in b.proper_tubes + (b.ground_mask,):
+            row = [0] * b.n_vertices
+            for s in b.tubes:
+                if s & ~t == 0:
+                    for j in bits_of(s):
+                        row[j] += 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def f_counts(self):
         return tuple(len(level) for level in self.faces_by_size)
@@ -287,8 +305,15 @@ def vertex_coordinates(p, vertex):
     Postnikov's formula (IMRN 2009, arXiv:math/0507163, section 7):
     coordinate j counts the tubes S with j in S contained in T_j, the
     smallest tube of the vertex holding j, or the ground set if none does.
+    Those counts are the rows of ``p.coordinate_table``: x starts as the
+    ground-set row, and the vertex's tubes, walked from largest to smallest
+    (the canonical tube order is by size), overwrite it on their members,
+    so each x_j ends as T_j's entry.
+
     The point is then checked to meet the support-count equation of every
     tube of the vertex, and every other proper tube's inequality strictly.
+    The sums over tubes are read from a subset-sum table of x over all
+    2^n_vertices masks, built by doubling, so each tube costs one lookup.
 
     >>> from nestotope.graphs import complete_graph, graph_building_set
     >>> p = face_poset(graph_building_set(complete_graph(3)))
@@ -299,19 +324,24 @@ def vertex_coordinates(p, vertex):
     if vertex not in p.face_sets[p.dim]:
         raise ValidationError("not a vertex of this face poset")
     proper = b.proper_tubes
-    x = []
-    for j in range(b.n_vertices):
-        t = min((proper[i] for i in vertex if (proper[i] >> j) & 1),
-                key=int.bit_count, default=b.ground_mask)
-        x.append(sum(1 for s in b.tubes if (s >> j) & 1 and s & ~t == 0))
+    table = p.coordinate_table
+    x = list(table[-1])
+    for i in sorted(vertex, reverse=True):
+        row = table[i]
+        for j in bits_of(proper[i]):
+            x[j] = row[j]
     if sum(x) != len(b.tubes):
         raise ValidationError("vertex equations failed to hold")
-    for idx, s in enumerate(proper):
-        total = sum(x[j] for j in bits_of(s))
-        if idx in vertex:
-            if total != p.support[idx]:
+    sums = [0]  # sums[mask] = sum of x[j] over the bits j of mask
+    for xj in x:
+        sums += [s + xj for s in sums]
+    own = set(vertex)
+    for idx, (s, c) in enumerate(zip(proper, p.support)):
+        total = sums[s]
+        if idx in own:
+            if total != c:
                 raise ValidationError("vertex equations failed to hold")
-        elif total <= p.support[idx]:
+        elif total <= c:
             raise ValidationError(
                 "support inequality not strict off the vertex's own tubes")
     return tuple(x)
@@ -384,6 +414,8 @@ def pi_map(p):
     barycentre of the coordinate simplex on the vertices not covered by T."""
     b = p.b
     proper = b.proper_tubes
+    zero = Fraction(0)
+    share = [zero] + [Fraction(1, k) for k in range(1, b.n_vertices + 1)]
     out = {}
     for level in p.faces_by_size:
         for face in level:
@@ -393,10 +425,9 @@ def pi_map(p):
             u = b.ground_mask & ~covered
             if u == 0:
                 raise ValidationError("tubing covers the whole ground set")
-            size = u.bit_count()
-            out[face] = tuple(
-                Fraction(1, size) if (u >> j) & 1 else Fraction(0)
-                for j in range(b.n_vertices))
+            w = share[u.bit_count()]
+            out[face] = tuple(w if (u >> j) & 1 else zero
+                              for j in range(b.n_vertices))
     return out
 
 
@@ -431,64 +462,106 @@ def _det_sign(rows):
     return (d > 0) - (d < 0)
 
 
+def _signed_flag_counts(p, coords):
+    """Signed counts of the nondegenerate complete face chains, per image.
+
+    Returns ``(acc, boundary_keys)``: ``acc`` maps each image flag, the
+    tuple of uncovered masks u(F) of the chain's faces from vertex to the
+    whole polytope, to the sum of the source orientation signs of the
+    chains over it, and ``boundary_keys`` holds those flags without their
+    last mask.  Source points are face barycentres scaled by vertex counts:
+    each vertex's point is added into every face of its tubing.
+
+    A chain counts only when u grows by one element at each step: its face
+    at step i, which has dim - i tubes, must leave i + 1 elements uncovered.
+    So a chain is nondegenerate exactly when every face F on it is good,
+    |u(F)| = n_vertices - |F|, and the walk down from each vertex, which
+    descends only into good faces, reaches exactly the nondegenerate chains
+    of ``_flags``.  A face under a good face that the poset does not store,
+    and a stored face that no vertex contains, raise.
+    """
+    b = p.b
+    nv = b.n_vertices
+    proper = b.proper_tubes
+    uncovered = {}
+    bary = {}
+    for level in p.faces_by_size:
+        for face in level:
+            covered = 0
+            for i in face:
+                covered |= proper[i]
+            uncovered[face] = b.ground_mask & ~covered
+            bary[face] = None
+    for v in p.vertices:
+        pt = coords[v]
+        under = [()]
+        for i in v:
+            under += [face + (i,) for face in under]
+        for face in under:
+            if face in bary:
+                row = bary[face]
+                bary[face] = pt if row is None else tuple(map(add, row, pt))
+    if any(row is None for row in bary.values()):
+        raise ValidationError("face with no vertices")
+    good = {face for face, u in uncovered.items()
+            if u.bit_count() == nv - len(face)}
+
+    acc = {}
+    boundary_keys = set()
+
+    def descend(face, key, rows):
+        if not face:
+            boundary_keys.add(key[:-1])
+            sdom = _det_sign(rows)
+            if sdom == 0:
+                raise ValidationError(
+                    "degenerate source flag with nondegenerate image")
+            acc[key] = acc.get(key, 0) + sdom
+            return
+        for drop in range(len(face)):
+            child = face[:drop] + face[drop + 1:]
+            if child in good:
+                descend(child, key + (uncovered[child],), rows + (bary[child],))
+            elif child not in uncovered:
+                raise ValidationError(
+                    f"face {child} under face {face} is missing from the "
+                    "face poset")
+
+    for v in p.vertices:
+        if v in good:
+            descend(v, (uncovered[v],), (bary[v],))
+    return acc, boundary_keys
+
+
 def pi_degree(p):
     """Degree of the barycentric projection onto the ground-set simplex.
 
     Every complete face chain maps to a chain of coordinate subsets; chains
     whose subset sizes fail to grow one by one are degenerate and count
     zero.  For the rest, the product of the two orientation signs is
-    accumulated per image flag.  The count must come out the same for every
+    accumulated per image flag (``_signed_flag_counts``, which builds the
+    face barycentres from per-vertex tables and prunes the chain walk at
+    the first degenerate face).  The count must come out the same for every
     image flag, the image flags must exhaust all orderings of the ground
     set, and face barycentres must land in the subsimplex missing their
     tubes; any failure raises.
     """
     b = p.b
-    n = p.dim
     nv = b.n_vertices
     proper = b.proper_tubes
     coords = all_vertex_coordinates(p)
     images = pi_map(p)
 
     # containment guard: image support avoids every tube of the face
-    for level in p.faces_by_size:
-        for face in level:
-            img = images[face]
-            for i in face:
-                if any(img[j] != 0 for j in bits_of(proper[i])):
-                    raise ValidationError(
-                        "face image meets a coordinate its tube forbids")
-
-    # barycentres of faces in the source polytope, scaled by their vertex
-    # counts to stay integral
-    bary = {}
-    vert_sets = [frozenset(v) for v in p.vertices]
-    vert_pts = [coords[v] for v in p.vertices]
-    for level in p.faces_by_size:
-        for face in level:
-            fs = set(face)
-            pts = [pt for vs, pt in zip(vert_sets, vert_pts) if fs <= vs]
-            if not pts:
-                raise ValidationError("face with no vertices")
-            bary[face] = tuple(sum(pt[j] for pt in pts) for j in range(nv))
-
-    def u_mask(face):
+    for face, img in images.items():
         covered = 0
         for i in face:
             covered |= proper[i]
-        return b.ground_mask & ~covered
+        if any(img[j] != 0 for j in bits_of(covered)):
+            raise ValidationError(
+                "face image meets a coordinate its tube forbids")
 
-    acc = {}
-    boundary_keys = set()
-    for flag in _flags(p):
-        key = tuple(u_mask(face) for face in flag)
-        degenerate = any(key[i].bit_count() != i + 1 for i in range(n + 1))
-        if degenerate:
-            continue
-        boundary_keys.add(key[:-1])
-        sdom = _det_sign([bary[face] for face in flag])
-        if sdom == 0:
-            raise ValidationError("degenerate source flag with nondegenerate image")
-        acc[key] = acc.get(key, 0) + sdom
+    acc, boundary_keys = _signed_flag_counts(p, coords)
 
     expected = set()
     for perm in permutations(range(nv)):

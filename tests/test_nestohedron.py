@@ -13,12 +13,16 @@ from nestotope.graphs import (
     connected_graph_representatives,
     cycle_graph,
     graph_building_set,
+    bits_of,
     mask_of,
     path_graph,
     star_graph,
 )
 from nestotope.nestohedron import (
     FacePoset,
+    _flags,
+    _int_det,
+    _signed_flag_counts,
     all_vertex_coordinates,
     barycentric_complex,
     check_simple_and_flag,
@@ -146,6 +150,32 @@ def test_hexagon_vertices_are_permutations():
         assert got == set(permutations([2 ** i for i in range(k)]))
 
 
+def test_vertex_support_check_catches_tampering():
+    p = _poset(path_graph(4))
+    v = p.vertices[0]
+    x = vertex_coordinates(p, v)
+    proper = p.b.proper_tubes
+
+    def tampered(idx, value):
+        q = FacePoset(p.b, p.faces_by_size)
+        q.support = p.support[:idx] + (value,) + p.support[idx + 1:]
+        return q
+
+    # a tube off the vertex whose support constant reaches its true sum
+    off = next(i for i in range(len(proper)) if i not in v)
+    total = sum(x[j] for j in bits_of(proper[off]))
+    assert total > p.support[off]
+    with pytest.raises(ValidationError, match="not strict off the vertex"):
+        vertex_coordinates(tampered(off, total), v)
+    # a tube of the vertex whose support constant no longer meets the point
+    own = v[-1]
+    assert sum(x[j] for j in bits_of(proper[own])) == p.support[own]
+    with pytest.raises(ValidationError, match="vertex equations failed"):
+        vertex_coordinates(tampered(own, p.support[own] + 1), v)
+    with pytest.raises(ValidationError, match="not strict off the vertex"):
+        pi_degree(tampered(off, total))
+
+
 def test_pi_map_lands_off_the_tubes():
     p = _poset(path_graph(3))
     images = pi_map(p)
@@ -170,6 +200,92 @@ def test_projection_degree_is_one():
     for k in range(2, 6):
         for g in connected_graph_representatives(k):
             assert pi_degree(_poset(g)) == 1
+
+
+def _every_chain_flag_counts(p, coords):
+    """The signed flag count by brute force: every complete chain of
+    ``_flags``, its degenerate ones dropped afterwards, each barycentre
+    summed over all vertices and each sign from a full determinant."""
+    proper = p.b.proper_tubes
+    nv = p.b.n_vertices
+    bary = {}
+
+    def barycentre(face):
+        if face not in bary:
+            pts = [coords[v] for v in p.vertices if set(face) <= set(v)]
+            bary[face] = tuple(sum(pt[j] for pt in pts) for j in range(nv))
+        return bary[face]
+
+    def uncovered(face):
+        covered = 0
+        for i in face:
+            covered |= proper[i]
+        return p.b.ground_mask & ~covered
+
+    acc, boundary_keys = {}, set()
+    for flag in _flags(p):
+        key = tuple(uncovered(face) for face in flag)
+        if any(m.bit_count() != i + 1 for i, m in enumerate(key)):
+            continue
+        boundary_keys.add(key[:-1])
+        d = _int_det([barycentre(face) for face in flag])
+        acc[key] = acc.get(key, 0) + (d > 0) - (d < 0)
+    return acc, boundary_keys
+
+
+def test_signed_flag_counts_match_every_chain():
+    graphs = [complete_graph(6)]
+    for k in range(2, 6):
+        graphs.extend(connected_graph_representatives(k))
+    for g in graphs:
+        p = _poset(g)
+        coords = all_vertex_coordinates(p)
+        assert _signed_flag_counts(p, coords) == _every_chain_flag_counts(
+            p, coords), g
+
+
+def _drop_vertices(p, drop):
+    """``p`` without the vertices at positions ``drop``, and without every
+    face that no remaining vertex contains."""
+    keep = [v for i, v in enumerate(p.vertices) if i not in drop]
+    levels = [tuple(f for f in level if any(set(f) <= set(v) for v in keep))
+              for level in p.faces_by_size[:-1]]
+    return FacePoset(p.b, levels + [tuple(keep)])
+
+
+def test_pi_degree_guards():
+    # The containment guard, the boundary check and the degenerate-image
+    # guard cannot be reached from a FacePoset: pi_map builds each image off
+    # its own face's tubes, every boundary key is a prefix of a key of acc,
+    # and a flag of nested subsets growing one element at a time has
+    # determinant +-1.  Every other refusal is reached below.
+    p = _poset(path_graph(3))
+    f0, f1, f2 = p.faces_by_size
+    with pytest.raises(ValidationError, match=r"face \(0,\) under .* missing"):
+        pi_degree(FacePoset(p.b, [f0, f1[1:], f2]))
+    with pytest.raises(ValidationError, match=r"face \(\) under .* missing"):
+        pi_degree(FacePoset(p.b, [(), f1, f2]))
+    with pytest.raises(ValidationError, match="degenerate source flag with "
+                                              "nondegenerate image"):
+        pi_degree(FacePoset(p.b, [f0, f1, f2[1:]]))
+    with pytest.raises(ValidationError, match="misses some full flags"):
+        pi_degree(_drop_vertices(p, (2, 3)))
+    with pytest.raises(ValidationError, match=r"local degrees disagree: \[1, 2\]"):
+        pi_degree(FacePoset(p.b, [f0, f1, f2 + f2[:1]]))
+    with pytest.raises(ValidationError, match="face with no vertices"):
+        pi_degree(FacePoset(p.b, [f0, f1, tuple(v for v in f2 if 0 not in v)]))
+    # {0} and {1,2} are not compatible, so (0, 4) is no vertex
+    assert p.b.proper_tubes[0] | p.b.proper_tubes[4] == p.b.ground_mask
+    with pytest.raises(ValidationError, match="vertex equations failed"):
+        pi_degree(FacePoset(p.b, [f0, f1, f2 + ((0, 4),)]))
+    q = _poset(path_graph(4))
+    g0, g1, g2, g3 = q.faces_by_size
+    proper = q.b.proper_tubes
+    covering = next((i, j) for i in range(len(proper))
+                    for j in range(i + 1, len(proper))
+                    if proper[i] | proper[j] == q.b.ground_mask)
+    with pytest.raises(ValidationError, match="covers the whole ground set"):
+        pi_degree(FacePoset(q.b, [g0, g1, g2 + (covering,), g3]))
 
 
 def test_gamma_vector_nonnegative_small():
