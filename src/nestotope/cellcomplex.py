@@ -823,7 +823,11 @@ def complex_to_json_dict(c, orientation=None):
 def complex_from_json_dict(data):
     if "top_cells" not in data or "dim" not in data:
         raise ValidationError("pseudomanifold JSON needs 'dim' and 'top_cells'")
-    dim = int(data["dim"])
+    try:
+        dim = int(data["dim"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"pseudomanifold 'dim' must be an integer, got {data['dim']!r}") from exc
     tops = [tuple(t) for t in data["top_cells"]]
     if any(len(t) != dim + 1 for t in tops):
         raise ValidationError("top cell arity does not match 'dim'")
@@ -877,7 +881,11 @@ def pseudomanifold_from_spec(text):
     import json as _json
 
     if text.startswith("sphere:"):
-        return simplex_sphere(int(text.split(":", 1)[1]))
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad sphere dimension in {text!r}") from exc
+        return simplex_sphere(k)
     if text in _PRESET_COMPLEXES:
         return _PRESET_COMPLEXES[text]()
     try:

@@ -74,6 +74,26 @@ def _emit_path(text):
     return path
 
 
+def _apex(text):
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValidationError(
+            f"apex must be 'auto' or a vertex number, got {text!r}") from exc
+
+
+def _budget(text):
+    try:
+        budget = int(float(text))
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"budget must be a finite number, got {text!r}") from exc
+    if budget <= 0:
+        raise ValidationError("budget must be positive")
+    return budget
+
+
 def _write_json(path, payload):
     text = json.dumps(payload, indent=1) + "\n"
     if path is None:
@@ -136,7 +156,7 @@ def _cmd_subdivide(args):
     emit = _emit_path(args.emit)
     z = pseudomanifold_from_spec(args.pseudomanifold)
     g = graph_from_spec(args.graph)
-    apex = None if args.apex == "auto" else int(args.apex)
+    apex = _apex(args.apex)
     y = subdivide_pseudomanifold(z, g, apex=apex)
     report = {
         "schema": SCHEMA,
@@ -163,12 +183,10 @@ def _cmd_subdivide(args):
 
 def _cmd_realize(args):
     emit = _emit_path(args.emit)
-    budget = int(float(args.budget))
-    if budget <= 0:
-        raise ValidationError("budget must be positive")
+    budget = _budget(args.budget)
     z = pseudomanifold_from_spec(args.pseudomanifold)
     g = graph_from_spec(args.graph)
-    apex = None if args.apex == "auto" else int(args.apex)
+    apex = _apex(args.apex)
     cert = realize(z, g, budget=budget, apex=apex)
     _write_json(emit, certificate_to_json_dict(cert))
     return 0 if all(cert.checks.values()) else 1
@@ -436,15 +454,15 @@ def _suite_star(max_n):
     return out
 
 
-def _suite_realization(max_n, budget=OMEGA_BUDGET):
+def _suite_realization(max_n):
     out = []
-    cert = realize(simplex_sphere(1), path_graph(2), budget=budget)
+    cert = realize(simplex_sphere(1), path_graph(2))
     ok = (cert.r == 6 and cert.s == 2 and cert.mode == "full"
           and all(cert.checks.values()))
     out.append(("circle with the 2-path: full certificate",
                 ok, f"r={cert.r} s={cert.s} mode={cert.mode}"))
     if max_n >= 3:
-        cert2 = realize(simplex_sphere(3), path_graph(4), budget=budget)
+        cert2 = realize(simplex_sphere(3), path_graph(4))
         prod = 1
         for v in cert2.i_sizes.values():
             prod *= v

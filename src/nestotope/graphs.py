@@ -263,14 +263,21 @@ _PRESETS = {
 
 
 def graph_from_json_dict(data):
-    if "preset" in data:
-        name = data["preset"]
-        if name not in _PRESETS:
-            raise ValidationError(f"unknown graph preset {name!r}")
-        return _PRESETS[name](int(data["n_vertices"]))
     try:
-        return Graph(int(data["n_vertices"]), [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError) as exc:
+        if "preset" in data:
+            name = data["preset"]
+            if name not in _PRESETS:
+                raise ValidationError(f"unknown graph preset {name!r}")
+            return _PRESETS[name](int(data["n_vertices"]))
+        edges = [tuple(e) for e in data["edges"]]
+        for e in edges:
+            if len(e) != 2:
+                raise ValidationError(
+                    f"malformed graph JSON: edge {list(e)} needs two endpoints")
+        return Graph(int(data["n_vertices"]), edges)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc
 
 

@@ -6,13 +6,20 @@ that colour.  Words in these involutions, closed under conjugation
 tube by tube, label the sheets of a covering of the glued manifold.
 This module builds that bookkeeping and certifies the properties that
 make the covering work: the steps are sign-swapping involutions, they
-commute where the graph says they must, faces act with full orbits,
-and the resulting degree does not depend on the probe cell.
+commute where the graph says they must, and faces act with full orbits.
+
+A sheet label is (sigma, mu, g): a top cell, one involution index per
+tube, and a group coordinate g < 2^m.  The face involutions move g by
+one bit and never read it, so every check is made on the fibre g = 0:
+in full when it fits the budget or is small, else on a seeded sample.
+The fibre histogram and the degree are closed forms in r, m and the
+family sizes; see ``build_covering``.
 """
 
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .errors import BudgetExceeded, CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError
 from .graphs import graph_building_set, members
@@ -21,7 +28,6 @@ from .subdivision import subdivide_pseudomanifold
 
 _SAMPLE_SEED = 29
 _SAMPLE_SIZE = 10_000
-_PROBE_LIMIT = 100
 
 
 def compose(p, q):
@@ -218,20 +224,30 @@ def _orbit_check(b, sets, sys, omega, face):
 def build_covering(b, sets, sys, budget=None):
     """Certify that the sheet labels assemble into a covering.
 
-    Within budget every label is visited; otherwise the checks run on
-    the fiber over one base copy, or on seeded random samples, and the
-    certificate is flagged "sampled".
+    The checks run on the fibre g = 0 only.  ``phi_action`` sends
+    (sigma, mu, g) to (f_s(sigma, mu), g ^ e_s) with f_s blind to g, and
+    ``epsilon`` flips with the parity of g, so each check on (sigma, mu, g)
+    is the same check as on (sigma, mu, 0).  Each pool of (fibre label,
+    tube, compatible pair or face) is walked in full when the whole label
+    space r * 2^m fits in the budget (mode "full") or when the pool has at
+    most _SAMPLE_SIZE entries; otherwise a seeded sample of _SAMPLE_SIZE
+    entries is drawn from it (mode "sampled").
+
+    Two entries are closed forms, not counts: every face F splits the
+    labels into classes of r * 2^|F|, so the fibre histogram is
+    {r: sum over faces of 2^(m - |F|)}; and half of the 2^m group
+    coordinates have each parity, so every probe cell carries
+    s = 2^(m-1) * prod |I_t| positive labels and ``degree_independent``
+    holds.
     """
     if budget is None:
         budget = OMEGA_BUDGET
     p = face_poset(b)
     m = len(b.proper_tubes)
-    prod_i = 1
-    for t in b.proper_tubes:
-        prod_i *= len(sets[t])
+    sizes = [len(sets[t]) for t in b.proper_tubes]
+    prod_i = prod(sizes)
     r = sys.size * prod_i
-    s_value = (1 << (m - 1)) * prod_i
-    omega_total = r << m
+    mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
     checks["xi_involutions"] = all(
@@ -244,108 +260,52 @@ def build_covering(b, sets, sys, budget=None):
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
 
-    faces = [face for level in p.faces_by_size for face in level]
-    rng = random.Random(_SAMPLE_SEED)
+    def fibre_label(index):
+        """The fibre label at a mixed-radix index below r, sigma fastest."""
+        index, sigma = divmod(index, sys.size)
+        mu = []
+        for size in sizes:
+            index, i = divmod(index, size)
+            mu.append(i)
+        return sigma, tuple(mu), 0
 
-    mu_ranges = [range(len(sets[t])) for t in b.proper_tubes]
-    if omega_total <= budget:
-        mode = "full"
-        omegas = [(sg, mu, g)
-                  for g in range(1 << m)
-                  for mu in product(*mu_ranges)
-                  for sg in range(sys.size)]
-    elif r <= budget:
-        mode = "sampled"
-        omegas = [(sg, mu, 0)
-                  for mu in product(*mu_ranges)
-                  for sg in range(sys.size)]
-    else:
-        mode = "sampled"
-        omegas = []
-        for _ in range(min(_SAMPLE_SIZE, budget)):
-            mu = tuple(rng.randrange(len(sets[t])) for t in b.proper_tubes)
-            omegas.append((rng.randrange(sys.size), mu, 0))
+    def pool(items):
+        """Stream (fibre label, item) pairs: all of them, or a sample."""
+        k = len(items)
+        if mode == "full" or r * k <= _SAMPLE_SIZE:
+            labels = ((sigma, mu, 0) for mu in product(*map(range, sizes))
+                      for sigma in range(sys.size))
+            return ((w, x) for w in labels for x in items)
+        rng = random.Random(_SAMPLE_SEED)
+        return ((fibre_label(i // k), items[i % k])
+                for i in (rng.randrange(r * k) for _ in range(_SAMPLE_SIZE)))
 
-    # Exhaustive pools are products streamed afresh for each check, so they
-    # never sit in memory; sampled pools are drawn from rng once, in order.
-    exhaustive = mode == "full" and omega_total * m <= budget * 4
-    if not exhaustive:
-        sample = [(rng.choice(omegas),
-                   b.proper_tubes[rng.randrange(m)])
-                  for _ in range(_SAMPLE_SIZE)]
+    tubes = b.proper_tubes
+    involutions = class_constant = True
+    for w, s in pool(tubes):
+        image = phi_action(b, sets, s, w)
+        involutions = involutions and phi_action(b, sets, s, image) == w
+        class_constant = class_constant and epsilon(sys, image) == epsilon(sys, w)
+    checks["phi_involutions"] = involutions
+    checks["epsilon_class_constant"] = class_constant
 
-    def pool():
-        return product(omegas, b.proper_tubes) if exhaustive else sample
-
-    checks["phi_involutions"] = all(
-        phi_action(b, sets, s, phi_action(b, sets, s, w)) == w
-        for w, s in pool())
-    checks["epsilon_class_constant"] = all(
-        epsilon(sys, phi_action(b, sets, s, w)) == epsilon(sys, w)
-        for w, s in pool())
-
-    compat_pairs = [(b.proper_tubes[i], b.proper_tubes[j])
+    compat_pairs = [(tubes[i], tubes[j])
                     for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
-    if exhaustive:
-        pair_pool = product(omegas, compat_pairs)
-    elif compat_pairs:
-        pair_pool = [(rng.choice(omegas), compat_pairs[rng.randrange(len(compat_pairs))])
-                     for _ in range(_SAMPLE_SIZE)]
-    else:
-        pair_pool = []
     checks["phi_commutation"] = all(
         phi_action(b, sets, s, phi_action(b, sets, t, w))
         == phi_action(b, sets, t, phi_action(b, sets, s, w))
-        for w, (s, t) in pair_pool)
+        for w, (s, t) in pool(compat_pairs))
 
-    if mode == "full":
-        fibers = {}
-        ok = True
-        for face in faces:
-            classes = {}
-            for w in omegas:
-                key = w[2]
-                for i in face:
-                    key &= ~(1 << i)
-                classes[key] = classes.get(key, 0) + 1
-            k = len(face)
-            for cnt in classes.values():
-                fib = cnt >> k
-                if cnt != fib << k:
-                    ok = False
-                fibers[fib] = fibers.get(fib, 0) + 1
-        checks["covering_fibers"] = ok and all(
-            _orbit_check(b, sets, sys, w, face)
-            for w, face in product(omegas, faces))
-        histogram = fibers
-    else:
-        orbit_pool = [(rng.choice(omegas), faces[rng.randrange(len(faces))])
-                      for _ in range(_SAMPLE_SIZE)]
-        checks["covering_fibers"] = all(
-            _orbit_check(b, sets, sys, w, face) for w, face in orbit_pool)
-        histogram = {r: sum(1 << (m - len(face)) for face in faces)}
+    faces = [face for level in p.faces_by_size for face in level]
+    checks["covering_fibers"] = all(
+        _orbit_check(b, sets, sys, w, face) for w, face in pool(faces))
+    checks["degree_independent"] = True
 
-    degree, independent = _degree_counts(sys, m, prod_i)
-    checks["degree_independent"] = independent and degree == s_value
-
+    histogram = {r: sum(1 << (m - len(face)) for face in faces)}
     i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
-               for t in b.proper_tubes}
-    return CoveringCertificate(r, degree, m, sys.size, i_sizes, histogram,
-                               checks, mode)
-
-
-def _degree_counts(sys, m, prod_i):
-    """Count positive-sign labels over probe cells; must agree everywhere."""
-    parity_count = [0, 0]
-    for g in range(1 << m):
-        parity_count[g.bit_count() & 1] += 1
-    probes = range(sys.size) if sys.size <= _PROBE_LIMIT else (0,)
-    counts = set()
-    for probe in probes:
-        need = 0 if sys.plus[probe] else 1
-        counts.add(prod_i * parity_count[need])
-    only = counts.pop()
-    return only, not counts
+               for t in tubes}
+    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, sys.size,
+                               i_sizes, histogram, checks, mode)
 
 
 def realize(z, g, budget=None, apex=None):

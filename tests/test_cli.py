@@ -140,6 +140,39 @@ def test_exit_code_validation():
                     "path:4"]) == 2
 
 
+def _bad_graph(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n_vertices": 2, "edges": [[0]]}))
+    return ["poset", "--graph", str(path)]
+
+
+def _bad_complex(tmp_path):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dim": "x", "top_cells": [[0, 1]]}))
+    return ["subdivide", "--pseudomanifold", str(path), "--graph", "path:2"]
+
+
+_CIRCLE = ["--pseudomanifold", "sphere:1", "--graph", "path:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", *_CIRCLE, "--budget", "abc"],
+    ["realize", *_CIRCLE, "--budget", "inf"],
+    ["realize", *_CIRCLE, "--budget", "nan"],
+    ["realize", *_CIRCLE, "--apex", "abc"],
+    ["subdivide", *_CIRCLE, "--apex", "abc"],
+    ["realize", "--pseudomanifold", "sphere:x", "--graph", "path:2"],
+    _bad_graph,
+    _bad_complex,
+], ids=["budget-abc", "budget-inf", "budget-nan", "realize-apex",
+        "subdivide-apex", "sphere-dim", "graph-edge", "complex-dim"])
+def test_malformed_input_exits_two(argv, tmp_path, capsys):
+    if callable(argv):
+        argv = argv(tmp_path)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -7,7 +7,9 @@ import pytest
 from nestotope.errors import ValidationError
 from nestotope.cellcomplex import klein_bottle, simplex_sphere, torus7
 from nestotope.graphs import graph_building_set, mask_of, path_graph
+from nestotope.nestohedron import face_poset
 from nestotope.realization import (
+    _orbit_check,
     build_covering,
     build_sigma_system,
     certificate_to_json_dict,
@@ -162,6 +164,76 @@ def test_sampled_certificate_on_three_sphere():
     assert cert.i_sizes == {"0": 1, "1": 1, "2": 1, "3": 1,
                             "0,1": 3, "1,2": 3, "2,3": 3,
                             "0,1,2": 6, "1,2,3": 6}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fibre_certificate_matches_every_label(k):
+    # the certificate checks the fibre g = 0 and writes the histogram and
+    # degree as closed forms; here every check runs on every (sigma, mu, g)
+    sys, b = _system(simplex_sphere(k), path_graph(k + 1))
+    sets = enumerate_involution_sets(sys, b)
+    cert = build_covering(b, sets, sys)
+    assert cert.mode == "full"
+    p = face_poset(b)
+    tubes = b.proper_tubes
+    m = len(tubes)
+    labels = list(_labels(b, sets, range(sys.size), range(1 << m)))
+    pairs = [(tubes[i], tubes[j])
+             for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
+    faces = [face for level in p.faces_by_size for face in level]
+
+    def phi(s, w):
+        return phi_action(b, sets, s, w)
+
+    assert cert.checks["phi_involutions"] == all(
+        phi(s, phi(s, w)) == w for w in labels for s in tubes)
+    assert cert.checks["epsilon_class_constant"] == all(
+        epsilon(sys, phi(s, w)) == epsilon(sys, w)
+        for w in labels for s in tubes)
+    assert cert.checks["phi_commutation"] == all(
+        phi(s, phi(t, w)) == phi(t, phi(s, w))
+        for w in labels for s, t in pairs)
+    histogram = {}
+    even = True
+    for face in faces:
+        classes = {}
+        for _, _, g in labels:
+            key = g
+            for i in face:
+                key &= ~(1 << i)
+            classes[key] = classes.get(key, 0) + 1
+        for count in classes.values():
+            fibre = count >> len(face)
+            even = even and count == fibre << len(face)
+            histogram[fibre] = histogram.get(fibre, 0) + 1
+    assert cert.fiber_histogram == histogram
+    assert cert.checks["covering_fibers"] == (even and all(
+        _orbit_check(b, sets, sys, w, face) for w in labels for face in faces))
+    positive = {probe: 0 for probe in range(sys.size)}
+    for w in labels:
+        positive[w[0]] += epsilon(sys, w) == 1
+    assert set(positive.values()) == {cert.s}
+    assert cert.checks["degree_independent"]
+    assert all(cert.checks.values())
+
+
+@pytest.mark.parametrize("k, budget, mode", [(2, None, "full"),
+                                             (2, 1000, "sampled"),
+                                             (3, None, "sampled")])
+def test_broken_conjugation_row_is_caught(k, budget, mode):
+    # mu_0 conjugates I_{0,1} by the row (0, 2, 1); swapping its first two
+    # entries makes it a 3-cycle, so phi of the tube {0} is no involution
+    sys, b = _system(simplex_sphere(k), path_graph(k + 1))
+    sets = enumerate_involution_sets(sys, b)
+    s, t = mask_of([0]), mask_of([0, 1])
+    (row,) = sets[s].conj[t]
+    assert row == (0, 2, 1)
+    sets[s].conj[t] = ((row[1], row[0]) + row[2:],)
+    cert = build_covering(b, sets, sys, budget)
+    assert cert.mode == mode
+    assert not cert.checks["phi_involutions"]
+    assert not cert.checks["phi_commutation"]
+    assert not cert.checks["covering_fibers"]
 
 
 def test_certificates_are_deterministic():
