@@ -198,8 +198,7 @@ class SimplicialCellComplex:
 # Quotients of disjoint simplices by order-preserving facet identifications.
 # Instances (t, A) with A a nonempty slot mask of top simplex t are merged by
 # the transitive closure of the listed facet gluings; the classes become the
-# cells.  This is the engine behind orientation double covers and the loader
-# for emitted non-vertex-determined complexes.
+# cells.  This is the engine behind orientation double covers.
 
 
 class _UnionFind:
@@ -401,20 +400,6 @@ def orient(c):
             return cert
     cert.orientation = tuple(sign)
     return cert
-
-
-def facet_connected_components(c):
-    """Top cells grouped by walks across shared facets."""
-    n_top = c.n_cells(c.n)
-    uf = _UnionFind(n_top)
-    for inc in c.facet_incidences():
-        base = inc[0][0]
-        for t, _ in inc[1:]:
-            uf.union(base, t)
-    comps = {}
-    for t in range(n_top):
-        comps.setdefault(uf.find(t), []).append(t)
-    return sorted(comps.values())
 
 
 def orientation_double_cover(c):
@@ -821,33 +806,49 @@ def complex_to_json_dict(c, orientation=None):
 
 
 def complex_from_json_dict(data):
-    if "top_cells" not in data or "dim" not in data:
+    if (not isinstance(data, dict)
+            or "top_cells" not in data or "dim" not in data):
         raise ValidationError("pseudomanifold JSON needs 'dim' and 'top_cells'")
     try:
         dim = int(data["dim"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(
             f"pseudomanifold 'dim' must be an integer, got {data['dim']!r}") from exc
-    tops = [tuple(t) for t in data["top_cells"]]
+    try:
+        tops = [tuple(t) for t in data["top_cells"]]
+    except TypeError as exc:
+        raise ValidationError(
+            "pseudomanifold 'top_cells' must be a list of vertex lists") from exc
     if any(len(t) != dim + 1 for t in tops):
         raise ValidationError("top cell arity does not match 'dim'")
     if "instances" in data:
         # Cell classes are listed explicitly; rebuild the arrays from them.
         by_key = {}
         counts = [0] * (dim + 1)
-        for t, slots, cid in data["instances"]:
-            k = len(slots) - 1
-            by_key[(int(t), tuple(int(s) for s in slots))] = int(cid)
-            counts[k] = max(counts[k], int(cid) + 1)
+        try:
+            for t, slots, cid in data["instances"]:
+                k = len(slots) - 1
+                cid = int(cid)
+                if not 0 <= k <= dim or cid < 0:
+                    raise ValueError
+                by_key[(int(t), tuple(int(s) for s in slots))] = cid
+                counts[k] = max(counts[k], cid + 1)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("each instance must be [top cell, slots, "
+                                  "cell] with 1 to dim + 1 slots") from exc
         cell_vertices = [None] + [[None] * counts[k] for k in range(1, dim + 1)]
         cell_faces = [None] + [[None] * counts[k] for k in range(1, dim + 1)]
-        for (t, slots), cid in by_key.items():
-            k = len(slots) - 1
-            if k == 0:
-                continue
-            cell_vertices[k][cid] = tuple(by_key[(t, (s,))] for s in slots)
-            cell_faces[k][cid] = tuple(
-                by_key[(t, slots[:i] + slots[i + 1:])] for i in range(k + 1))
+        try:
+            for (t, slots), cid in by_key.items():
+                k = len(slots) - 1
+                if k == 0:
+                    continue
+                cell_vertices[k][cid] = tuple(by_key[(t, (s,))] for s in slots)
+                cell_faces[k][cid] = tuple(
+                    by_key[(t, slots[:i] + slots[i + 1:])] for i in range(k + 1))
+        except KeyError as exc:
+            raise ValidationError(
+                f"instance list misses the face {exc.args[0]!r}") from exc
         for k in range(1, dim + 1):
             if any(v is None for v in cell_vertices[k]):
                 raise ValidationError("instance list leaves a cell undefined")
@@ -858,6 +859,9 @@ def complex_from_json_dict(data):
         cx = SimplicialCellComplex.from_top_simplices(tops)
     orientation = data.get("orientation")
     if orientation is not None:
+        if (not isinstance(orientation, list)
+                or any(x not in (1, -1) for x in orientation)):
+            raise ValidationError("orientation must be a list of 1 and -1")
         if len(orientation) != cx.n_cells(dim):
             raise ValidationError("orientation list length mismatch")
         acc = {}

@@ -323,11 +323,6 @@ def path_order(g):
     return tuple(order)
 
 
-def is_standard_path(g):
-    """True when g is exactly the path 0-1-...-n in that labelling."""
-    return g.edges == path_graph(g.n_vertices).edges
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of small connected graphs.
 #
@@ -380,11 +375,3 @@ def connected_graph_representatives(k):
         if g.is_connected():
             reps.append(g)
     return reps
-
-
-def connected_graphs_upto(k):
-    """Representatives of all connected graphs on 1..k vertices."""
-    out = []
-    for j in range(1, k + 1):
-        out.extend(connected_graph_representatives(j))
-    return out

@@ -16,7 +16,8 @@ span of F's columns, which for a small cover is f_d * 2^d cells in degree
 d, and the boundary of a cell is the polytope's own boundary of F, each
 facet taken in the coset of its copy.  The simplicial complex, the
 barycentric subdivision of each copy glued simplex by simplex, is built
-on the first read of ``complex``.
+on the first read of ``complex``, and nothing in this module reads it:
+orientation too is decided on the cells (``GluedManifold.orientation``).
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +33,6 @@ from .cellcomplex import (
     SimplicialCellComplex,
     gf2_rank,
     homology,
-    homology_z2,
-    orient,
     pseudo_manifold_check,
 )
 
@@ -172,27 +171,20 @@ class GluedManifold:
     """A complex assembled from mirror copies of one polytope.
 
     Construction builds only the coset table of every face
-    (``_reduced``), from which ``cellular()`` and ``homology()`` work.
-    The simplicial gluing is built, budget-checked and checked to be a
-    pseudomanifold on the first read of ``complex``; ``cell_id`` and
-    ``_key_of`` number its cells.
+    (``_reduced``), from which ``cellular()``, ``homology()`` and
+    ``orientation()`` work.  The simplicial gluing is built,
+    budget-checked and checked to be a pseudomanifold on the first read
+    of ``complex``.
     """
     poset: object
     rank: int
     columns: tuple
     what: str
     _reduced: dict = field(repr=False)      # polytope face -> coset minimum per g
-    _cells: list = field(default=None, repr=False)   # per dim, per g: bar cell -> cell
-    _key_of: list = field(default=None, repr=False)  # per dim: cell -> (bar cell, reduced g)
     _cellular: ChainComplex = field(default=None, repr=False, compare=False)
 
     def n_copies(self):
         return 1 << self.rank
-
-    def cell_id(self, k, bar_cid, g):
-        """The cell of ``complex`` that copy g's bar cell was glued into."""
-        self.complex  # glue first
-        return self._cells[k][g][bar_cid]
 
     @cached_property
     def complex(self):
@@ -207,7 +199,6 @@ class GluedManifold:
                                  f"over the {CELL_BUDGET} budget")
         bar = barycentric_complex(p)
         cells = []     # per dim, per g: bar cell -> cell id
-        key_of = []
         labels = []
         cell_vertices = [None] * (n + 1)
         cell_faces = [None] * (n + 1)
@@ -220,7 +211,6 @@ class GluedManifold:
                 vertex_ids = [itemgetter(*verts) for verts in bar.vertices_of[k]]
                 face_ids = [itemgetter(*faces) for faces in bar.faces_of[k]]
             rows = []
-            keys = []
             verts_out = []
             faces_out = []
             for g in range(1 << self.rank):
@@ -231,17 +221,15 @@ class GluedManifold:
                     r = pin[g]
                     if r != g:
                         row.append(rows[r][cid])
-                        continue
-                    row.append(len(keys))
-                    keys.append((cid, g))
-                    if k == 0:
+                    elif k == 0:
+                        row.append(len(labels))
                         labels.append((bar.vertex_labels[cid][1], g))
                     else:
+                        row.append(len(verts_out))
                         verts_out.append(vertex_ids[cid](cells[0][g]))
                         faces_out.append(face_ids[cid](cells[k - 1][g]))
                 rows.append(row)
             cells.append(rows)
-            key_of.append(keys)
             cell_vertices[k] = verts_out
             cell_faces[k] = faces_out
         complex_ = SimplicialCellComplex(n, len(labels), cell_vertices,
@@ -250,7 +238,6 @@ class GluedManifold:
         if not cert.is_pseudo:
             raise ValidationError(f"{self.what} gluing failed: "
                                   + "; ".join(cert.failures))
-        self._cells, self._key_of = cells, key_of
         return complex_
 
     def cellular(self):
@@ -294,8 +281,41 @@ class GluedManifold:
     def homology(self):
         return homology(self.cellular())
 
-    def betti_z2(self):
-        return homology_z2(self.complex)
+    def orientation(self):
+        """Signs e_g with sum e_g (P, g) an integral top cycle, one per copy,
+        or "non-orientable" when there are none.
+
+        The facet cell (t, g mod lambda_t) lies in copies g and
+        g + lambda_t, with incidence +1 in both, so the signs exist exactly
+        when e(g + lambda_t) = -e(g) for every facet t (Nakayama and
+        Nishimura, Osaka J. Math. 42, 2005).  A walk over the copies finds
+        them, fixed up to one flip per component, and their sum is then
+        checked to be a cycle of ``cellular()``; top cell g is (P, g).
+        """
+        sign = [0] * self.n_copies()
+        steps = set(self.columns)
+        for start in range(len(sign)):
+            if sign[start]:
+                continue
+            sign[start] = 1
+            stack = [start]
+            while stack:
+                g = stack.pop()
+                for c in steps:
+                    if not sign[g ^ c]:
+                        sign[g ^ c] = -sign[g]
+                        stack.append(g ^ c)
+                    elif sign[g ^ c] == sign[g]:
+                        return "non-orientable"
+        c = self.cellular()
+        if c.n:
+            acc = {}
+            for (row, col), v in c.boundary_entries(c.n).items():
+                acc[row] = acc.get(row, 0) + sign[col] * v
+            if any(acc.values()):
+                raise ValidationError(f"{self.what}: the signed copies have "
+                                      "a nonzero cellular boundary")
+        return tuple(sign)
 
 
 def _mirror_copies(p, columns, rank, what):
@@ -315,13 +335,13 @@ def _mirror_copies(p, columns, rank, what):
 def real_moment_angle(p):
     """Glue one copy per subset of facets (identity columns).
 
-    The result is always orientable; that is asserted here.
+    The result is always orientable (e_g = (-1)^|g| is a top cycle), and
+    ``orientation()`` confirms it on the cells before returning.
     """
     m = len(p.b.proper_tubes)
     glued = _mirror_copies(p, [1 << j for j in range(m)], m,
                            "moment-angle manifold")
-    cert = orient(glued.complex)
-    if cert.orientation == "non-orientable":
+    if glued.orientation() == "non-orientable":
         raise ValidationError("moment-angle gluing came out non-orientable")
     return glued
 
@@ -334,62 +354,14 @@ def small_cover(p, lam):
     return _mirror_copies(p, lam.columns, lam.rows, "small cover")
 
 
-@dataclass
-class CoveringMap:
-    source: GluedManifold
-    target: GluedManifold
-    maps: tuple   # per dim, cell of source -> cell of target
-    fold: int
-
-
-def covering_projection(r, lam):
-    """Collapse the full mirror family onto a small cover's copies.
-
-    Cells map along the matrix itself; every target cell must gain
-    exactly 2^(m-n) preimages, and the kernel of the matrix must act
-    freely on each top-cell fiber.
-    """
-    m = r.rank
-    cover = small_cover(r.poset, lam)
-    n = r.complex.n
-    maps = []
-    for k in range(n + 1):
-        maps.append(tuple(cover.cell_id(k, cid, lam.apply(g))
-                          for cid, g in r._key_of[k]))
-    fold = 1 << (m - lam.rows)
-    for k in range(n + 1):
-        counts = [0] * cover.complex.n_cells(k)
-        for image in maps[k]:
-            counts[image] += 1
-        if min(counts) == 0:
-            raise ValidationError("projection misses a cell")
-        if k == n and any(c != fold for c in counts):
-            raise ValidationError("top fibers are not uniform")
-    kernel = [g for g in range(1 << m) if lam.apply(g) == 0]
-    if len(kernel) != fold:
-        raise ValidationError("kernel size disagrees with the fold count")
-    for h in kernel[1:]:
-        for k in range(n + 1):
-            seen = set()
-            for rid, (cid, g) in enumerate(r._key_of[k]):
-                other = r.cell_id(k, cid, g ^ h)
-                if maps[k][other] != maps[k][rid]:
-                    raise ValidationError("deck motion does not cover the identity")
-                if k == n:
-                    if other == rid:
-                        raise ValidationError("deck motion fixes a top cell")
-                    seen.add(other)
-            if k == n and len(seen) != r.complex.n_cells(n):
-                raise ValidationError("deck motion is not a top-cell bijection")
-    return CoveringMap(r, cover, tuple(maps), fold)
-
-
 def orientation_cover_via_eta(p, lam):
     """Orientation cover of a non-orientable small cover, built directly.
 
     The matrix gains one extra row that is 1 on every facet, so twice as
-    many copies are glued.  Orientable input would split the result into
-    two components, which is refused.
+    many copies are glued, and that row is a functional taking 1 on every
+    column, which ``orientation()`` confirms on the cells before
+    returning.  Orientable input would split the result into two
+    components, which is refused.
     """
     if not validate_characteristic(p, lam):
         raise ValidationError("matrix is not characteristic: "
@@ -399,8 +371,7 @@ def orientation_cover_via_eta(p, lam):
     n = lam.rows
     cols = [c | (1 << n) for c in lam.columns]
     glued = _mirror_copies(p, cols, n + 1, "orientation cover")
-    cert = orient(glued.complex)
-    if cert.orientation == "non-orientable":
+    if glued.orientation() == "non-orientable":
         raise ValidationError("orientation cover came out non-orientable")
     return glued
 
@@ -408,7 +379,7 @@ def orientation_cover_via_eta(p, lam):
 def betti_z2_matches_h(p, lam):
     """Mod-2 Betti numbers of the glued manifold against the h-vector."""
     from .nestohedron import face_vectors
-    got = small_cover(p, lam).betti_z2()
+    got = small_cover(p, lam).homology().betti_z2
     return tuple(got) == tuple(face_vectors(p).h)
 
 

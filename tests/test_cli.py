@@ -146,10 +146,16 @@ def _bad_graph(tmp_path):
     return ["poset", "--graph", str(path)]
 
 
-def _bad_complex(tmp_path):
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps({"dim": "x", "top_cells": [[0, 1]]}))
-    return ["subdivide", "--pseudomanifold", str(path), "--graph", "path:2"]
+def _bad_complex(doc):
+    def argv(tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(doc))
+        return ["subdivide", "--pseudomanifold", str(path), "--graph", "path:2"]
+    return argv
+
+
+# The circle as two edges, which two vertices alone do not determine.
+_TWO_EDGES = {"dim": 1, "top_cells": [[0, 1], [0, 1]]}
 
 
 _CIRCLE = ["--pseudomanifold", "sphere:1", "--graph", "path:2"]
@@ -163,9 +169,15 @@ _CIRCLE = ["--pseudomanifold", "sphere:1", "--graph", "path:2"]
     ["subdivide", *_CIRCLE, "--apex", "abc"],
     ["realize", "--pseudomanifold", "sphere:x", "--graph", "path:2"],
     _bad_graph,
-    _bad_complex,
+    _bad_complex({"dim": "x", "top_cells": [[0, 1]]}),
+    _bad_complex({"dim": 1, "top_cells": 5}),
+    _bad_complex({**_TWO_EDGES, "orientation": "ab"}),
+    _bad_complex({**_TWO_EDGES, "instances": [[0, [0, 1]]]}),
+    _bad_complex({**_TWO_EDGES, "instances": [[0, [0, 1], 0]]}),
 ], ids=["budget-abc", "budget-inf", "budget-nan", "realize-apex",
-        "subdivide-apex", "sphere-dim", "graph-edge", "complex-dim"])
+        "subdivide-apex", "sphere-dim", "graph-edge", "complex-dim",
+        "complex-top-cells", "complex-orientation", "complex-instance-short",
+        "complex-instance-missing"])
 def test_malformed_input_exits_two(argv, tmp_path, capsys):
     if callable(argv):
         argv = argv(tmp_path)

@@ -24,7 +24,13 @@ from nestotope.graphs import (
     graph_from_spec,
     path_graph,
 )
-from nestotope.formulas import betti_as_can, betti_hessenberg, betti_tomei
+from nestotope.formulas import (
+    as_cover_total,
+    betti_as_can,
+    betti_hessenberg,
+    betti_tomei,
+    hessenberg_cover_total,
+)
 from nestotope.nestohedron import barycentric_complex, face_poset, face_vectors
 from nestotope.smallcover import (
     CharacteristicFunction,
@@ -32,7 +38,6 @@ from nestotope.smallcover import (
     _echelon,
     betti_z2_matches_h,
     cover_betti_match,
-    covering_projection,
     enumerate_characteristics,
     is_orientable_smallcover,
     lambda_can,
@@ -143,22 +148,6 @@ def test_orientable_path_gluing():
     assert orient(m.complex).orientation != "non-orientable"
 
 
-def test_cell_id_and_key_of_round_trip():
-    p, b = _pentagon()
-    m = small_cover(p, lambda_can(b))
-    for k in range(m.complex.n + 1):
-        keys = m._key_of[k]
-        assert len(keys) == m.complex.n_cells(k)
-        for cell, (cid, g) in enumerate(keys):
-            assert m.cell_id(k, cid, g) == cell
-    # every copy of every bar cell lands on a cell, and every cell is hit
-    bar = barycentric_complex(p)
-    for k in range(bar.n + 1):
-        hit = {m.cell_id(k, cid, g) for cid in range(bar.n_cells(k))
-               for g in range(m.n_copies())}
-        assert hit == set(range(m.complex.n_cells(k)))
-
-
 # sha256 of the glued complex's JSON (with its orientation) and of the
 # (bar cell, reduced g) key of every cell, recorded before gluing moved to
 # coset tables: any change to the order in which cells are numbered fails.
@@ -172,12 +161,34 @@ PINNED_NUMBERING = {
 }
 
 
+def _bar_keys(m):
+    """Per dimension, the (bar cell, reduced g) key of every glued cell.
+
+    A glued vertex is labelled (face, g reduced modulo the face's span),
+    and a glued cell lists its vertices in the order of its bar cell, so
+    the faces name the bar cell; its largest face has the smallest span,
+    so its last vertex carries the cell's own reduced g.
+    """
+    bar = barycentric_complex(m.poset)
+    bar_vertex = {label[1]: v for v, label in enumerate(bar.vertex_labels)}
+    c = m.complex
+    keys = [[[bar_vertex[face], g] for face, g in c.vertex_labels]]
+    for k in range(1, c.n + 1):
+        bar_cell = {verts: cid for cid, verts in enumerate(bar.vertices_of[k])}
+        keys.append([
+            [bar_cell[tuple(bar_vertex[c.vertex_labels[v][0]] for v in verts)],
+             c.vertex_labels[verts[-1]][1]]
+            for verts in c.vertices_of[k]])
+    return keys
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_NUMBERING))
 def test_cell_numbering_is_pinned(name):
     m = _eta(name[4:]) if name.startswith("eta:") else _cover(name)
     doc = complex_to_json_dict(m.complex,
                                orientation=orient(m.complex).orientation)
-    text = json.dumps([doc, m._key_of], sort_keys=True, separators=(",", ":"))
+    text = json.dumps([doc, _bar_keys(m)], sort_keys=True,
+                      separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_NUMBERING[name]
 
 
@@ -246,6 +257,36 @@ def test_simplicial_budget_refuses_on_first_read(monkeypatch):
         m.complex
 
 
+def test_constructors_glue_nothing(monkeypatch):
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
+    p, b = _pentagon()
+    assert small_cover(p, lambda_can(b)).homology().betti_q == (1, 2, 0)
+    assert betti_z2_matches_h(p, lambda_can(b))
+    assert orientation_cover_via_eta(p, lambda_can(b)).homology().betti_q \
+        == (1, 4, 1)
+    assert real_moment_angle(p).homology().betti_q == (1, 10, 1)
+    # the simplicial gluing of this eta cover would be over the budget
+    m = _eta("path:6")
+    assert m.cellular().total_cells() == 6608
+    with pytest.raises(BudgetExceeded,
+                       match="orientation cover needs 1013760 top simplices"):
+        m.complex
+
+
+def test_paper_chain_on_four_manifolds(monkeypatch):
+    # the eta covers from the cell complex alone; nothing is glued
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
+    path_cover = _eta("path:5").homology().betti_q
+    complete_cover = _eta("complete:5").homology().betti_q
+    assert path_cover == (1, 4, 10, 4, 1)
+    assert complete_cover == (1, 10, 50, 10, 1)
+    assert cover_betti_match(betti_as_can(4), path_cover)
+    assert cover_betti_match(betti_hessenberg(4), complete_cover)
+    assert sum(path_cover) == as_cover_total(4) == 20
+    assert sum(complete_cover) == hessenberg_cover_total(4) == 72
+    assert sum(path_cover) < sum(complete_cover) < sum(betti_tomei(4)) == 120
+
+
 @pytest.mark.parametrize("entry, betti", [
     ("path:5/can", betti_as_can(4)),
     ("complete:5/can", betti_hessenberg(4)),
@@ -255,29 +296,6 @@ def test_closed_forms_on_four_manifolds(monkeypatch, entry, betti):
     # homology comes from the cell complex alone; nothing is glued
     monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
     assert _cover(entry).homology().betti_q == betti
-
-
-def test_covering_projection_pentagon():
-    p, b = _pentagon()
-    r = real_moment_angle(p)
-    cm = covering_projection(r, lambda_can(b))
-    assert cm.fold == 8
-    n = r.complex.n
-    for k in range(n + 1):
-        assert len(cm.maps[k]) == r.complex.n_cells(k)
-    counts = [0] * cm.target.complex.n_cells(n)
-    for image in cm.maps[n]:
-        counts[image] += 1
-    assert set(counts) == {8}
-
-
-def test_covering_projection_segment():
-    p = face_poset(graph_building_set(path_graph(2)))
-    r = real_moment_angle(p)
-    lam = lambda_can(graph_building_set(path_graph(2)))
-    cm = covering_projection(r, lam)
-    assert cm.fold == 2
-    assert homology(cm.target.complex).betti_q == (1, 1)
 
 
 def test_orientation_cover_via_eta_matches_double_cover():
@@ -319,18 +337,52 @@ def test_enumerate_characteristics_pentagon():
     assert not any(is_orientable_smallcover(lam) for lam in lams)
 
 
+def _assert_orientation_agrees(m):
+    """The cellular orientation against the rank criterion on the columns
+    and against ``orient`` on the glued complex."""
+    signs = m.orientation()
+    lam = CharacteristicFunction(m.poset.b, m.rank, m.columns)
+    orientable = is_orientable_smallcover(lam)
+    assert (signs != "non-orientable") == orientable
+    assert (orient(m.complex).orientation != "non-orientable") == orientable
+    if orientable:
+        assert len(signs) == m.n_copies() and set(signs) == {1, -1}
+
+
 def test_orientability_criterion_matches_orient():
-    # the rank criterion against the orientation of the glued complex
+    # the rank criterion against the orientation of the glued complex and
+    # the cellular orientation
     verdicts = {}
     for graph in (path_graph(3), complete_graph(3)):
         p = face_poset(graph_building_set(graph))
         lams = enumerate_characteristics(p)
         found = [is_orientable_smallcover(lam) for lam in lams]
-        for lam, ok in zip(lams, found):
-            glued = orient(small_cover(p, lam).complex)
-            assert ok == (glued.orientation != "non-orientable")
+        for lam in lams:
+            _assert_orientation_agrees(small_cover(p, lam))
         verdicts[len(p.b.proper_tubes)] = (len(lams), sum(found))
     assert verdicts == {5: (30, 0), 6: (66, 6)}
+
+
+def test_broken_coset_table_is_caught():
+    b = graph_building_set(path_graph(3))
+    p = face_poset(b)
+    cols = [c | 1 << 2 for c in lambda_can(b).columns]
+
+    def eta_unchecked():
+        # the eta cover of path:3, before its cell complex is built
+        return smallcover._mirror_copies(p, cols, 3, "orientation cover")
+
+    signs = eta_unchecked().orientation()
+    assert signs != "non-orientable"
+    m = eta_unchecked()
+    t = 0
+    table = m._reduced[(t,)]
+    x = next(x for x in range(1, m.n_copies())
+             if x != cols[t] and signs[x] == signs[0])
+    # copy 0 now meets facet t in copy x's facet cell, not in its own
+    table[0] = table[x]
+    with pytest.raises(ValidationError, match="nonzero cellular boundary"):
+        m.orientation()
 
 
 def test_enumerate_characteristics_budget():
@@ -454,6 +506,12 @@ def test_cellular_homology_matches_simplicial(make, betti_z2_without_clearing):
                 square[row, col] = square.get((row, col), 0) + v * w
         assert not any(square.values())
     assert c.euler_characteristic() == m.complex.euler_characteristic()
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED],
+                         ids=[name for name, _ in GLUED])
+def test_cellular_orientation_matches_oracles(make):
+    _assert_orientation_agrees(make())
 
 
 def test_small_cover_cells_are_f_times_two_to_the_d():
