@@ -11,7 +11,11 @@ references to (k-1)-cells.  The convention throughout: the face at slot i
 carries the cell's vertices with slot i deleted, order preserved.  Gluings
 are therefore order-preserving on stored vertex tuples, boundary maps use the
 usual alternating slot signs, and the double-face identities are checked by
-``validate`` rather than assumed.
+``validate`` rather than assumed.  ``subfaces`` lists all subcells of a cell
+in one table indexed by the bitmask of kept slots; a flag of the barycentric
+subdivision is the chain of growing masks of one slot permutation.  Stock
+spheres and barycentric subdivisions count their cells in closed form and
+refuse (``BudgetExceeded``) before building more than CELL_BUDGET.
 
 Homology is computed from integer Smith normal forms of the boundary
 matrices: sparse elimination over unit pivots chosen Markowitz-style, with a
@@ -28,9 +32,10 @@ span, which for a small cover is f_d * 2^d cells in degree d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from math import factorial
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cell_budget
 from .graphs import members
 
 
@@ -48,7 +53,6 @@ class SimplicialCellComplex:
             self.vertices_of.append([tuple(v) for v in cell_vertices[k]])
             self.faces_of.append([tuple(f) for f in cell_faces[k]])
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
-        self._subface_cache = {}
         self._pseudo_failures = None   # memoised by pseudo_manifold_check
 
     # -- basic queries ------------------------------------------------------
@@ -67,19 +71,27 @@ class SimplicialCellComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * self.n_cells(k) for k in range(self.n + 1))
 
-    def subface(self, k, cid, keep):
-        """The subcell spanned by the slots in ``keep`` (iterable of slot ids)."""
-        keep = tuple(sorted(keep))
-        key = (k, cid, keep)
-        got = self._subface_cache.get(key)
-        if got is not None:
-            return got
-        cur_k, cur = k, cid
-        for s in sorted(set(range(k + 1)) - set(keep), reverse=True):
-            cur = self.faces_of[cur_k][cur][s]
-            cur_k -= 1
-        self._subface_cache[key] = (cur_k, cur)
-        return (cur_k, cur)
+    def subfaces(self, k, cid):
+        """Every subcell of the k-cell ``cid``, indexed by the bitmask of the
+        slots it keeps: entry ``mask`` is the (dim, id) of the face on those
+        slots, and entry 0 is None.
+
+        One pass over the masks in decreasing order fills the table:
+        dropping slot s from a mask takes the face at s's position among
+        the kept slots.  Each entry is written last from the mask with its
+        lowest missing slot put back, which is the face reached by dropping
+        the missing slots from the highest down.
+        """
+        table = [None] * (2 << k)
+        table[-1] = (k, cid)
+        for mask in range(len(table) - 1, 0, -1):
+            d, c = table[mask]
+            m = mask
+            for f in self.faces_of[d][c]:
+                low = m & -m
+                table[mask ^ low] = (d - 1, f)
+                m ^= low
+        return table
 
     def facet_incidences(self):
         """For every (n-1)-cell, the list of (top cell, slot) hits."""
@@ -432,16 +444,12 @@ def orientation_double_cover(c):
     if not cover.validate():
         raise ValidationError("double cover produced an invalid complex")
     projection = [[None] * cover.n_cells(k) for k in range(n + 1)]
-    full = (1 << (n + 1)) - 1
     for t in range(n_top):
+        table = c.subfaces(n, t)
         for s in (0, 1):
-            mask = full
-            sub = full
-            while sub:
-                k, cid = instance_cell(sheet_top(t, s), sub)
-                bk, bid = c.subface(n, t, members(sub))
-                projection[k][cid] = bid
-                sub = (sub - 1) & mask
+            for mask in range(len(table) - 1, 0, -1):
+                k, cid = instance_cell(sheet_top(t, s), mask)
+                projection[k][cid] = table[mask][1]
     for k in range(n + 1):
         if any(b is None for b in projection[k]):
             raise ValidationError("double cover projection left a cell unmapped")
@@ -458,15 +466,15 @@ def barycentric_subdivide(c):
     increasing colour, which downstream code relies on.
     """
     n = c.n
+    check_cell_budget("barycentric subdivision",
+                      c.n_cells(n) * factorial(n + 1))
+    # one flag per slot permutation: the masks of its growing prefixes
+    chains = [tuple(accumulate(1 << s for s in p))
+              for p in permutations(range(n + 1))]
     tops = []
-    slot_sets = [tuple(sorted(p[: i + 1])) for p in permutations(range(n + 1))
-                 for i in range(n + 1)]
-    # regroup: per permutation a chain of n+1 slot subsets
-    chains = [slot_sets[i * (n + 1):(i + 1) * (n + 1)]
-              for i in range(len(slot_sets) // (n + 1))]
     for t in range(c.n_cells(n)):
-        for chain in chains:
-            tops.append(tuple(c.subface(n, t, keep) for keep in chain))
+        table = c.subfaces(n, t)
+        tops.extend(tuple(table[m] for m in chain) for chain in chains)
     return SimplicialCellComplex.from_top_simplices(tops)
 
 
@@ -744,6 +752,8 @@ def simplex_sphere(k):
     """Boundary of the (k+1)-simplex: the minimal triangulated k-sphere."""
     if k < 1:
         raise ValidationError("sphere dimension must be at least 1")
+    # its cells are the nonempty proper subsets of k + 2 vertices
+    check_cell_budget(f"sphere:{k}", (1 << (k + 2)) - 2, "cells")
     tops = list(combinations(range(k + 2), k + 1))
     return SimplicialCellComplex.from_top_simplices(tops)
 
@@ -793,14 +803,10 @@ def complex_to_json_dict(c, orientation=None):
         out["orientation"] = list(orientation)
     if not c.is_vertex_determined():
         inst = []
-        full = (1 << (c.n + 1)) - 1
         for t in range(c.n_cells(c.n)):
-            sub = full
-            while sub:
-                bits = members(sub)
-                k, cid = c.subface(c.n, t, bits)
-                inst.append([t, list(bits), cid])
-                sub = (sub - 1) & full
+            table = c.subfaces(c.n, t)
+            for mask in range(len(table) - 1, 0, -1):
+                inst.append([t, list(members(mask)), table[mask][1]])
         out["instances"] = inst
     return out
 

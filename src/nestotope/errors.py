@@ -14,11 +14,20 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-# Default size limits.  Gluing constructions refuse to materialize more top
-# cells than CELL_BUDGET; covering enumerations switch to sampled checks once
+# Default size limits.  Gluings, stock spheres and subdivisions refuse to
+# materialize more cells than CELL_BUDGET, each counted in closed form before
+# anything is built; covering enumerations switch to sampled checks once
 # the configuration space exceeds OMEGA_BUDGET; involution closures and their
 # index tables refuse before they store more than CLOSURE_BUDGET cell indexes
 # (each permutation counts its length, each table entry one).
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000
+
+
+def check_cell_budget(what, count, unit="top simplices"):
+    """Refuse a construction that would make more than CELL_BUDGET cells
+    of the named unit; ``count`` comes from a closed form, before building."""
+    if count > CELL_BUDGET:
+        raise BudgetExceeded(
+            f"{what} needs {count} {unit}, over the {CELL_BUDGET} budget")

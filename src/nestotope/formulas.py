@@ -149,25 +149,6 @@ def check_inequality_chain(n):
     return left < middle < right
 
 
-def eulerian_table(max_m, brute_up_to=8):
-    table = SequenceTable("eulerian")
-    for m in range(1, max_m + 1):
-        for k in range(m):
-            table.add((m, k), eulerian(m, k), "recurrence")
-            if m <= brute_up_to:
-                table.add((m, k), eulerian_brute(m, k), "enumeration")
-    return table
-
-
-def zigzag_table(max_m, brute_up_to=9):
-    table = SequenceTable("zigzag")
-    for m in range(max_m + 1):
-        table.add((m,), zigzag(m), "convolution")
-        if m <= brute_up_to:
-            table.add((m,), zigzag_brute(m), "enumeration")
-    return table
-
-
 def family_table(family, n):
     """Per-degree Betti values of one closed-form family."""
     values = {

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter
 
-from .errors import BudgetExceeded, CELL_BUDGET, ValidationError
+from .errors import BudgetExceeded, ValidationError, check_cell_budget
 from .graphs import bits_of, members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
@@ -194,9 +194,7 @@ class GluedManifold:
         n = p.dim
         # A vertex of the simple polytope lies on n! complete flags.
         n_tops = len(p.vertices) * factorial(n) << self.rank
-        if n_tops > CELL_BUDGET:
-            raise BudgetExceeded(f"{self.what} needs {n_tops} top simplices, "
-                                 f"over the {CELL_BUDGET} budget")
+        check_cell_budget(self.what, n_tops)
         bar = barycentric_complex(p)
         cells = []     # per dim, per g: bar cell -> cell id
         labels = []
@@ -324,9 +322,7 @@ def _mirror_copies(p, columns, rank, what):
     face with k tubes gives 2^(rank - k) cells."""
     cells = sum(len(level) << rank - k
                 for k, level in enumerate(p.faces_by_size))
-    if cells > CELL_BUDGET:
-        raise BudgetExceeded(
-            f"{what} needs {cells} cells, over the {CELL_BUDGET} budget")
+    check_cell_budget(what, cells, "cells")
     reduced = {face: _coset_minima(_echelon([columns[i] for i in face]), rank)
                for level in p.faces_by_size for face in level}
     return GluedManifold(p, rank, tuple(columns), what, reduced)

@@ -17,9 +17,9 @@ subdivision into every barycentric cell.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
-from .errors import ValidationError
+from .errors import ValidationError, check_cell_budget
 from .graphs import components_minus_vertex, path_order
 from .cellcomplex import (
     SimplicialCellComplex,
@@ -51,12 +51,24 @@ def lemma_subdivision(g, a):
         raise ValidationError(f"apex {a} out of range")
     if not g.is_connected():
         raise ValidationError("graph must be connected")
+    check_cell_budget("simplex subdivision", _lemma_top_count(g, a))
     tops = _lemma_tops(g, a)
     complex_ = SimplicialCellComplex.from_top_simplices(tops)
     coords = tuple(lbl[0] for lbl in complex_.vertex_labels)
     colours = tuple(lbl[1] for lbl in complex_.vertex_labels)
     return ColouredSubdivision(g, complex_, colours, apex=a, coords=coords,
                                mode="simplex")
+
+
+def _lemma_top_count(g, a):
+    """Top simplices of ``lemma_subdivision(g, a)``, without building them:
+    each component C of g minus the apex contributes its own count times
+    the 2^|C| reflected copies, and the join multiplies the blocks."""
+    out = 1
+    for sub, labels in components_minus_vertex(g, a):
+        b = min(v for v in labels if g.has_edge(a, v))
+        out *= (1 << len(labels)) * _lemma_top_count(sub, labels.index(b))
+    return out
 
 
 def _lemma_tops(g, a):
@@ -252,12 +264,13 @@ def _codim2_cofacets(c):
     """Top-cell count of every codimension-2 cell, in first-seen order."""
     n = c.n
     counts = {}
-    for t in range(c.n_cells(n)):
+    below = c.faces_of[n - 1]
+    for faces in c.faces_of[n]:
         hits = set()
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                keep = [s for s in range(n + 1) if s not in (i, j)]
-                hits.add(c.subface(n, t, keep))
+                # drop slot j, then slot i of that facet
+                hits.add((n - 2, below[faces[j]][i]))
         for key in hits:
             counts[key] = counts.get(key, 0) + 1
     return counts
@@ -324,15 +337,19 @@ def subdivide_pseudomanifold(z, g, apex=None):
     if cert.orientation == "non-orientable":
         raise ValidationError("non-orientable input")
 
-    bar = barycentric_subdivide(z)
     po = path_order(g)
     if po is not None and apex is None:
+        bar = barycentric_subdivide(z)
         colours = tuple(po[lbl[0]] for lbl in bar.vertex_labels)
         y, mode = bar, "path"
     else:
         a = 0 if apex is None else apex
-        k = lemma_subdivision(g, a)
-        y, colours = _substitute(bar, k, g)
+        if not 0 <= a < g.n_vertices:
+            raise ValidationError(f"apex {a} out of range")
+        check_cell_budget("substitution", z.n_cells(z.n) * factorial(z.n + 1)
+                          * _lemma_top_count(g, a))
+        bar = barycentric_subdivide(z)
+        y, colours = _substitute(bar, lemma_subdivision(g, a))
         mode = "substitution"
 
     ocert = orient(y)
@@ -343,84 +360,66 @@ def subdivide_pseudomanifold(z, g, apex=None):
                                orientation=ocert.orientation, mode=mode)
 
 
-def _substitute(bar, k, g):
+def _substitute(bar, k):
     """Replace every barycentric cell by the matching piece of the simplex
     subdivision, matching graph vertices to barycentric dimensions.
 
-    A piece is used inside the smallest barycentric cell whose dimension
-    set equals its coordinate support, so pieces on a common boundary
-    are shared and the copies glue.
+    Slot i of every top barycentric cell has dimension i, so a piece whose
+    coordinate support is the slot set S sits, inside top cell t, in the
+    subcell ``subfaces(n, t)[S]``: the smallest barycentric cell with those
+    dimensions, so pieces on a common boundary are shared and the copies
+    glue.  Vertices are numbered in (host cell, piece vertex) order; higher
+    cells on first sight in one pass over the top cells, which lists the
+    top cells in (barycentric top, piece) order.  The result is not
+    validated here: ``orient`` checks it as a pseudo-manifold.
     """
     n = bar.n
     kc = k.complex
-    support = []
-    for vid in range(kc.n_cells(0)):
-        support.append(tuple(j for j, x in enumerate(k.coords[vid]) if x != 0))
-    carrier = [support]
+    # carrier[kk][cid]: the coordinate support of a piece, as a slot mask;
+    # any two facets of a cell cover all its vertices
+    carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
     for kk in range(1, n + 1):
-        row = []
-        for verts in kc.vertices_of[kk]:
-            acc = set()
-            for v in verts:
-                acc.update(support[v])
-            row.append(tuple(sorted(acc)))
-        carrier.append(row)
-
-    by_carrier = [dict() for _ in range(n + 1)]
-    for kk in range(n + 1):
-        for cid in range(kc.n_cells(kk)):
-            by_carrier[kk].setdefault(carrier[kk][cid], []).append(cid)
-
-    dimset = []
-    for kk in range(n + 1):
-        row = []
-        for verts in bar.vertices_of[kk]:
-            row.append(tuple(bar.vertex_labels[v][0] for v in verts))
-        dimset.append(row)
-
-    def host(kk, bid, dims, sub):
-        keep = [dims.index(d) for d in sub]
-        return bar.subface(kk, bid, keep)
-
-    ids = [dict() for _ in range(n + 1)]
+        below = carrier[-1]
+        carrier.append([below[f[0]] | below[f[1]] for f in kc.faces_of[kk]])
+    on_support = {}            # support mask -> piece vertices, ascending
+    rank = []                  # each piece vertex's place in its list
+    for u, m in enumerate(carrier[0]):
+        same = on_support.setdefault(m, [])
+        rank.append(len(same))
+        same.append(u)
+    first = {}                 # barycentric cell -> its first hosted vertex
     labels = []
-    colours = []
     for bk in range(n + 1):
-        for bid in range(bar.n_cells(bk)):
-            dims = dimset[bk][bid]
-            for u in by_carrier[0].get(dims, ()):
-                ids[0][(bk, bid, u)] = len(labels)
-                labels.append(((bk, bid), u))
-                colours.append(k.colours[u])
-    cell_vertices = [None] * (n + 1)
-    cell_faces = [None] * (n + 1)
-    for kk in range(1, n + 1):
-        verts_out = []
-        faces_out = []
-        for bk in range(kk, n + 1):
-            for bid in range(bar.n_cells(bk)):
-                dims = dimset[bk][bid]
-                if len(dims) != bk + 1:
-                    raise ValidationError("barycentric cell with repeated dims")
-                for cid in by_carrier[kk].get(dims, ()):
-                    ids[kk][(bk, bid, cid)] = len(verts_out)
-                    vv = []
-                    for u in kc.vertices_of[kk][cid]:
-                        hk, hid = host(bk, bid, dims, support[u])
-                        vv.append(ids[0][(hk, hid, u)])
-                    ff = []
-                    for fid in kc.faces_of[kk][cid]:
-                        hk, hid = host(bk, bid, dims, carrier[kk - 1][fid])
-                        ff.append(ids[kk - 1][(hk, hid, fid)])
-                    verts_out.append(tuple(vv))
-                    faces_out.append(tuple(ff))
-        cell_vertices[kk] = verts_out
-        cell_faces[kk] = faces_out
+        for bid, verts in enumerate(bar.vertices_of[bk]):
+            first[bk, bid] = len(labels)
+            dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
+            labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
+
+    ids = [{} for _ in range(n + 1)]   # (host dim, host id, piece cell) -> id
+    cell_vertices = [[] for _ in range(n + 1)]
+    cell_faces = [[] for _ in range(n + 1)]
+    for t, verts in enumerate(bar.vertices_of[n]):
+        if [bar.vertex_labels[v][0] for v in verts] != list(range(n + 1)):
+            raise ValidationError("barycentric cell with repeated dims")
+        table = bar.subfaces(n, t)
+        # here[kk][cid]: the output id of piece cell cid inside top cell t
+        here = [[first[table[m]] + r for m, r in zip(carrier[0], rank)]]
+        for kk in range(1, n + 1):
+            row = []
+            for cid, m in enumerate(carrier[kk]):
+                key = table[m] + (cid,)
+                got = ids[kk].get(key)
+                if got is None:
+                    got = ids[kk][key] = len(cell_vertices[kk])
+                    cell_vertices[kk].append(
+                        tuple(here[0][u] for u in kc.vertices_of[kk][cid]))
+                    cell_faces[kk].append(
+                        tuple(here[kk - 1][f] for f in kc.faces_of[kk][cid]))
+                row.append(got)
+            here.append(row)
     out = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
                                 vertex_labels=labels)
-    if not out.validate():
-        raise ValidationError("substitution produced an invalid complex")
-    return out, tuple(colours)
+    return out, tuple(k.colours[u] for _, u in labels)
 
 
 @dataclass

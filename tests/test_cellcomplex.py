@@ -2,7 +2,9 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,8 +28,8 @@ from nestotope.cellcomplex import (
     smith_normal_form,
     torus7,
 )
-from nestotope.graphs import path_graph
-from nestotope.subdivision import subdivide_pseudomanifold
+from nestotope.graphs import members, path_graph, star_graph
+from nestotope.subdivision import _codim2_cofacets, subdivide_pseudomanifold
 
 
 def test_from_top_simplices_builds_valid_complexes():
@@ -48,11 +50,55 @@ def test_from_top_simplices_builds_valid_complexes():
 def test_subface_navigation():
     c = simplex_sphere(2)
     for t in range(c.n_cells(2)):
-        assert c.subface(2, t, (0, 1, 2)) == (2, t)
+        table = c.subfaces(2, t)
+        assert len(table) == 8 and table[0] is None
+        assert table[0b111] == (2, t)
         verts = c.vertices_of[2][t]
         for slot in range(3):
-            k, cid = c.subface(2, t, (slot,))
+            k, cid = table[1 << slot]
             assert k == 0 and c.vertices_of[0][cid] == (verts[slot],)
+            assert table[0b111 ^ (1 << slot)] == (1, c.faces_of[2][t][slot])
+
+
+def _vertex_determined_complexes():
+    yield from (simplex_sphere(k) for k in range(1, 5))
+    yield torus7()
+    yield barycentric_subdivide(torus7())
+    yield subdivide_pseudomanifold(simplex_sphere(3), star_graph(4)).complex
+
+
+def test_subcell_tables_match_vertex_sets():
+    # on a vertex-determined complex the subcell on a slot mask is the one
+    # whose vertices are the top cell's vertices at those slots
+    for c in _vertex_determined_complexes():
+        assert c.is_vertex_determined()
+        for t, verts in enumerate(c.vertices_of[c.n]):
+            table = c.subfaces(c.n, t)
+            for mask in range(1, len(table)):
+                k, cid = table[mask]
+                assert c.vertices_of[k][cid] == tuple(verts[s] for s in members(mask))
+
+
+def test_codim2_cofacets_match_vertex_sets():
+    for c in _vertex_determined_complexes():
+        if c.n < 2:
+            continue
+        want = Counter(frozenset(sub) for verts in c.vertices_of[c.n]
+                       for sub in combinations(verts, c.n - 1))
+        got = {frozenset(c.vertices_of[k][cid]): cnt
+               for (k, cid), cnt in _codim2_cofacets(c).items()}
+        assert got == dict(want)
+
+
+def test_subcell_tables_match_gluing_instances():
+    # the two-arc circle, and two triangles glued along their whole boundary
+    for dim, gluings in ((1, [((0, 0), (1, 0)), ((0, 1), (1, 1))]),
+                         (2, [((0, i), (1, i)) for i in range(3)])):
+        cx, instance = complex_from_gluings(dim, 2, gluings)
+        assert not cx.is_vertex_determined()
+        for t in range(2):
+            table = cx.subfaces(dim, t)
+            assert table[1:] == [instance(t, m) for m in range(1, len(table))]
 
 
 def test_two_arc_circle_is_not_vertex_determined():

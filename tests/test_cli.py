@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -230,6 +231,44 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of each report, recorded before the subdivision was built from
+# subcell tables; reordering any cell or vertex changes them.
+PINNED_REPORTS = {
+    "torus7-path3": ("31902d4300e7407bbaac1451208afa283c1c5b5c36dc53c2d99a16c33a1948dc",
+                     ["subdivide", "--pseudomanifold", "torus7", "--graph", "path:3",
+                      "--certify"]),
+    "sphere2-cycle3": ("f037d5870935072e2b7b7c1899433b3eaea208a0e5dffb8a96833d450d40c921",
+                       ["subdivide", "--pseudomanifold", "sphere:2", "--graph",
+                        "cycle:3", "--certify"]),
+    "sphere3-star4": ("ff72d1ba1de6e744d2eb90faea8b89dc3e17d274c90536c36dead6b173e611da",
+                      ["subdivide", "--pseudomanifold", "sphere:3", "--graph",
+                       "star:4", "--certify"]),
+    "sphere1-path2-apex1": (
+        "96964a58ed10eae5bca917cf7581c0b013fa8a1bf8c643fd470d40b25af706e0",
+        ["subdivide", "--pseudomanifold", "sphere:1", "--graph", "path:2",
+         "--apex", "1", "--certify"]),
+    "sphere2-path3-apex2": (
+        "96e9517b83926b11ab58989aaa86c4cf3fd551b8ff516f87cfa5ff16cd227c50",
+        ["subdivide", "--pseudomanifold", "sphere:2", "--graph", "path:3",
+         "--apex", "2", "--certify"]),
+    "torus7-complete3": ("bb138c4f13b6ab0284acb6fbdf6c019ce3fe73c13276f959ab49d672ceb5c8cc",
+                         ["subdivide", "--pseudomanifold", "torus7", "--graph",
+                          "complete:3", "--certify"]),
+    "realize-sphere2-complete3": (
+        "c2a11cf32eefcbfa70e46e1b4998c3592c2a65ac5069d1b85e58831204ab9825",
+        ["realize", "--pseudomanifold", "sphere:2", "--graph", "complete:3",
+         "--budget", "1000"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(name, tmp_path):
+    digest, argv = PINNED_REPORTS[name]
+    out = tmp_path / "r.json"
+    assert cli.run(argv + ["--emit", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def _cap_memory():
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -249,6 +288,29 @@ def test_realize_closure_budget_refuses_under_memory_cap():
         preexec_fn=_cap_memory)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("budget: involution closure")
+
+
+# Each refusal is counted in closed form before anything is built: the
+# sphere (2^32 - 2 cells), the barycentric subdivision (10 * 9! tops) and
+# the substitution (8 * 7! barycentric tops times 64 simplex pieces).
+@pytest.mark.parametrize("argv,what", [
+    (["realize", "--pseudomanifold", "sphere:30", "--graph", "path:2"],
+     "sphere:30 needs 4294967294 cells"),
+    (["subdivide", "--pseudomanifold", "sphere:8", "--graph", "path:9"],
+     "barycentric subdivision needs 3628800 top simplices"),
+    (["subdivide", "--pseudomanifold", "sphere:6", "--graph", "star:7"],
+     "substitution needs 2580480 top simplices"),
+], ids=["sphere", "barycentric", "substitution"])
+def test_subdivision_budget_refuses_under_memory_cap(argv, what):
+    env = dict(os.environ)
+    src = str(Path(nestotope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "nestotope.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_cap_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"budget: {what}, over the 200000 budget\n"
 
 
 @pytest.mark.skipif(shutil.which("nestotope") is None,

@@ -14,12 +14,10 @@ from nestotope.formulas import (
     check_inequality_chain,
     eulerian,
     eulerian_brute,
-    eulerian_table,
     family_table,
     hessenberg_cover_total,
     zigzag,
     zigzag_brute,
-    zigzag_table,
 )
 
 
@@ -94,14 +92,6 @@ def test_sequence_table_conflicts():
     rows = t.csv_rows()
     assert rows[0] == ("index", "value", "sources")
     assert rows[1] == ("1", "5", "first+second")
-
-
-def test_dual_source_tables():
-    t = eulerian_table(6)
-    assert all("+" in t.entries[key][1][0] or len(t.entries[key][1]) == 2
-               for key in t.entries)
-    z = zigzag_table(9)
-    assert z.value((8,)) == 1385
 
 
 def test_family_table():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from nestotope.errors import ValidationError
+from nestotope import subdivision
+from nestotope.errors import CELL_BUDGET, BudgetExceeded, ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
     homology,
@@ -16,6 +17,7 @@ from nestotope.cellcomplex import (
 )
 from nestotope.graphs import Graph, cycle_graph, path_graph, star_graph
 from nestotope.subdivision import (
+    _lemma_top_count,
     condition_star_check,
     lemma_subdivision,
     subdivide_pseudomanifold,
@@ -51,6 +53,26 @@ def test_lemma_certificates(g, apex, tops):
     assert cert.ok, cert.failures
     assert set(cert.checks) == {"valid", "rainbow_tops", "apex_interior",
                                 "coords_injective", "volumes", "four_cofacets"}
+
+
+@pytest.mark.parametrize("g,apex,tops", _SIZES)
+def test_lemma_top_count_is_closed_form(g, apex, tops):
+    assert _lemma_top_count(g, apex) == tops
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("built something over budget")
+
+
+def test_lemma_budget_refuses_before_building(monkeypatch):
+    # T(n) = 2^(n-1) T(n-1) along a path from an end: 2^21 tops on 7 vertices
+    monkeypatch.setattr(subdivision, "_lemma_tops", _must_not_run)
+    with pytest.raises(BudgetExceeded, match="simplex subdivision needs "
+                       "2097152 top simplices, over the 200000 budget"):
+        lemma_subdivision(path_graph(7), 0)
+    # the largest substitution the benchmark certifies stays in budget:
+    # sphere:4 has 6 * 5! barycentric tops, star:5 gives 16 pieces each
+    assert 6 * 120 * _lemma_top_count(star_graph(5), 0) == 11_520 <= CELL_BUDGET
 
 
 def test_lemma_single_vertex():
@@ -143,6 +165,23 @@ def test_condition_star_counts():
     y = subdivide_pseudomanifold(simplex_sphere(3), star_graph(4))
     cert = condition_star_check(y, star_graph(4))
     assert cert.ok and cert.cells_checked == 720
+
+
+def test_substituted_complex_is_validated_once(monkeypatch):
+    calls = []
+    validate = SimplicialCellComplex.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SimplicialCellComplex, "validate", counting)
+    y = subdivide_pseudomanifold(simplex_sphere(2), cycle_graph(3))
+    assert y.mode == "substitution"
+    # the input, each reflected sphere of the simplex subdivision and the
+    # output are each checked once, the output by orient
+    assert calls.count(y.complex) == 1
+    assert len({id(c) for c in calls}) == len(calls)
 
 
 def test_substituted_sphere_stays_oriented():
