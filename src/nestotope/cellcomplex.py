@@ -11,9 +11,14 @@ references to (k-1)-cells.  The convention throughout: the face at slot i
 carries the cell's vertices with slot i deleted, order preserved.  Gluings
 are therefore order-preserving on stored vertex tuples, boundary maps use the
 usual alternating slot signs, and the double-face identities are checked by
-``validate`` rather than assumed.  ``subfaces`` lists all subcells of a cell
-in one table indexed by the bitmask of kept slots; a flag of the barycentric
-subdivision is the chain of growing masks of one slot permutation.  Stock
+``validate`` rather than assumed.  The structural checks (``validate``,
+``is_pure``, ``is_vertex_determined`` and the two-hit facet test of
+``pseudo_manifold_check``) read whole columns of a level at a time, never
+one cell at a time.  Double faces are compared only on levels where two
+(k-2)-cells share a vertex tuple: elsewhere the vertex checks already force
+the identities.  ``subfaces`` lists all subcells of a cell in one table
+indexed by the bitmask of kept slots; a flag of the barycentric subdivision
+is the chain of growing masks of one slot permutation.  Stock
 spheres and barycentric subdivisions count their cells in closed form and
 refuse (``BudgetExceeded``) before building more than CELL_BUDGET.
 
@@ -32,8 +37,9 @@ span, which for a small cover is f_d * 2^d cells in degree d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import factorial
+from operator import eq, itemgetter
 
 from .errors import ValidationError, check_cell_budget
 from .graphs import members
@@ -115,49 +121,62 @@ class SimplicialCellComplex:
     def validate(self):
         """Cell-complex conditions: distinct vertices per cell, consistent
         face/vertex bookkeeping, and the double-face identities.  Returns
-        True or False."""
+        True or False.
+
+        Each level is checked on whole columns, never cell by cell: column
+        s of a level holds every cell's face at slot s, and vertex column q
+        every cell's vertex at position q.  The face at slot s carries the
+        cell's vertices with slot s deleted when, for every position q,
+        vertex column q of the faces in column s is the cell's vertex
+        column q (q < s) or q + 1 (q >= s).  Distinct vertices are checked
+        on edges only: once its faces carry the right vertices, any two
+        vertices of a k-cell, k >= 2, lie in a common face.  Both double
+        faces of a k-cell then carry the same vertex tuple, the cell's
+        vertices with slots i and j dropped.  So on a level whose
+        (k-2)-cells have pairwise distinct vertex tuples the double-face
+        identities hold, and only the other levels check them.  A level
+        with fewer or more face tuples than cells is invalid.
+        """
+        verts, faces = self.vertices_of, self.faces_of
+        vcols = [list(chain.from_iterable(verts[0]))]
         for k in range(1, self.n + 1):
-            n_below = self.n_cells(k - 1)
-            for cid, verts in enumerate(self.vertices_of[k]):
-                if len(set(verts)) != k + 1:
+            vk, fk, below = verts[k], faces[k], vcols
+            if len(fk) != len(vk) or not set(map(len, chain(vk, fk))) <= {k + 1}:
+                return False
+            vcols = [list(map(itemgetter(q), vk)) for q in range(k + 1)]
+            if k == 1 and any(map(eq, *vcols)):
+                return False
+            for s in range(k + 1):
+                col = list(map(itemgetter(s), fk))
+                if min(col, default=0) < 0 or max(col, default=-1) >= len(verts[k - 1]):
                     return False
-                faces = self.faces_of[k][cid]
-                if len(faces) != k + 1:
+                for q, face_vcol in enumerate(below):
+                    if list(map(face_vcol.__getitem__, col)) != vcols[q + (q >= s)]:
+                        return False
+            # both double faces carry the same vertex tuple, so where no two
+            # (k-2)-cells share one they are the same cell
+            if k < 2 or len(set(verts[k - 2])) == len(verts[k - 2]):
+                continue
+            cols = [list(map(itemgetter(s), fk)) for s in range(k + 1)]
+            below_f = [list(map(itemgetter(s), faces[k - 1])) for s in range(k)]
+            for i, j in combinations(range(k + 1), 2):
+                if (list(map(below_f[i].__getitem__, cols[j]))
+                        != list(map(below_f[j - 1].__getitem__, cols[i]))):
                     return False
-                for slot, f in enumerate(faces):
-                    if not 0 <= f < n_below:
-                        return False
-                    expect = verts[:slot] + verts[slot + 1:]
-                    if self.vertices_of[k - 1][f] != expect:
-                        return False
-        for k in range(2, self.n + 1):
-            for cid, faces in enumerate(self.faces_of[k]):
-                for i in range(k + 1):
-                    for j in range(i + 1, k + 1):
-                        a = self.faces_of[k - 1][faces[j]][i]
-                        b = self.faces_of[k - 1][faces[i]][j - 1]
-                        if a != b:
-                            return False
         return True
 
     def is_pure(self):
-        reachable = [set() for _ in range(self.n + 1)]
-        reachable[self.n] = set(range(self.n_cells(self.n)))
+        reached = range(self.n_cells(self.n))
         for k in range(self.n, 0, -1):
-            for cid in reachable[k]:
-                reachable[k - 1].update(self.faces_of[k][cid])
-        return all(len(reachable[k]) == self.n_cells(k) for k in range(self.n + 1))
+            reached = set(chain.from_iterable(map(self.faces_of[k].__getitem__, reached)))
+            if len(reached) != self.n_cells(k - 1):
+                return False
+        return True
 
     def is_vertex_determined(self):
         """No two distinct cells share the same vertex set."""
-        for k in range(1, self.n + 1):
-            seen = set()
-            for verts in self.vertices_of[k]:
-                key = tuple(sorted(verts))
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
+        return all(len(set(map(tuple, map(sorted, vk)))) == len(vk)
+                   for vk in self.vertices_of[1:])
 
     # -- constructors -------------------------------------------------------
 
@@ -326,13 +345,25 @@ class PseudoManifoldCertificate:
     orientation: object = None  # tuple of +-1 per top cell, or "non-orientable"
 
 
+def _hit_twice(c):
+    """Whether the facet ids of all top cells, sorted, read 0, 0, 1, 1, ...
+    up to the last (n-1)-cell: every facet lies in exactly two top cells."""
+    hits = sorted(chain.from_iterable(c.faces_of[c.n]))
+    facets = range(c.n_cells(c.n - 1))
+    return (len(hits) == 2 * len(facets)
+            and all(map(eq, hits, chain.from_iterable(zip(facets, facets)))))
+
+
 def pseudo_manifold_check(c):
     """Pure + every (n-1)-cell in exactly two top cells, counted with slots.
 
-    A complex is never changed after its constructor, so the verdict (the
-    tuple of failures) is memoised on it and the checks run once per
-    complex.  Each call still returns a fresh certificate, which callers
-    such as ``orient`` may fill in and change.
+    The two-hit test sorts the facet ids of all top cells at once; the
+    per-facet incidence lists are built only to word its failures, so
+    ``orient`` builds them once per complex.  A complex is never changed
+    after its constructor, so the verdict (the tuple of failures) is
+    memoised on it and the checks run once per complex.  Each call still
+    returns a fresh certificate, which callers such as ``orient`` may fill
+    in and change.
     """
     if c._pseudo_failures is None:
         failures = []
@@ -340,7 +371,8 @@ def pseudo_manifold_check(c):
             failures.append("not a valid simplicial cell complex")
         elif not c.is_pure():
             failures.append("not pure: some cell lies in no top cell")
-        else:
+        elif not _hit_twice(c):
+            # the incidences name the facets that are not hit exactly twice
             for f, inc in enumerate(c.facet_incidences()):
                 if len(inc) != 2:
                     failures.append(

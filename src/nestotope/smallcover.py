@@ -421,14 +421,6 @@ def enumerate_characteristics(p):
     return out
 
 
-def lambda_to_json_dict(lam):
-    cols = {}
-    for t, j in zip(lam.b.proper_tubes, range(len(lam.columns))):
-        key = ",".join(str(v) for v in members(t))
-        cols[key] = [(lam.columns[j] >> i) & 1 for i in range(lam.rows)]
-    return {"rows": lam.rows, "columns": cols}
-
-
 def lambda_from_json_dict(b, data):
     try:
         rows = int(data["rows"])

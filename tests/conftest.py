@@ -1,8 +1,11 @@
 """Oracles shared between test modules."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from nestotope.cellcomplex import gf2_rank
+from nestotope.graphs import members
 
 
 def _betti_z2_without_clearing(c):
@@ -23,3 +26,97 @@ def _betti_z2_without_clearing(c):
 @pytest.fixture
 def betti_z2_without_clearing():
     return _betti_z2_without_clearing
+
+
+# The structural checks of SimplicialCellComplex written cell by cell, one
+# condition at a time; the library checks whole columns of a level at once.
+
+
+def _validate_by_cells(c):
+    for k in range(1, c.n + 1):
+        n_below = c.n_cells(k - 1)
+        for cid, verts in enumerate(c.vertices_of[k]):
+            if len(set(verts)) != k + 1:
+                return False
+            faces = c.faces_of[k][cid]
+            if len(faces) != k + 1:
+                return False
+            for slot, f in enumerate(faces):
+                if not 0 <= f < n_below:
+                    return False
+                expect = verts[:slot] + verts[slot + 1:]
+                if c.vertices_of[k - 1][f] != expect:
+                    return False
+    for k in range(2, c.n + 1):
+        for cid, faces in enumerate(c.faces_of[k]):
+            for i in range(k + 1):
+                for j in range(i + 1, k + 1):
+                    a = c.faces_of[k - 1][faces[j]][i]
+                    b = c.faces_of[k - 1][faces[i]][j - 1]
+                    if a != b:
+                        return False
+    return True
+
+
+def _is_pure_by_cells(c):
+    reachable = [set() for _ in range(c.n + 1)]
+    reachable[c.n] = set(range(c.n_cells(c.n)))
+    for k in range(c.n, 0, -1):
+        for cid in reachable[k]:
+            reachable[k - 1].update(c.faces_of[k][cid])
+    return all(len(reachable[k]) == c.n_cells(k) for k in range(c.n + 1))
+
+
+def _is_vertex_determined_by_cells(c):
+    for k in range(1, c.n + 1):
+        seen = set()
+        for verts in c.vertices_of[k]:
+            key = tuple(sorted(verts))
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+def _pseudo_failures_by_incidences(c):
+    """The failure list of ``pseudo_manifold_check``, with the two-hit
+    test counted on per-facet incidence lists."""
+    if not _validate_by_cells(c):
+        return ["not a valid simplicial cell complex"]
+    if not _is_pure_by_cells(c):
+        return ["not pure: some cell lies in no top cell"]
+    inc = [[] for _ in range(c.n_cells(c.n - 1))]
+    for t, faces in enumerate(c.faces_of[c.n]):
+        for slot, f in enumerate(faces):
+            inc[f].append((t, slot))
+    failures = []
+    for f, hits in enumerate(inc):
+        if len(hits) != 2:
+            failures.append(f"(n-1)-cell {f} lies in {len(hits)} top cells, expected 2")
+            if len(failures) > 20:
+                failures.append("...")
+                break
+    return failures
+
+
+@pytest.fixture
+def cell_checks():
+    return SimpleNamespace(validate=_validate_by_cells,
+                           is_pure=_is_pure_by_cells,
+                           is_vertex_determined=_is_vertex_determined_by_cells,
+                           pseudo_failures=_pseudo_failures_by_incidences)
+
+
+def _lambda_to_json_dict(lam):
+    """The matrix JSON that ``lambda_from_json_dict`` reads: each proper
+    tube, written as its comma-joined members, maps to its column's bits."""
+    cols = {}
+    for t, col in zip(lam.b.proper_tubes, lam.columns):
+        key = ",".join(str(v) for v in members(t))
+        cols[key] = [(col >> i) & 1 for i in range(lam.rows)]
+    return {"rows": lam.rows, "columns": cols}
+
+
+@pytest.fixture
+def lambda_to_json_dict():
+    return _lambda_to_json_dict

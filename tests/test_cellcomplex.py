@@ -28,7 +28,9 @@ from nestotope.cellcomplex import (
     smith_normal_form,
     torus7,
 )
-from nestotope.graphs import members, path_graph, star_graph
+from nestotope.graphs import graph_building_set, members, path_graph, star_graph
+from nestotope.nestohedron import face_poset
+from nestotope.smallcover import lambda_can, orientation_cover_via_eta, small_cover
 from nestotope.subdivision import _codim2_cofacets, subdivide_pseudomanifold
 
 
@@ -170,6 +172,173 @@ def test_pseudo_manifold_verdict_is_memoised_not_shared():
     again = pseudo_manifold_check(c)
     assert again.is_pseudo and again.failures == [] and again.orientation is None
     assert orient(c).orientation == cert.orientation
+
+
+def _suspended_two_arc_circle():
+    """The 3-sphere as the double suspension of the two-arc circle: tet
+    (arc, p, q) has vertices (a, b, p, q), with poles p in {N, S} and q in
+    {N', S'}.  Its two edges from a to b share their vertex tuple."""
+    def tet(arc, p, q):
+        return 4 * arc + 2 * p + q
+    gluings = []
+    for x in (0, 1):
+        for y in (0, 1):
+            gluings += [((tet(0, x, y), s), (tet(1, x, y), s)) for s in (0, 1)]
+            gluings.append(((tet(x, 0, y), 2), (tet(x, 1, y), 2)))
+            gluings.append(((tet(x, y, 0), 3), (tet(x, y, 1), 3)))
+    cx, _ = complex_from_gluings(3, 8, gluings)
+    return cx
+
+
+def _glued(graph, construct):
+    b = graph_building_set(graph)
+    return construct(face_poset(b), lambda_can(b)).complex
+
+
+# Every kind of complex the library builds, and a few glued by hand.
+CHECKED_COMPLEXES = {
+    "sphere:1": lambda: simplex_sphere(1),
+    "sphere:2": lambda: simplex_sphere(2),
+    "sphere:3": lambda: simplex_sphere(3),
+    "sphere:4": lambda: simplex_sphere(4),
+    "torus7": torus7,
+    "klein": klein_bottle,
+    "rp2": projective_plane,
+    "bar torus7": lambda: barycentric_subdivide(torus7()),
+    "bar klein": lambda: barycentric_subdivide(klein_bottle()),
+    "double cover rp2": lambda: orientation_double_cover(projective_plane())[0],
+    "double cover torus7": lambda: orientation_double_cover(torus7())[0],
+    "double cover klein": lambda: orientation_double_cover(klein_bottle())[0],
+    "sphere:3/star:4": lambda: subdivide_pseudomanifold(
+        simplex_sphere(3), star_graph(4)).complex,
+    "torus7/path:3": lambda: subdivide_pseudomanifold(torus7(), path_graph(3)).complex,
+    "path:5 can": lambda: _glued(path_graph(5), small_cover),
+    "eta path:4": lambda: _glued(path_graph(4), orientation_cover_via_eta),
+    "two-arc circle": lambda: complex_from_gluings(
+        1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])[0],
+    "two triangles": lambda: complex_from_gluings(
+        2, 2, [((0, i), (1, i)) for i in range(3)])[0],
+    "suspended two-arc circle": _suspended_two_arc_circle,
+    "disc": lambda: SimplicialCellComplex.from_top_simplices([(0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_COMPLEXES)
+def test_column_checks_match_cell_loops(name, cell_checks):
+    c = CHECKED_COMPLEXES[name]()
+    assert c.validate() == cell_checks.validate(c)
+    assert c.is_pure() == cell_checks.is_pure(c)
+    assert c.is_vertex_determined() == cell_checks.is_vertex_determined(c)
+    assert pseudo_manifold_check(c).failures == cell_checks.pseudo_failures(c)
+
+
+def test_repeated_edge_tuples_are_checked_for_double_faces():
+    # the levels the vertex-tuple argument cannot skip
+    c = _suspended_two_arc_circle()
+    assert not c.is_vertex_determined()
+    assert len(set(c.vertices_of[1])) < c.n_cells(1)
+    assert pseudo_manifold_check(c).is_pseudo
+    assert homology(c).betti_q == (1, 0, 0, 1)
+
+
+def _sphere2_with_top_faces(edit):
+    """sphere:2 with the face tuple of its first triangle edited; ``edit``
+    also gets the number of edges."""
+    c = simplex_sphere(2)
+    c.faces_of[2][0] = edit(c.faces_of[2][0], c.n_cells(1))
+    return c
+
+
+def _one_double_face_fails():
+    # a tetrahedron whose triangle (0, 1, 2) takes a copy of the edge (0, 1):
+    # the vertex checks hold, but the tetrahedron's double face on slots 2
+    # and 3 is the copy through one facet and the edge through the other
+    c = SimplicialCellComplex.from_top_simplices([(0, 1, 2, 3)])
+    e = c.vertices_of[1].index((0, 1))
+    c.vertices_of[1].append(c.vertices_of[1][e])
+    c.faces_of[1].append(c.faces_of[1][e])
+    t = c.vertices_of[2].index((0, 1, 2))
+    c.faces_of[2][t] = c.faces_of[2][t][:2] + (c.n_cells(1) - 1,)
+    return c
+
+
+def _unused_edge():
+    c = simplex_sphere(2)
+    c.vertices_of[1].append(c.vertices_of[1][0])
+    c.faces_of[1].append(c.faces_of[1][0])
+    return c
+
+
+def _repeated_top_vertex():
+    c = simplex_sphere(3)
+    v = c.vertices_of[3][0]
+    c.vertices_of[3][0] = (v[0], v[0]) + v[2:]
+    return c
+
+
+CORRUPTED = {
+    # the id minus the edge count indexes the same edge from the end
+    "negative face id": (lambda: _sphere2_with_top_faces(
+        lambda f, m: (f[0] - m,) + f[1:]), False, None),
+    "face id out of range": (lambda: _sphere2_with_top_faces(
+        lambda f, m: f[:2] + (m,)), False, None),
+    "repeated edge vertex": (lambda: complex_from_gluings(
+        1, 1, [((0, 0), (0, 1))])[0], False, None),
+    "repeated top vertex": (_repeated_top_vertex, False, None),
+    "face with wrong vertices": (lambda: _sphere2_with_top_faces(
+        lambda f, m: f[::-1]), False, None),
+    # slots 1 and 2 both take the edge (v0, v2): only its last vertex is wrong
+    "face with wrong last vertex": (lambda: _sphere2_with_top_faces(
+        lambda f, m: f[:2] + f[1:2]), False, None),
+    "short face tuple": (lambda: _sphere2_with_top_faces(
+        lambda f, m: f[:2]), False, None),
+    "isolated vertex": (lambda: SimplicialCellComplex.from_top_simplices(
+        simplex_sphere(2).vertices_of[2], vertex_labels=range(5)), True, False),
+    "unused edge": (_unused_edge, True, False),
+    "facet hit once": (lambda: SimplicialCellComplex.from_top_simplices(
+        [(0, 1, 2)]), True, True),
+    "facet hit three times": (lambda: SimplicialCellComplex.from_top_simplices(
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), True, True),
+    "27 facets hit once": (lambda: SimplicialCellComplex.from_top_simplices(
+        [(0, i, i + 1) for i in range(1, 26)]), True, True),
+    "one double face fails": (_one_double_face_fails, False, None),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_corrupted_complexes_get_the_loop_verdict(name, cell_checks):
+    build, valid, pure = CORRUPTED[name]
+    c = build()
+    assert c.validate() is cell_checks.validate(c) is valid
+    if valid:  # purity reads face ids as indices, so it needs a valid complex
+        assert c.is_pure() is cell_checks.is_pure(c) is pure
+    assert c.is_vertex_determined() == cell_checks.is_vertex_determined(c)
+    failures = pseudo_manifold_check(c).failures
+    assert failures and failures == cell_checks.pseudo_failures(c)
+
+
+def test_short_face_list_is_invalid(cell_checks):
+    c = simplex_sphere(2)
+    c.faces_of[2].pop()
+    with pytest.raises(IndexError):
+        cell_checks.validate(c)
+    assert c.validate() is False
+    assert pseudo_manifold_check(c).failures == ["not a valid simplicial cell complex"]
+
+
+@pytest.mark.parametrize("build", [torus7, klein_bottle])
+def test_orient_builds_facet_incidences_once(monkeypatch, build):
+    calls = []
+    incidences = SimplicialCellComplex.facet_incidences
+
+    def counting(self):
+        calls.append(self)
+        return incidences(self)
+
+    monkeypatch.setattr(SimplicialCellComplex, "facet_incidences", counting)
+    c = build()
+    orient(c)
+    assert calls == [c]
 
 
 def test_orientation_signs_cancel_on_facets():

@@ -49,9 +49,9 @@ def test_smallcover_report(tmp_path):
     assert data["homology"]["euler"] == -2
 
 
-def test_smallcover_lambda_file(tmp_path):
+def test_smallcover_lambda_file(tmp_path, lambda_to_json_dict):
     from nestotope.graphs import graph_building_set, path_graph
-    from nestotope.smallcover import lambda_can, lambda_to_json_dict
+    from nestotope.smallcover import lambda_can
     lam_file = tmp_path / "lam.json"
     lam_file.write_text(json.dumps(
         lambda_to_json_dict(lambda_can(graph_building_set(path_graph(3))))))

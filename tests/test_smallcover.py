@@ -44,7 +44,6 @@ from nestotope.smallcover import (
     lambda_from_json_dict,
     lambda_from_spec,
     lambda_star_as3,
-    lambda_to_json_dict,
     lambda_tomei,
     orientation_cover_via_eta,
     real_moment_angle,
@@ -396,7 +395,7 @@ def test_cover_betti_match_relation():
     assert not cover_betti_match((1, 2, 0), (1, 4, 0))
 
 
-def test_lambda_json_round_trip(tmp_path):
+def test_lambda_json_round_trip(tmp_path, lambda_to_json_dict):
     _, b = _pentagon()
     lam = lambda_can(b)
     data = lambda_to_json_dict(lam)
