@@ -22,6 +22,10 @@ is the chain of growing masks of one slot permutation.  Stock
 spheres and barycentric subdivisions count their cells in closed form and
 refuse (``BudgetExceeded``) before building more than CELL_BUDGET.
 
+Orientation reads ``facet_pairs``, the hits t * (n + 1) + slot sorted by
+facet, and spreads signs with ``sign_walk``, which glued manifolds share;
+``is_top_cycle`` checks given signs on a complex or a chain complex.
+
 Homology is computed from integer Smith normal forms of the boundary
 matrices: sparse elimination over unit pivots chosen Markowitz-style, with a
 dense textbook pass for whatever core remains.  Rational and mod-2 Betti
@@ -99,13 +103,11 @@ class SimplicialCellComplex:
                 m ^= low
         return table
 
-    def facet_incidences(self):
-        """For every (n-1)-cell, the list of (top cell, slot) hits."""
-        inc = [[] for _ in range(self.n_cells(self.n - 1))]
-        for t, faces in enumerate(self.faces_of[self.n]):
-            for slot, f in enumerate(faces):
-                inc[f].append((t, slot))
-        return inc
+    def facet_pairs(self):
+        """The hits t * (n + 1) + slot of top cells on their facets, sorted
+        by facet; on a pseudomanifold entries 2f and 2f + 1 are facet f's."""
+        hits = list(chain.from_iterable(self.faces_of[self.n]))
+        return sorted(range(len(hits)), key=hits.__getitem__)
 
     def boundary_entries(self, k):
         """Sparse integer boundary matrix of degree k as {(row, col): coef}."""
@@ -358,12 +360,11 @@ def pseudo_manifold_check(c):
     """Pure + every (n-1)-cell in exactly two top cells, counted with slots.
 
     The two-hit test sorts the facet ids of all top cells at once; the
-    per-facet incidence lists are built only to word its failures, so
-    ``orient`` builds them once per complex.  A complex is never changed
-    after its constructor, so the verdict (the tuple of failures) is
-    memoised on it and the checks run once per complex.  Each call still
-    returns a fresh certificate, which callers such as ``orient`` may fill
-    in and change.
+    hits are counted per facet only to word its failures.  A complex is
+    never changed after its constructor, so the verdict (the tuple of
+    failures) is memoised on it and the checks run once per complex.
+    Each call still returns a fresh certificate, which callers such as
+    ``orient`` may fill in and change.
     """
     if c._pseudo_failures is None:
         failures = []
@@ -372,11 +373,13 @@ def pseudo_manifold_check(c):
         elif not c.is_pure():
             failures.append("not pure: some cell lies in no top cell")
         elif not _hit_twice(c):
-            # the incidences name the facets that are not hit exactly twice
-            for f, inc in enumerate(c.facet_incidences()):
-                if len(inc) != 2:
+            counts = [0] * c.n_cells(c.n - 1)
+            for f in chain.from_iterable(c.faces_of[c.n]):
+                counts[f] += 1
+            for f, count in enumerate(counts):
+                if count != 2:
                     failures.append(
-                        f"(n-1)-cell {f} lies in {len(inc)} top cells, expected 2"
+                        f"(n-1)-cell {f} lies in {count} top cells, expected 2"
                     )
                     if len(failures) > 20:
                         failures.append("...")
@@ -386,63 +389,68 @@ def pseudo_manifold_check(c):
     return PseudoManifoldCertificate(c.n, not failures, list(failures))
 
 
-def orient(c):
-    """Propagate top-cell signs across facets; detect non-orientability.
-
-    Two top cells sharing a facet must induce opposite orientations on it,
-    which fixes their relative sign as (-1)^(slot1+slot2+1).  The certificate
-    carries the sign vector on success and the string "non-orientable" when
-    propagation hits a contradiction.  Signs on each facet-connected
-    component are fixed only up to a global flip.
+def sign_walk(size, neighbours):
+    """Signs +-1 on the cells 0..size-1 with sign[u] = rel * sign[t] for
+    every pair (u, rel) in ``neighbours(t)``, or None when no such signs
+    exist.  The least cell of each connected component takes +1.
     """
-    cert = pseudo_manifold_check(c)
-    if not cert.is_pseudo:
-        return cert
-    n_top = c.n_cells(c.n)
-    adj = [[] for _ in range(n_top)]
-    ok = True
-    for inc in c.facet_incidences():
-        (t1, s1), (t2, s2) = inc
-        # induced orientations must cancel: sign2 = sign1 * (-1)^(s1+s2+1)
-        flip = (s1 + s2 + 1) & 1
-        if t1 == t2:
-            if flip:  # a self-gluing needs slots of opposite parity
-                ok = False
-            continue
-        adj[t1].append((t2, flip))
-        adj[t2].append((t1, flip))
-    sign = [0] * n_top
-    for start in range(n_top):
-        if not ok:
-            break
+    sign = [0] * size
+    for start in range(size):
         if sign[start]:
             continue
         sign[start] = 1
         stack = [start]
-        while stack and ok:
+        while stack:
             t = stack.pop()
-            for u, flip in adj[t]:
-                want = -sign[t] if flip else sign[t]
-                if sign[u] == 0:
+            for u, rel in neighbours(t):
+                want = rel * sign[t]
+                if not sign[u]:
                     sign[u] = want
                     stack.append(u)
                 elif sign[u] != want:
-                    ok = False
-                    break
-    if not ok:
-        cert.orientation = "non-orientable"
+                    return None
+    return sign
+
+
+def is_top_cycle(c, sign):
+    """Whether the signed top cells have zero boundary; ``c`` is a
+    ``SimplicialCellComplex`` or a ``ChainComplex``."""
+    acc = {}
+    for (row, col), v in c.boundary_entries(c.n).items():
+        acc[row] = acc.get(row, 0) + sign[col] * v
+    return not any(acc.values())
+
+
+def orient(c):
+    """Propagate top-cell signs across facets; detect non-orientability.
+
+    Two top cells sharing a facet must induce opposite orientations on it,
+    which fixes their relative sign as (-1)^(slot1+slot2+1); ``sign_walk``
+    spreads the signs from each hit to its partner in ``facet_pairs``.
+    The certificate carries the sign vector on success and the string
+    "non-orientable" on a contradiction.  Signs on each facet-connected
+    component are fixed only up to a global flip.  The signed top cells
+    need no boundary check: each facet lies in exactly two top cells,
+    whose two terms the walk cancels.
+    """
+    cert = pseudo_manifold_check(c)
+    if not cert.is_pseudo:
         return cert
-    # The fundamental cycle must vanish under the integer boundary map.
-    if c.n >= 1:
-        acc = {}
-        for t, faces in enumerate(c.faces_of[c.n]):
-            for slot, f in enumerate(faces):
-                acc[f] = acc.get(f, 0) + sign[t] * (-1) ** slot
-        if any(v != 0 for v in acc.values()):
-            cert.is_pseudo = False
-            cert.failures.append("signed boundary of the fundamental cycle is nonzero")
-            return cert
-    cert.orientation = tuple(sign)
+    m = c.n + 1
+    pairs = c.facet_pairs()
+    partner = [0] * len(pairs)
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        partner[a], partner[b] = b, a
+
+    def neighbours(t):
+        # slots of equal parity induce equal orientations, so the sign
+        # flips; a point (n = 0) has no facets and no neighbours
+        for slot, hit in enumerate(partner[t * m:t * m + m]):
+            u, other = divmod(hit, m)
+            yield u, 1 if (slot ^ other) & 1 else -1
+
+    sign = sign_walk(c.n_cells(c.n), neighbours)
+    cert.orientation = "non-orientable" if sign is None else tuple(sign)
     return cert
 
 
@@ -467,8 +475,9 @@ def orientation_double_cover(c):
         return 2 * t + s
 
     gluings = []
-    for inc in c.facet_incidences():
-        (t1, s1), (t2, s2) = inc
+    pairs = c.facet_pairs()
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        (t1, s1), (t2, s2) = divmod(a, n + 1), divmod(b, n + 1)
         flip = (s1 + s2 + 1) & 1
         for s in (0, 1):
             gluings.append(((sheet_top(t1, s), s1), (sheet_top(t2, s ^ flip), s2)))
@@ -902,11 +911,7 @@ def complex_from_json_dict(data):
             raise ValidationError("orientation must be a list of 1 and -1")
         if len(orientation) != cx.n_cells(dim):
             raise ValidationError("orientation list length mismatch")
-        acc = {}
-        for t, faces in enumerate(cx.faces_of[dim]):
-            for slot, f in enumerate(faces):
-                acc[f] = acc.get(f, 0) + orientation[t] * (-1) ** slot
-        if any(v != 0 for v in acc.values()):
+        if not is_top_cycle(cx, orientation):
             raise ValidationError("supplied orientation is not compatible")
     return cx, orientation
 
@@ -919,7 +924,9 @@ _PRESET_COMPLEXES = {
 
 
 def pseudomanifold_from_spec(text):
-    """Parse 'sphere:k', a named preset, or a JSON file path."""
+    """Parse 'sphere:k', a named preset, or a JSON file path.  A JSON
+    "orientation" is checked, then dropped: callers run ``orient``, which
+    also makes the pseudomanifold check they need."""
     import json as _json
 
     if text.startswith("sphere:"):

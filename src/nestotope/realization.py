@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
+from .cellcomplex import pseudo_manifold_check
 from .errors import BudgetExceeded, CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError
 from .graphs import graph_building_set, members
 from .nestohedron import face_poset
@@ -50,19 +51,13 @@ def build_sigma_system(y):
     c = y.complex
     n = c.n
     colours = y.colours
-    orientation = y.orientation
-    if orientation is None:
-        from .cellcomplex import orient
-        cert = orient(c)
-        if not cert.is_pseudo or cert.orientation == "non-orientable":
-            raise ValidationError("need an oriented closed pseudo-manifold")
-        orientation = cert.orientation
+    if y.orientation is None or not pseudo_manifold_check(c).is_pseudo:
+        raise ValidationError("need an oriented closed pseudo-manifold")
     size = c.n_cells(n)
     xi = [[None] * size for _ in range(n + 1)]
-    for inc in c.facet_incidences():
-        if len(inc) != 2:
-            raise ValidationError("facet without exactly two top cells")
-        (t1, s1), (t2, s2) = inc
+    pairs = c.facet_pairs()
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        (t1, s1), (t2, s2) = divmod(a, n + 1), divmod(b, n + 1)
         col = colours[c.vertices_of[n][t1][s1]]
         if colours[c.vertices_of[n][t2][s2]] != col:
             raise ValidationError("facet misses different colours on its sides")
@@ -74,7 +69,7 @@ def build_sigma_system(y):
         inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                   if seq[i] > seq[j])
         sign = -1 if inv & 1 else 1
-        plus.append(sign * orientation[t] > 0)
+        plus.append(sign * y.orientation[t] > 0)
     for col in range(n + 1):
         if any(x is None for x in xi[col]):
             raise ValidationError(f"colour {col} misses some top cell")

@@ -33,7 +33,9 @@ from .cellcomplex import (
     SimplicialCellComplex,
     gf2_rank,
     homology,
+    is_top_cycle,
     pseudo_manifold_check,
+    sign_walk,
 )
 
 
@@ -286,33 +288,18 @@ class GluedManifold:
         The facet cell (t, g mod lambda_t) lies in copies g and
         g + lambda_t, with incidence +1 in both, so the signs exist exactly
         when e(g + lambda_t) = -e(g) for every facet t (Nakayama and
-        Nishimura, Osaka J. Math. 42, 2005).  A walk over the copies finds
-        them, fixed up to one flip per component, and their sum is then
-        checked to be a cycle of ``cellular()``; top cell g is (P, g).
+        Nishimura, Osaka J. Math. 42, 2005).  ``sign_walk`` over the copies
+        finds them, fixed up to one flip per component, and
+        ``is_top_cycle`` then checks their sum on ``cellular()``, whose top
+        cell g is (P, g).
         """
-        sign = [0] * self.n_copies()
         steps = set(self.columns)
-        for start in range(len(sign)):
-            if sign[start]:
-                continue
-            sign[start] = 1
-            stack = [start]
-            while stack:
-                g = stack.pop()
-                for c in steps:
-                    if not sign[g ^ c]:
-                        sign[g ^ c] = -sign[g]
-                        stack.append(g ^ c)
-                    elif sign[g ^ c] == sign[g]:
-                        return "non-orientable"
-        c = self.cellular()
-        if c.n:
-            acc = {}
-            for (row, col), v in c.boundary_entries(c.n).items():
-                acc[row] = acc.get(row, 0) + sign[col] * v
-            if any(acc.values()):
-                raise ValidationError(f"{self.what}: the signed copies have "
-                                      "a nonzero cellular boundary")
+        sign = sign_walk(self.n_copies(), lambda g: [(g ^ c, -1) for c in steps])
+        if sign is None:
+            return "non-orientable"
+        if not is_top_cycle(self.cellular(), sign):
+            raise ValidationError(f"{self.what}: the signed copies have "
+                                  "a nonzero cellular boundary")
         return tuple(sign)
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nestotope.cellcomplex import gf2_rank
+from nestotope.cellcomplex import gf2_rank, pseudo_manifold_check
 from nestotope.graphs import members
 
 
@@ -78,6 +78,15 @@ def _is_vertex_determined_by_cells(c):
     return True
 
 
+def _facet_incidences(c):
+    """For every (n-1)-cell, the list of (top cell, slot) hits."""
+    inc = [[] for _ in range(c.n_cells(c.n - 1))]
+    for t, faces in enumerate(c.faces_of[c.n]):
+        for slot, f in enumerate(faces):
+            inc[f].append((t, slot))
+    return inc
+
+
 def _pseudo_failures_by_incidences(c):
     """The failure list of ``pseudo_manifold_check``, with the two-hit
     test counted on per-facet incidence lists."""
@@ -85,12 +94,8 @@ def _pseudo_failures_by_incidences(c):
         return ["not a valid simplicial cell complex"]
     if not _is_pure_by_cells(c):
         return ["not pure: some cell lies in no top cell"]
-    inc = [[] for _ in range(c.n_cells(c.n - 1))]
-    for t, faces in enumerate(c.faces_of[c.n]):
-        for slot, f in enumerate(faces):
-            inc[f].append((t, slot))
     failures = []
-    for f, hits in enumerate(inc):
+    for f, hits in enumerate(_facet_incidences(c)):
         if len(hits) != 2:
             failures.append(f"(n-1)-cell {f} lies in {len(hits)} top cells, expected 2")
             if len(failures) > 20:
@@ -99,12 +104,67 @@ def _pseudo_failures_by_incidences(c):
     return failures
 
 
+def _orient_by_adjacency(c):
+    """The certificate of ``orient``, from adjacency lists built on the
+    incidence lists, a walk over them, and a final check that the signed
+    top cells have zero boundary."""
+    cert = pseudo_manifold_check(c)
+    if not cert.is_pseudo:
+        return cert
+    n_top = c.n_cells(c.n)
+    adj = [[] for _ in range(n_top)]
+    ok = True
+    for (t1, s1), (t2, s2) in _facet_incidences(c):
+        # induced orientations must cancel: sign2 = sign1 * (-1)^(s1+s2+1)
+        flip = (s1 + s2 + 1) & 1
+        if t1 == t2:
+            if flip:  # a self-gluing needs slots of opposite parity
+                ok = False
+            continue
+        adj[t1].append((t2, flip))
+        adj[t2].append((t1, flip))
+    sign = [0] * n_top
+    for start in range(n_top):
+        if not ok:
+            break
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack and ok:
+            t = stack.pop()
+            for u, flip in adj[t]:
+                want = -sign[t] if flip else sign[t]
+                if sign[u] == 0:
+                    sign[u] = want
+                    stack.append(u)
+                elif sign[u] != want:
+                    ok = False
+                    break
+    if not ok:
+        cert.orientation = "non-orientable"
+        return cert
+    # The fundamental cycle must vanish under the integer boundary map.
+    acc = {}
+    for t, faces in enumerate(c.faces_of[c.n]):
+        for slot, f in enumerate(faces):
+            acc[f] = acc.get(f, 0) + sign[t] * (-1) ** slot
+    if any(v != 0 for v in acc.values()):
+        cert.is_pseudo = False
+        cert.failures.append("signed boundary of the fundamental cycle is nonzero")
+        return cert
+    cert.orientation = tuple(sign)
+    return cert
+
+
 @pytest.fixture
 def cell_checks():
     return SimpleNamespace(validate=_validate_by_cells,
                            is_pure=_is_pure_by_cells,
                            is_vertex_determined=_is_vertex_determined_by_cells,
-                           pseudo_failures=_pseudo_failures_by_incidences)
+                           pseudo_failures=_pseudo_failures_by_incidences,
+                           facet_incidences=_facet_incidences,
+                           orient=_orient_by_adjacency)
 
 
 def _lambda_to_json_dict(lam):

@@ -4,7 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -18,6 +18,7 @@ from nestotope.cellcomplex import (
     gf2_rank,
     homology,
     homology_z2,
+    is_top_cycle,
     klein_bottle,
     orient,
     orientation_double_cover,
@@ -327,27 +328,49 @@ def test_short_face_list_is_invalid(cell_checks):
 
 
 @pytest.mark.parametrize("build", [torus7, klein_bottle])
-def test_orient_builds_facet_incidences_once(monkeypatch, build):
+def test_orient_calls_facet_pairs_and_validate_once(monkeypatch, build):
     calls = []
-    incidences = SimplicialCellComplex.facet_incidences
+    for name in ("facet_pairs", "validate"):
+        method = getattr(SimplicialCellComplex, name)
 
-    def counting(self):
-        calls.append(self)
-        return incidences(self)
+        def counting(self, name=name, method=method):
+            calls.append(name)
+            return method(self)
 
-    monkeypatch.setattr(SimplicialCellComplex, "facet_incidences", counting)
-    c = build()
-    orient(c)
-    assert calls == [c]
+        monkeypatch.setattr(SimplicialCellComplex, name, counting)
+    orient(build())
+    assert sorted(calls) == ["facet_pairs", "validate"]
 
 
-def test_orientation_signs_cancel_on_facets():
-    c = simplex_sphere(2)
+# Every checked complex, and two points, whose orientation needs no facets.
+ORIENTED_COMPLEXES = {
+    **CHECKED_COMPLEXES,
+    "two points": lambda: SimplicialCellComplex.from_top_simplices([(0,), (1,)]),
+}
+
+
+@pytest.mark.parametrize("name", ORIENTED_COMPLEXES)
+def test_orientation_matches_the_adjacency_walk(name, cell_checks):
+    c = ORIENTED_COMPLEXES[name]()
+    incidences = cell_checks.facet_incidences(c)
+    hits = [divmod(h, c.n + 1) for h in c.facet_pairs()]
+    assert hits == list(chain.from_iterable(incidences))
     cert = orient(c)
-    sign = cert.orientation
-    for inc in c.facet_incidences():
-        (t1, s1), (t2, s2) = inc
+    assert cert == cell_checks.orient(c)
+    if cert.is_pseudo:
+        # entries 2f and 2f + 1 are the two hits of facet f
+        assert [hits[2 * f:2 * f + 2] for f in range(len(incidences))] == incidences
+    if isinstance(cert.orientation, tuple):
+        assert is_top_cycle(c, cert.orientation)
+
+
+def test_orientation_signs_cancel_on_facets(cell_checks):
+    c = simplex_sphere(2)
+    sign = orient(c).orientation
+    for (t1, s1), (t2, s2) in cell_checks.facet_incidences(c):
         assert sign[t1] * (-1) ** s1 + sign[t2] * (-1) ** s2 == 0
+    assert is_top_cycle(c, sign)
+    assert not is_top_cycle(c, (-sign[0],) + sign[1:])
 
 
 def test_double_cover_of_projective_plane_is_a_sphere():

@@ -173,11 +173,15 @@ _CIRCLE = ["--pseudomanifold", "sphere:1", "--graph", "path:2"]
     _bad_complex({"dim": "x", "top_cells": [[0, 1]]}),
     _bad_complex({"dim": 1, "top_cells": 5}),
     _bad_complex({**_TWO_EDGES, "orientation": "ab"}),
+    _bad_complex({**_TWO_EDGES, "orientation": [1, 1]}),
+    _bad_complex({**_TWO_EDGES, "orientation": [1]}),
     _bad_complex({**_TWO_EDGES, "instances": [[0, [0, 1]]]}),
     _bad_complex({**_TWO_EDGES, "instances": [[0, [0, 1], 0]]}),
 ], ids=["budget-abc", "budget-inf", "budget-nan", "realize-apex",
         "subdivide-apex", "sphere-dim", "graph-edge", "complex-dim",
-        "complex-top-cells", "complex-orientation", "complex-instance-short",
+        "complex-top-cells", "complex-orientation",
+        "complex-orientation-not-a-cycle", "complex-orientation-length",
+        "complex-instance-short",
         "complex-instance-missing"])
 def test_malformed_input_exits_two(argv, tmp_path, capsys):
     if callable(argv):

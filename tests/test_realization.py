@@ -5,7 +5,12 @@ from itertools import product
 import pytest
 
 from nestotope.errors import ValidationError
-from nestotope.cellcomplex import klein_bottle, simplex_sphere, torus7
+from nestotope.cellcomplex import (
+    SimplicialCellComplex,
+    klein_bottle,
+    simplex_sphere,
+    torus7,
+)
 from nestotope.graphs import graph_building_set, mask_of, path_graph
 from nestotope.nestohedron import face_poset
 from nestotope.realization import (
@@ -20,7 +25,11 @@ from nestotope.realization import (
     phi_action,
     realize,
 )
-from nestotope.subdivision import subdivide_pseudomanifold
+from nestotope.subdivision import (
+    ColouredSubdivision,
+    lemma_subdivision,
+    subdivide_pseudomanifold,
+)
 
 
 def _system(z, g):
@@ -44,6 +53,17 @@ def test_sigma_system_on_subdivided_circle():
     for xi in sys.xi:
         assert compose(xi, xi) == tuple(range(6))
         assert all(sys.plus[xi[t]] != sys.plus[t] for t in range(6))
+
+
+def test_sigma_system_needs_an_oriented_closed_complex():
+    # a simplex subdivision has a boundary and carries no orientation
+    with pytest.raises(ValidationError, match="oriented closed"):
+        build_sigma_system(lemma_subdivision(path_graph(3), 0))
+    # an orientation does not make a disc closed
+    disc = SimplicialCellComplex.from_top_simplices([(0, 1, 2)])
+    y = ColouredSubdivision(path_graph(3), disc, (0, 1, 2), orientation=(1,))
+    with pytest.raises(ValidationError, match="oriented closed"):
+        build_sigma_system(y)
 
 
 def test_involution_closure_hexagon():
