@@ -228,114 +228,6 @@ class SimplicialCellComplex:
 
 
 # ---------------------------------------------------------------------------
-# Quotients of disjoint simplices by order-preserving facet identifications.
-# Instances (t, A) with A a nonempty slot mask of top simplex t are merged by
-# the transitive closure of the listed facet gluings; the classes become the
-# cells.  This is the engine behind orientation double covers.
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _slot_correspondence(n, i1, i2):
-    """Map slot j != i1 of one facet to the matching slot of the other."""
-    table = [None] * (n + 1)
-    for j in range(n + 1):
-        if j == i1:
-            continue
-        pos = j - (1 if j > i1 else 0)
-        table[j] = pos + (1 if pos >= i2 else 0)
-    return table
-
-
-def complex_from_gluings(dim, n_tops, gluings):
-    """Glue ``n_tops`` copies of the dim-simplex along the listed facet pairs.
-
-    ``gluings`` is an iterable of ((t1, i1), (t2, i2)) meaning facet i1 of top
-    t1 is identified with facet i2 of top t2, matching remaining slots in
-    order.  Returns (complex, instance_cell) where instance_cell maps
-    (t, slot_mask) to the (k, cell_id) it became.
-    """
-    full = (1 << (dim + 1)) - 1
-    per_top = full  # masks 1..full
-    uf = _UnionFind(n_tops * per_top)
-
-    def iid(t, mask):
-        return t * per_top + (mask - 1)
-
-    corr_cache = {}
-    for (t1, i1), (t2, i2) in gluings:
-        key = (i1, i2)
-        table = corr_cache.get(key)
-        if table is None:
-            table = _slot_correspondence(dim, i1, i2)
-            corr_cache[key] = table
-        avail = full & ~(1 << i1)
-        sub = avail
-        while sub:
-            mapped = 0
-            m = sub
-            while m:
-                low = m & -m
-                mapped |= 1 << table[low.bit_length() - 1]
-                m ^= low
-            uf.union(iid(t1, sub), iid(t2, mapped))
-            sub = (sub - 1) & avail
-
-    # Number the classes, graded by |A| - 1.
-    cell_of_root = {}
-    counts = [0] * (dim + 1)
-    order = []
-    for t in range(n_tops):
-        for mask in range(1, full + 1):
-            root = uf.find(iid(t, mask))
-            if root not in cell_of_root:
-                k = mask.bit_count() - 1
-                cell_of_root[root] = (k, counts[k])
-                counts[k] += 1
-                order.append((t, mask, root))
-
-    def instance_cell(t, mask):
-        return cell_of_root[uf.find(iid(t, mask))]
-
-    cell_vertices = [None] + [[None] * counts[k] for k in range(1, dim + 1)]
-    cell_faces = [None] + [[None] * counts[k] for k in range(1, dim + 1)]
-    for t, mask, _root in order:
-        k = mask.bit_count() - 1
-        if k == 0:
-            continue
-        _, cid = instance_cell(t, mask)
-        verts = []
-        faces = []
-        m = mask
-        while m:
-            low = m & -m
-            verts.append(instance_cell(t, low)[1])
-            faces.append(instance_cell(t, mask ^ low)[1])
-            m ^= low
-        cell_vertices[k][cid] = tuple(verts)
-        cell_faces[k][cid] = tuple(faces)
-    cx = SimplicialCellComplex(dim, counts[0], cell_vertices, cell_faces)
-    return cx, instance_cell
-
-
-# ---------------------------------------------------------------------------
 # Pseudo-manifold structure and orientation.
 
 
@@ -452,49 +344,6 @@ def orient(c):
     sign = sign_walk(c.n_cells(c.n), neighbours)
     cert.orientation = "non-orientable" if sign is None else tuple(sign)
     return cert
-
-
-def orientation_double_cover(c):
-    """The two-sheeted cover trivializing the orientation character.
-
-    Top cells are doubled into sheets; crossing a facet keeps or swaps the
-    sheet according to whether the two induced orientations already cancel.
-    Lower cells follow by transitive closure.  Returns (cover, projection)
-    where projection lists, per dimension, the base cell under each cover
-    cell.  The cover of a non-orientable connected pseudo-manifold is
-    connected; of an orientable one, two disjoint copies.
-    """
-    cert = pseudo_manifold_check(c)
-    if not cert.is_pseudo:
-        raise ValidationError("orientation double cover needs a pseudo-manifold: "
-                              + "; ".join(cert.failures))
-    n = c.n
-    n_top = c.n_cells(n)
-
-    def sheet_top(t, s):
-        return 2 * t + s
-
-    gluings = []
-    pairs = c.facet_pairs()
-    for a, b in zip(pairs[::2], pairs[1::2]):
-        (t1, s1), (t2, s2) = divmod(a, n + 1), divmod(b, n + 1)
-        flip = (s1 + s2 + 1) & 1
-        for s in (0, 1):
-            gluings.append(((sheet_top(t1, s), s1), (sheet_top(t2, s ^ flip), s2)))
-    cover, instance_cell = complex_from_gluings(n, 2 * n_top, gluings)
-    if not cover.validate():
-        raise ValidationError("double cover produced an invalid complex")
-    projection = [[None] * cover.n_cells(k) for k in range(n + 1)]
-    for t in range(n_top):
-        table = c.subfaces(n, t)
-        for s in (0, 1):
-            for mask in range(len(table) - 1, 0, -1):
-                k, cid = instance_cell(sheet_top(t, s), mask)
-                projection[k][cid] = table[mask][1]
-    for k in range(n + 1):
-        if any(b is None for b in projection[k]):
-            raise ValidationError("double cover projection left a cell unmapped")
-    return cover, projection
 
 
 def barycentric_subdivide(c):

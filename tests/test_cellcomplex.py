@@ -12,7 +12,6 @@ from nestotope.errors import ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
-    complex_from_gluings,
     complex_from_json_dict,
     complex_to_json_dict,
     gf2_rank,
@@ -21,7 +20,6 @@ from nestotope.cellcomplex import (
     is_top_cycle,
     klein_bottle,
     orient,
-    orientation_double_cover,
     projective_plane,
     pseudo_manifold_check,
     pseudomanifold_from_spec,
@@ -93,19 +91,19 @@ def test_codim2_cofacets_match_vertex_sets():
         assert got == dict(want)
 
 
-def test_subcell_tables_match_gluing_instances():
+def test_subcell_tables_match_gluing_instances(gluing):
     # the two-arc circle, and two triangles glued along their whole boundary
     for dim, gluings in ((1, [((0, 0), (1, 0)), ((0, 1), (1, 1))]),
                          (2, [((0, i), (1, i)) for i in range(3)])):
-        cx, instance = complex_from_gluings(dim, 2, gluings)
+        cx, instance = gluing.complex_from_gluings(dim, 2, gluings)
         assert not cx.is_vertex_determined()
         for t in range(2):
             table = cx.subfaces(dim, t)
             assert table[1:] == [instance(t, m) for m in range(1, len(table))]
 
 
-def test_two_arc_circle_is_not_vertex_determined():
-    cx, instance = complex_from_gluings(
+def test_two_arc_circle_is_not_vertex_determined(gluing):
+    cx, instance = gluing.complex_from_gluings(
         1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
     assert cx.cell_counts() == (2, 2)
     assert cx.validate() and not cx.is_vertex_determined()
@@ -114,9 +112,16 @@ def test_two_arc_circle_is_not_vertex_determined():
     assert instance(0, 0b11)[0] == 1
 
 
-def test_self_glued_arc_is_rejected():
-    cx, _ = complex_from_gluings(1, 1, [((0, 0), (0, 1))])
+def _self_glued_arc():
+    """One edge with its two ends glued to one vertex."""
+    return SimplicialCellComplex(1, 1, [None, [(0, 0)]], [None, [(0, 0)]])
+
+
+def test_self_glued_arc_is_rejected(gluing):
+    cx, _ = gluing.complex_from_gluings(1, 1, [((0, 0), (0, 1))])
     assert not cx.validate()
+    arc = _self_glued_arc()
+    assert (cx.vertices_of, cx.faces_of) == (arc.vertices_of, arc.faces_of)
 
 
 def test_spheres():
@@ -175,7 +180,7 @@ def test_pseudo_manifold_verdict_is_memoised_not_shared():
     assert orient(c).orientation == cert.orientation
 
 
-def _suspended_two_arc_circle():
+def _suspended_two_arc_circle(gl):
     """The 3-sphere as the double suspension of the two-arc circle: tet
     (arc, p, q) has vertices (a, b, p, q), with poles p in {N, S} and q in
     {N', S'}.  Its two edges from a to b share their vertex tuple."""
@@ -187,7 +192,7 @@ def _suspended_two_arc_circle():
             gluings += [((tet(0, x, y), s), (tet(1, x, y), s)) for s in (0, 1)]
             gluings.append(((tet(x, 0, y), 2), (tet(x, 1, y), 2)))
             gluings.append(((tet(x, y, 0), 3), (tet(x, y, 1), 3)))
-    cx, _ = complex_from_gluings(3, 8, gluings)
+    cx, _ = gl.complex_from_gluings(3, 8, gluings)
     return cx
 
 
@@ -198,44 +203,44 @@ def _glued(graph, construct):
 
 # Every kind of complex the library builds, and a few glued by hand.
 CHECKED_COMPLEXES = {
-    "sphere:1": lambda: simplex_sphere(1),
-    "sphere:2": lambda: simplex_sphere(2),
-    "sphere:3": lambda: simplex_sphere(3),
-    "sphere:4": lambda: simplex_sphere(4),
-    "torus7": torus7,
-    "klein": klein_bottle,
-    "rp2": projective_plane,
-    "bar torus7": lambda: barycentric_subdivide(torus7()),
-    "bar klein": lambda: barycentric_subdivide(klein_bottle()),
-    "double cover rp2": lambda: orientation_double_cover(projective_plane())[0],
-    "double cover torus7": lambda: orientation_double_cover(torus7())[0],
-    "double cover klein": lambda: orientation_double_cover(klein_bottle())[0],
-    "sphere:3/star:4": lambda: subdivide_pseudomanifold(
+    "sphere:1": lambda gl: simplex_sphere(1),
+    "sphere:2": lambda gl: simplex_sphere(2),
+    "sphere:3": lambda gl: simplex_sphere(3),
+    "sphere:4": lambda gl: simplex_sphere(4),
+    "torus7": lambda gl: torus7(),
+    "klein": lambda gl: klein_bottle(),
+    "rp2": lambda gl: projective_plane(),
+    "bar torus7": lambda gl: barycentric_subdivide(torus7()),
+    "bar klein": lambda gl: barycentric_subdivide(klein_bottle()),
+    "double cover rp2": lambda gl: gl.orientation_double_cover(projective_plane())[0],
+    "double cover torus7": lambda gl: gl.orientation_double_cover(torus7())[0],
+    "double cover klein": lambda gl: gl.orientation_double_cover(klein_bottle())[0],
+    "sphere:3/star:4": lambda gl: subdivide_pseudomanifold(
         simplex_sphere(3), star_graph(4)).complex,
-    "torus7/path:3": lambda: subdivide_pseudomanifold(torus7(), path_graph(3)).complex,
-    "path:5 can": lambda: _glued(path_graph(5), small_cover),
-    "eta path:4": lambda: _glued(path_graph(4), orientation_cover_via_eta),
-    "two-arc circle": lambda: complex_from_gluings(
+    "torus7/path:3": lambda gl: subdivide_pseudomanifold(torus7(), path_graph(3)).complex,
+    "path:5 can": lambda gl: _glued(path_graph(5), small_cover),
+    "eta path:4": lambda gl: _glued(path_graph(4), orientation_cover_via_eta),
+    "two-arc circle": lambda gl: gl.complex_from_gluings(
         1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])[0],
-    "two triangles": lambda: complex_from_gluings(
+    "two triangles": lambda gl: gl.complex_from_gluings(
         2, 2, [((0, i), (1, i)) for i in range(3)])[0],
     "suspended two-arc circle": _suspended_two_arc_circle,
-    "disc": lambda: SimplicialCellComplex.from_top_simplices([(0, 1, 2)]),
+    "disc": lambda gl: SimplicialCellComplex.from_top_simplices([(0, 1, 2)]),
 }
 
 
 @pytest.mark.parametrize("name", CHECKED_COMPLEXES)
-def test_column_checks_match_cell_loops(name, cell_checks):
-    c = CHECKED_COMPLEXES[name]()
+def test_column_checks_match_cell_loops(name, cell_checks, gluing):
+    c = CHECKED_COMPLEXES[name](gluing)
     assert c.validate() == cell_checks.validate(c)
     assert c.is_pure() == cell_checks.is_pure(c)
     assert c.is_vertex_determined() == cell_checks.is_vertex_determined(c)
     assert pseudo_manifold_check(c).failures == cell_checks.pseudo_failures(c)
 
 
-def test_repeated_edge_tuples_are_checked_for_double_faces():
+def test_repeated_edge_tuples_are_checked_for_double_faces(gluing):
     # the levels the vertex-tuple argument cannot skip
-    c = _suspended_two_arc_circle()
+    c = _suspended_two_arc_circle(gluing)
     assert not c.is_vertex_determined()
     assert len(set(c.vertices_of[1])) < c.n_cells(1)
     assert pseudo_manifold_check(c).is_pseudo
@@ -283,8 +288,7 @@ CORRUPTED = {
         lambda f, m: (f[0] - m,) + f[1:]), False, None),
     "face id out of range": (lambda: _sphere2_with_top_faces(
         lambda f, m: f[:2] + (m,)), False, None),
-    "repeated edge vertex": (lambda: complex_from_gluings(
-        1, 1, [((0, 0), (0, 1))])[0], False, None),
+    "repeated edge vertex": (_self_glued_arc, False, None),
     "repeated top vertex": (_repeated_top_vertex, False, None),
     "face with wrong vertices": (lambda: _sphere2_with_top_faces(
         lambda f, m: f[::-1]), False, None),
@@ -345,13 +349,13 @@ def test_orient_calls_facet_pairs_and_validate_once(monkeypatch, build):
 # Every checked complex, and two points, whose orientation needs no facets.
 ORIENTED_COMPLEXES = {
     **CHECKED_COMPLEXES,
-    "two points": lambda: SimplicialCellComplex.from_top_simplices([(0,), (1,)]),
+    "two points": lambda gl: SimplicialCellComplex.from_top_simplices([(0,), (1,)]),
 }
 
 
 @pytest.mark.parametrize("name", ORIENTED_COMPLEXES)
-def test_orientation_matches_the_adjacency_walk(name, cell_checks):
-    c = ORIENTED_COMPLEXES[name]()
+def test_orientation_matches_the_adjacency_walk(name, cell_checks, gluing):
+    c = ORIENTED_COMPLEXES[name](gluing)
     incidences = cell_checks.facet_incidences(c)
     hits = [divmod(h, c.n + 1) for h in c.facet_pairs()]
     assert hits == list(chain.from_iterable(incidences))
@@ -373,8 +377,8 @@ def test_orientation_signs_cancel_on_facets(cell_checks):
     assert not is_top_cycle(c, (-sign[0],) + sign[1:])
 
 
-def test_double_cover_of_projective_plane_is_a_sphere():
-    cover, proj = orientation_double_cover(projective_plane())
+def test_double_cover_of_projective_plane_is_a_sphere(gluing):
+    cover, proj = gluing.orientation_double_cover(projective_plane())
     assert cover.n_cells(2) == 2 * projective_plane().n_cells(2)
     assert homology(cover).betti_q == (1, 0, 1)
     base = projective_plane()
@@ -383,8 +387,8 @@ def test_double_cover_of_projective_plane_is_a_sphere():
         assert set(proj[k]) == set(range(base.n_cells(k)))
 
 
-def test_double_cover_of_torus_splits():
-    cover, _ = orientation_double_cover(torus7())
+def test_double_cover_of_torus_splits(gluing):
+    cover, _ = gluing.orientation_double_cover(torus7())
     assert homology(cover).betti_q[0] == 2
     assert cover.euler_characteristic() == 0
 
@@ -486,8 +490,8 @@ def test_json_round_trip_vertex_determined():
     assert orientation is None
 
 
-def test_json_round_trip_with_instances():
-    cx, _ = complex_from_gluings(1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
+def test_json_round_trip_with_instances(gluing):
+    cx, _ = gluing.complex_from_gluings(1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
     data = complex_to_json_dict(cx)
     assert "instances" in data
     back, _ = complex_from_json_dict(data)

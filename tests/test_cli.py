@@ -13,7 +13,7 @@ import pytest
 
 import nestotope
 from nestotope.errors import BudgetExceeded
-from nestotope import cli
+from nestotope import cli, verify
 
 
 def test_poset_report(tmp_path, capsys):
@@ -122,11 +122,13 @@ def test_verify_suite(capsys):
     assert out.splitlines()[-1].startswith("OK")
 
 
-def test_verify_failing_suite_exits_one(capsys):
-    # the strict chain is false at n=3, so the formulas suite must fail
+def test_verify_failing_suite_exits_one(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "formulas",
+                        lambda max_n: [("injected failure", False, "")])
     assert cli.run(["verify", "--suite", "formulas", "--max-n", "3"]) == 1
-    out = capsys.readouterr().out
-    assert any(line.startswith("FAIL") for line in out.splitlines())
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["FAIL [formulas] injected failure",
+                   "FAILED: 1 failing item(s)"]
 
 
 def test_exit_code_validation():

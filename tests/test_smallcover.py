@@ -15,7 +15,6 @@ from nestotope.cellcomplex import (
     homology,
     homology_z2,
     orient,
-    orientation_double_cover,
 )
 from nestotope.graphs import (
     Graph,
@@ -297,13 +296,13 @@ def test_closed_forms_on_four_manifolds(monkeypatch, entry, betti):
     assert _cover(entry).homology().betti_q == betti
 
 
-def test_orientation_cover_via_eta_matches_double_cover():
+def test_orientation_cover_via_eta_matches_double_cover(gluing):
     p, b = _pentagon()
     lam = lambda_can(b)
     algebraic = orientation_cover_via_eta(p, lam)
     prof = algebraic.homology()
     assert prof.betti_q == (1, 4, 1)
-    geometric, _ = orientation_double_cover(small_cover(p, lam).complex)
+    geometric, _ = gluing.orientation_double_cover(small_cover(p, lam).complex)
     assert algebraic.complex.cell_counts() == geometric.cell_counts()
     assert homology(geometric).betti_q == prof.betti_q
     base = small_cover(p, lam).homology().betti_q
