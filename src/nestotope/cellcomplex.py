@@ -29,8 +29,10 @@ facet, and spreads signs with ``sign_walk``, which glued manifolds share;
 Homology is computed from integer Smith normal forms of the boundary
 matrices: sparse elimination over unit pivots chosen Markowitz-style, with a
 dense textbook pass for whatever core remains.  Rational and mod-2 Betti
-numbers both fall out of the elementary divisors; an independent GF(2)
-row-reduction is kept alongside as a cross-check.  ``homology`` reads only
+numbers both fall out of the elementary divisors.  ``homology_z2`` is an
+independent GF(2) column reduction with clearing, the fast path and a
+cross-check; it keeps each column as bits above its lowest row, so a stored
+column costs its row span, not its highest row.  ``homology`` reads only
 cell counts and boundary matrices, so it also takes a bare ``ChainComplex``:
 glued manifolds hand it the cell structure of Davis and Januszkiewicz
 ("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J. 62,
@@ -530,17 +532,6 @@ def gf2_rank(columns):
     return len(_gf2_pivots(columns))
 
 
-def _gf2_boundary_columns(c, k, skip):
-    """The degree-k boundary columns as int bitmasks, generated one at a
-    time, leaving out the cells in ``skip``."""
-    for j, faces in enumerate(c.faces_of[k]):
-        if j not in skip:
-            col = 0
-            for f in faces:
-                col ^= 1 << f
-            yield col
-
-
 class ChainComplex:
     """A free chain complex over Z: cell counts per degree and sparse
     boundary matrices, which is all ``homology`` reads.
@@ -621,16 +612,48 @@ def homology_z2(c):
     degree k+1 is the highest cell of a k-cycle, so column j of the
     boundary of degree k is a sum of the other columns and is skipped.
     Only the set of pivot rows is carried from one degree to the next.
+
+    Columns are narrow: a column is a base row ``low``, the cell's lowest
+    face, and an int ``bits`` whose bit i is row low + i.  It is built in
+    one pass over the faces, XOR of 1 << (f - low), shifting the bits up
+    when a lower face turns up; a repeated face cancels.  A pivot is stored
+    under its row h = low + bits.bit_length() - 1 as ``bits`` alone, its
+    base being h + 1 - bits.bit_length().  So a stored column costs its row
+    span, not its highest row; no int as wide as the highest row is ever
+    built.  One reduction step is one shift of the column with the higher
+    base and one XOR.
     """
     n = c.n
     ranks = [0] * (n + 2)
     cleared = set()
     for k in range(n, 0, -1):
-        pivots = _gf2_pivots(_gf2_boundary_columns(c, k, cleared))
+        pivots = {}
+        for j, faces in enumerate(c.faces_of[k]):
+            if j in cleared:
+                continue
+            low = faces[0]
+            bits = 0
+            for f in faces:
+                if f >= low:
+                    bits ^= 1 << (f - low)
+                else:
+                    bits = (bits << (low - f)) ^ 1
+                    low = f
+            while bits:
+                width = bits.bit_length()
+                h = low + width - 1
+                p = pivots.get(h)
+                if p is None:
+                    pivots[h] = bits
+                    break
+                shift = width - p.bit_length()
+                if shift >= 0:
+                    bits ^= p << shift
+                else:
+                    bits = (bits << -shift) ^ p
+                    low += shift
         ranks[k] = len(pivots)
-        # The reduced columns are big ints; let them go before the next degree.
         cleared = set(pivots)
-        del pivots
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(n + 1))
 
 

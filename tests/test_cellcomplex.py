@@ -1,9 +1,13 @@
 """Cell complexes, Smith normal form and homology."""
 
+import gc
 import json
+import marshal
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 
 import pytest
@@ -28,7 +32,7 @@ from nestotope.cellcomplex import (
     torus7,
 )
 from nestotope.graphs import graph_building_set, members, path_graph, star_graph
-from nestotope.nestohedron import face_poset
+from nestotope.nestohedron import face_poset, face_vectors
 from nestotope.smallcover import lambda_can, orientation_cover_via_eta, small_cover
 from nestotope.subdivision import _codim2_cofacets, subdivide_pseudomanifold
 
@@ -201,6 +205,34 @@ def _glued(graph, construct):
     return construct(face_poset(b), lambda_can(b)).complex
 
 
+def _traced(fn):
+    """fn() under tracemalloc, with the bytes it left allocated and its peak
+    above what was allocated before."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, current - before, peak - before
+
+
+@cache
+def _path5_gluing():
+    """The 4-dim small cover of path:5 under lambda_can, glued once for every
+    test that reads it, and its h-vector."""
+    b = graph_building_set(path_graph(5))
+    p = face_poset(b)
+    return small_cover(p, lambda_can(b)).complex, face_vectors(p).h
+
+
 # Every kind of complex the library builds, and a few glued by hand.
 CHECKED_COMPLEXES = {
     "sphere:1": lambda gl: simplex_sphere(1),
@@ -218,7 +250,7 @@ CHECKED_COMPLEXES = {
     "sphere:3/star:4": lambda gl: subdivide_pseudomanifold(
         simplex_sphere(3), star_graph(4)).complex,
     "torus7/path:3": lambda gl: subdivide_pseudomanifold(torus7(), path_graph(3)).complex,
-    "path:5 can": lambda gl: _glued(path_graph(5), small_cover),
+    "path:5 can": lambda gl: _path5_gluing()[0],
     "eta path:4": lambda gl: _glued(path_graph(4), orientation_cover_via_eta),
     "two-arc circle": lambda gl: gl.complex_from_gluings(
         1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])[0],
@@ -479,6 +511,87 @@ def test_homology_routes_agree(betti_z2_without_clearing):
               klein_bottle(), projective_plane(), subdivided):
         assert homology(c).betti_z2 == homology_z2(c)
         assert betti_z2_without_clearing(c) == homology_z2(c)
+
+
+def _graph(vertex_count, edges):
+    """A raw 1-dim complex; edge (a, b) has faces (b, a), so its first face
+    is its higher vertex."""
+    return SimplicialCellComplex(1, vertex_count, [None, edges],
+                                 [None, [e[::-1] for e in edges]])
+
+
+def _disc_on_a_loop():
+    """Edge 0 joins vertices 0 and 1, edge 1 is a loop at vertex 0, and one
+    triangle has faces (0, 0, 1): its boundary is the loop, edge 0 twice
+    cancelling, so its column's lowest row is a face that cancels."""
+    return SimplicialCellComplex(2, 2, [None, [(0, 1), (0, 0)], [(0, 0, 1)]],
+                                 [None, [(1, 0), (0, 0)], [(0, 0, 1)]])
+
+
+# Raw complexes that send GF(2) elimination down each of its branches.
+REDUCTION_CASES = {
+    # the third column, rows {0, 2}, meets the pivot at row 2 with rows
+    # {1, 2}, based above it; what is left, rows {0, 1}, reduces to zero
+    "pivot based above the column": (lambda: _graph(3, [(0, 1), (1, 2), (0, 2)]), (1, 1)),
+    # the second column, rows {1, 2}, meets the pivot rows {0, 2}, based
+    # below it, and is shifted up to rows {0, 1}; the third reduces to zero
+    "pivot based below the column": (lambda: _graph(3, [(0, 2), (1, 2), (0, 1)]), (1, 1)),
+    "repeated face cancels the column": (_self_glued_arc, (1, 1)),
+    "repeated lowest face": (_disc_on_a_loop, (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", REDUCTION_CASES)
+def test_homology_z2_reduction_cases(name, betti_z2_without_clearing):
+    build, want = REDUCTION_CASES[name]
+    c = build()
+    assert homology_z2(c) == want == betti_z2_without_clearing(c)
+    assert homology(c).betti_z2 == want
+
+
+def _renumbered(c, rng):
+    """c with the cells of every level in a random order."""
+    perm = [rng.sample(range(c.n_cells(k)), c.n_cells(k)) for k in range(c.n + 1)]
+    cell_vertices = [None]
+    cell_faces = [None]
+    for k in range(1, c.n + 1):
+        verts = [None] * c.n_cells(k)
+        faces = [None] * c.n_cells(k)
+        for j, new in enumerate(perm[k]):
+            verts[new] = tuple(perm[0][v] for v in c.vertices_of[k][j])
+            faces[new] = tuple(perm[k - 1][f] for f in c.faces_of[k][j])
+        cell_vertices.append(verts)
+        cell_faces.append(faces)
+    return SimplicialCellComplex(c.n, c.n_cells(0), cell_vertices, cell_faces)
+
+
+def test_homology_z2_ignores_cell_numbering(betti_z2_without_clearing):
+    rng = random.Random(5)
+    for c in (simplex_sphere(3), torus7(), klein_bottle(), projective_plane(),
+              barycentric_subdivide(klein_bottle())):
+        want = homology_z2(c)
+        for _ in range(4):
+            d = _renumbered(c, rng)
+            assert d.validate()
+            assert homology_z2(d) == want == betti_z2_without_clearing(d)
+
+
+def test_homology_z2_on_a_4_dim_gluing(betti_z2_without_clearing):
+    c, h = _path5_gluing()
+    assert homology_z2(c) == h == betti_z2_without_clearing(c)
+
+
+def test_homology_z2_working_set_is_within_twice_the_complex():
+    c, h = _path5_gluing()
+    # The complex's traced size, read off a copy that costs less to trace
+    # than the gluing: marshal keeps the ints that cells share shared.
+    data = marshal.dumps((c.vertices_of, c.faces_of, c.vertex_labels))
+    _, size, _ = _traced(lambda: marshal.loads(data))
+    betti, _, peak = _traced(lambda: homology_z2(c))
+    assert betti == h
+    # A stored column costs its row span; as an int as wide as its highest
+    # row it cost 3.3 times the complex here.
+    assert peak <= 2 * size
 
 
 def test_json_round_trip_vertex_determined():
