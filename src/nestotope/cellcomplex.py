@@ -27,27 +27,29 @@ facet, and spreads signs with ``sign_walk``, which glued manifolds share;
 ``is_top_cycle`` checks given signs on a complex or a chain complex.
 
 Homology is computed from integer Smith normal forms of the boundary
-matrices: sparse elimination over unit pivots chosen Markowitz-style, with a
-dense textbook pass for whatever core remains.  Rational and mod-2 Betti
-numbers both fall out of the elementary divisors.  ``homology_z2`` is an
-independent GF(2) column reduction with clearing, the fast path and a
-cross-check; it keeps each column as bits above its lowest row, so a stored
-column costs its row span, not its highest row.  ``homology`` reads only
-cell counts and boundary matrices, so it also takes a bare ``ChainComplex``:
-glued manifolds hand it the cell structure of Davis and Januszkiewicz
-("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J. 62,
-1991), with one d-cell per d-face of the polytope and coset of the face's
-span, which for a small cover is f_d * 2^d cells in degree d.
+matrices, in one sparse loop that builds no dense matrix: unit pivots chosen
+Markowitz-style, division by the gcd of the entries when no unit is left,
+and, when that gcd is 1, a remainder step that makes a smaller entry.
+Rational and mod-2 Betti numbers both fall out of the elementary
+divisors.  ``homology_z2`` is an independent GF(2) column reduction with
+clearing, the fast path and a cross-check; it keeps each column as bits
+above its lowest row, so a stored column costs its row span, not its
+highest row.  ``homology`` reads only cell counts and boundary matrices,
+so it also takes a bare ``ChainComplex``: glued manifolds hand it the cell
+structure of Davis and Januszkiewicz ("Convex polytopes, Coxeter orbifolds
+and torus actions", Duke Math. J. 62, 1991), with one d-cell per d-face of
+the polytope and coset of the face's span, which for a small cover is
+f_d * 2^d cells in degree d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, permutations
-from math import factorial
+from math import factorial, gcd
 from operator import eq, itemgetter
 
-from .errors import ValidationError, check_cell_budget
+from .errors import ValidationError, check_budget
 from .graphs import members
 
 
@@ -358,8 +360,7 @@ def barycentric_subdivide(c):
     increasing colour, which downstream code relies on.
     """
     n = c.n
-    check_cell_budget("barycentric subdivision",
-                      c.n_cells(n) * factorial(n + 1))
+    check_budget("barycentric subdivision", c.n_cells(n) * factorial(n + 1))
     # one flag per slot permutation: the masks of its growing prefixes
     chains = [tuple(accumulate(1 << s for s in p))
               for p in permutations(range(n + 1))]
@@ -374,22 +375,31 @@ def barycentric_subdivide(c):
 # Smith normal form and homology.
 
 
-def smith_normal_form(entries, nrows, ncols):
-    """(rank, elementary divisors) of an integer matrix given sparsely.
+def smith_normal_form(entries):
+    """(rank, elementary divisors) of an integer matrix given sparsely as
+    {(row, col): value}.
 
-    Unit pivots are eliminated first, chosen by Markowitz fill count, which
-    keeps the arithmetic integral and the matrix sparse; whatever core
-    survives without unit entries goes through a dense textbook reduction.
-    Divisors come back positive, each dividing the next.
+    One sparse loop over row dicts and column sets, with three steps:
+
+    (a) a unit pivot, chosen by Markowitz fill count, is eliminated, which
+        keeps the arithmetic integral and the matrix sparse; it contributes
+        the current scale as a divisor;
+    (b) with no unit left, the matrix is divided by the gcd g of its
+        entries and the scale multiplied by g, since SNF(g A) = g SNF(A);
+    (c) with g = 1 and no unit, the entry v of least |v| leaves a nonzero
+        remainder smaller than |v| by one row operation against an entry
+        that v does not divide: in v's column, else in v's row (a row
+        operation on the transpose, which has the same SNF).  If v divides
+        its whole row and column, a row holding such an entry is first
+        added to v's row.
+
+    Each step (c) lowers the least |entry|, so the loop ends.  Divisors
+    come back positive, each dividing the next.
     """
-    rows = {}
-    cols = {}
-    for (r, ch), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[ch] = v
-            cols.setdefault(ch, set()).add(r)
-    ones = 0
-    while True:
+    rows, cols = _sparse(entries)
+    divisors = []
+    scale = 1
+    while rows:
         best = None
         for r, row in rows.items():
             rl = len(row)
@@ -402,114 +412,76 @@ def smith_normal_form(entries, nrows, ncols):
                             break
             if best is not None and best[0] == 0:
                 break
-        if best is None:
-            break
-        _, pr, pc = best
-        pv = rows[pr][pc]
-        prow = rows.pop(pr)
-        for ch in prow:
-            cols[ch].discard(pr)
-            if not cols[ch]:
+        if best is not None:
+            _, pr, pc = best
+            prow = rows.pop(pr)
+            for ch in prow:
+                col = cols[ch]
+                col.discard(pr)
+                if not col:
+                    del cols[ch]
+            pv = prow[pc]  # 1 or -1, so row[pc] * pv is row[pc] / pv
+            for r in list(cols.get(pc, ())):
+                _add_row(rows, cols, r, prow, rows[r][pc] * pv)
+            divisors.append(scale)
+            continue
+        g = gcd(*(v for row in rows.values() for v in row.values()))
+        if g > 1:
+            for row in rows.values():
+                for ch in row:
+                    row[ch] //= g
+            scale *= g
+            continue
+        _, r, c = min((abs(v), r, ch) for r, row in rows.items()
+                      for ch, v in row.items())
+        v = rows[r][c]
+        if all(rows[i][c] % v == 0 for i in cols[c]):
+            if all(w % v == 0 for w in rows[r].values()):
+                i = next(i for i, row in rows.items()
+                         if any(w % v for w in row.values()))
+                if c in rows[i]:
+                    _add_row(rows, cols, i, rows[r], rows[i][c] // v)
+                _add_row(rows, cols, r, rows[i], -1)
+            rows, cols = _sparse({(ch, i): w for i, row in rows.items()
+                                  for ch, w in row.items()})
+            r, c = c, r
+        i = next(i for i in cols[c] if rows[i][c] % v)
+        q = rows[i][c] // v
+        if q:  # else adding row i above already left an entry below |v|
+            _add_row(rows, cols, i, rows[r], q)
+    return len(divisors), tuple(divisors)
+
+
+def _sparse(entries):
+    """Row dicts {row: {col: value}} and column sets {col: {row}} of the
+    nonzero entries."""
+    rows = {}
+    cols = {}
+    for (r, ch), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[ch] = v
+            cols.setdefault(ch, set()).add(r)
+    return rows, cols
+
+
+def _add_row(rows, cols, dst, src, q):
+    """Row dst -= q * src (q != 0), keeping ``cols`` in step; a row that
+    empties is dropped."""
+    row = rows[dst]
+    for ch, v in src.items():
+        nv = row.get(ch, 0) - q * v
+        if nv:
+            if ch not in row:
+                cols.setdefault(ch, set()).add(dst)
+            row[ch] = nv
+        else:
+            del row[ch]
+            col = cols[ch]
+            col.discard(dst)
+            if not col:
                 del cols[ch]
-        for r in list(cols.get(pc, ())):
-            row = rows[r]
-            mult = row[pc] * pv  # pv in {1,-1} so this is row[pc]/pv
-            for ch, v in prow.items():
-                if ch == pc:
-                    continue
-                nv = row.get(ch, 0) - mult * v
-                if nv:
-                    if ch not in row:
-                        cols.setdefault(ch, set()).add(r)
-                    row[ch] = nv
-                else:
-                    if ch in row:
-                        del row[ch]
-                        cols[ch].discard(r)
-                        if not cols[ch]:
-                            del cols[ch]
-            del row[pc]
-            cols[pc].discard(r)
-            if not row:
-                del rows[r]
-        if pc in cols and not cols[pc]:
-            del cols[pc]
-        ones += 1
-    # Dense leftover.
-    if rows:
-        row_ids = sorted(rows)
-        col_ids = sorted({ch for row in rows.values() for ch in row})
-        cindex = {ch: j for j, ch in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in row_ids]
-        for i, r in enumerate(row_ids):
-            for ch, v in rows[r].items():
-                dense[i][cindex[ch]] = v
-        core = _dense_snf(dense)
-    else:
-        core = []
-    divisors = [1] * ones + core
-    return (len(divisors), tuple(divisors))
-
-
-def _dense_snf(a):
-    """Textbook Smith reduction of a small dense integer matrix.
-
-    Returns the nonzero diagonal entries, positive, in divisibility order.
-    """
-    a = [row[:] for row in a]
-    nr, nc = len(a), len(a[0]) if a else 0
-    out = []
-    top = 0
-    while top < nr and top < nc:
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        # clear row and column; restart if a remainder creates a smaller entry
-        again = False
-        p = a[top][top]
-        for i in range(top + 1, nr):
-            if a[i][top]:
-                q = a[i][top] // p
-                for j in range(top, nc):
-                    a[i][j] -= q * a[top][j]
-                if a[i][top]:
-                    again = True
-        for j in range(top + 1, nc):
-            if a[top][j]:
-                q = a[top][j] // p
-                for i in range(top, nr):
-                    a[i][j] -= q * a[i][top]
-                if a[top][j]:
-                    again = True
-        if again:
-            continue
-        # ensure p divides everything below-right
-        p = a[top][top]
-        fixed = True
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if a[i][j] % p:
-                    for jj in range(top, nc):
-                        a[top][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        out.append(abs(p))
-        top += 1
-    return out
+    if not row:
+        del rows[dst]
 
 
 def _gf2_pivots(columns):
@@ -582,7 +554,7 @@ def homology(c):
     divisors = [()] * (n + 2)
     for k in range(1, n + 1):
         entries = c.boundary_entries(k)
-        rank, divs = smith_normal_form(entries, c.n_cells(k - 1), c.n_cells(k))
+        rank, divs = smith_normal_form(entries)
         ranks[k] = rank
         divisors[k] = divs
         odd_ranks[k] = sum(1 for d in divs if d % 2 == 1)
@@ -666,7 +638,7 @@ def simplex_sphere(k):
     if k < 1:
         raise ValidationError("sphere dimension must be at least 1")
     # its cells are the nonempty proper subsets of k + 2 vertices
-    check_cell_budget(f"sphere:{k}", (1 << (k + 2)) - 2, "cells")
+    check_budget(f"sphere:{k}", (1 << (k + 2)) - 2, "cells")
     tops = list(combinations(range(k + 2), k + 1))
     return SimplicialCellComplex.from_top_simplices(tops)
 

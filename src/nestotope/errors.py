@@ -25,9 +25,9 @@ OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000
 
 
-def check_cell_budget(what, count, unit="top simplices"):
-    """Refuse a construction that would make more than CELL_BUDGET cells
-    of the named unit; ``count`` comes from a closed form, before building."""
-    if count > CELL_BUDGET:
+def check_budget(what, count, unit="top simplices", budget=CELL_BUDGET):
+    """Refuse a job that needs more than ``budget`` of the named unit, with
+    both numbers; ``count`` comes before the job stores that many."""
+    if count > budget:
         raise BudgetExceeded(
-            f"{what} needs {count} {unit}, over the {CELL_BUDGET} budget")
+            f"{what} needs {count} {unit}, over the {budget} budget")

@@ -22,7 +22,7 @@ from itertools import product
 from math import prod
 
 from .cellcomplex import pseudo_manifold_check
-from .errors import BudgetExceeded, CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError
+from .errors import CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError, check_budget
 from .graphs import graph_building_set, members
 from .nestohedron import face_poset
 from .subdivision import subdivide_pseudomanifold
@@ -89,11 +89,6 @@ class InvolutionSet:
         return len(self.perms)
 
 
-def _over_budget(what):
-    return BudgetExceeded(
-        f"{what} passed {CLOSURE_BUDGET} stored cell indexes")
-
-
 def involution_closure(sys, colour_set):
     """Conjugation closure of the smallest colour's involution.
 
@@ -110,8 +105,8 @@ def involution_closure(sys, colour_set):
         for i in cols:
             conj = compose(sys.xi[i], compose(mu, sys.xi[i]))
             if conj not in words:
-                if (len(words) + 1) * sys.size > CLOSURE_BUDGET:
-                    raise _over_budget("involution closure")
+                check_budget("involution closure", (len(words) + 1) * sys.size,
+                             "stored cell indexes", CLOSURE_BUDGET)
                 words[conj] = (i,) + words[mu] + (i,)
                 queue.append(conj)
     perms = tuple(words)
@@ -126,8 +121,8 @@ def enumerate_involution_sets(sys, b):
     for tube in b.proper_tubes:
         perms, words = involution_closure(sys, members(tube))
         total += len(perms) * sys.size
-        if total > CLOSURE_BUDGET:
-            raise _over_budget("involution closures")
+        check_budget("involution closures", total, "stored cell indexes",
+                     CLOSURE_BUDGET)
         for mu in perms:
             for x in range(sys.size):
                 if mu[mu[x]] != x:
@@ -141,8 +136,8 @@ def enumerate_involution_sets(sys, b):
             if s == t or (t & s) != s:
                 continue
             total += len(sets[s]) * len(sets[t])
-            if total > CLOSURE_BUDGET:
-                raise _over_budget("involution closures and their tables")
+            check_budget("involution closures and their tables", total,
+                         "stored cell indexes", CLOSURE_BUDGET)
             rows = []
             for mu_s in sets[s].perms:
                 row = [index.get(compose(mu_s, compose(mu_t, mu_s)))

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter
 
-from .errors import BudgetExceeded, ValidationError, check_cell_budget
+from .errors import ValidationError, check_budget
 from .graphs import bits_of, members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
@@ -196,7 +196,7 @@ class GluedManifold:
         n = p.dim
         # A vertex of the simple polytope lies on n! complete flags.
         n_tops = len(p.vertices) * factorial(n) << self.rank
-        check_cell_budget(self.what, n_tops)
+        check_budget(self.what, n_tops)
         bar = barycentric_complex(p)
         cells = []     # per dim, per g: bar cell -> cell id
         labels = []
@@ -309,7 +309,7 @@ def _mirror_copies(p, columns, rank, what):
     face with k tubes gives 2^(rank - k) cells."""
     cells = sum(len(level) << rank - k
                 for k, level in enumerate(p.faces_by_size))
-    check_cell_budget(what, cells, "cells")
+    check_budget(what, cells, "cells")
     reduced = {face: _coset_minima(_echelon([columns[i] for i in face]), rank)
                for level in p.faces_by_size for face in level}
     return GluedManifold(p, rank, tuple(columns), what, reduced)
@@ -381,9 +381,8 @@ def enumerate_characteristics(p):
     n = p.dim
     m = len(p.b.proper_tubes)
     total = (2 ** n - 1) ** m
-    if total > 1_000_000:
-        raise BudgetExceeded(f"{total} candidate matrices is over the "
-                             "1000000 enumeration budget")
+    check_budget("characteristic enumeration", total, "candidate matrices",
+                 1_000_000)
     out = []
     def rec(cols):
         j = len(cols)

@@ -17,9 +17,10 @@ subdivision into every barycentric cell.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial, lcm
 
-from .errors import ValidationError, check_cell_budget
+from .errors import ValidationError, check_budget
 from .graphs import components_minus_vertex, path_order
 from .cellcomplex import (
     SimplicialCellComplex,
@@ -51,7 +52,7 @@ def lemma_subdivision(g, a):
         raise ValidationError(f"apex {a} out of range")
     if not g.is_connected():
         raise ValidationError("graph must be connected")
-    check_cell_budget("simplex subdivision", _lemma_top_count(g, a))
+    check_budget("simplex subdivision", _lemma_top_count(g, a))
     tops = _lemma_tops(g, a)
     complex_ = SimplicialCellComplex.from_top_simplices(tops)
     coords = tuple(lbl[0] for lbl in complex_.vertex_labels)
@@ -99,20 +100,12 @@ def _lemma_tops(g, a):
 
     origin = (tuple(Fraction(0) for _ in ambient), a)
     phi = _straightening(g, a)
-    out = []
-    seen_pre = set()
-    seen_post = set()
-    for top in joined:
-        mapped = []
-        for c, col in top + (origin,):
-            seen_pre.add((c, col))
-            image = (phi(c), col)
-            seen_post.add(image)
-            mapped.append(image)
-        out.append(tuple(mapped))
-    if len(seen_post) != len(seen_pre):
+    tops = [top + (origin,) for top in joined]
+    image = {(c, col): (phi(c), col)
+             for c, col in set(chain.from_iterable(tops))}
+    if len(set(image.values())) != len(image):
         raise ValidationError("straightening map collapsed two vertices")
-    return out
+    return [tuple(map(image.__getitem__, top)) for top in tops]
 
 
 def _flip(coords, pattern):
@@ -346,8 +339,8 @@ def subdivide_pseudomanifold(z, g, apex=None):
         a = 0 if apex is None else apex
         if not 0 <= a < g.n_vertices:
             raise ValidationError(f"apex {a} out of range")
-        check_cell_budget("substitution", z.n_cells(z.n) * factorial(z.n + 1)
-                          * _lemma_top_count(g, a))
+        check_budget("substitution", z.n_cells(z.n) * factorial(z.n + 1)
+                     * _lemma_top_count(g, a))
         bar = barycentric_subdivide(z)
         y, colours = _substitute(bar, lemma_subdivision(g, a))
         mode = "substitution"

@@ -33,6 +33,154 @@ def betti_z2_without_clearing():
     return _betti_z2_without_clearing
 
 
+# An independent Smith normal form, the exact oracle for the library's
+# single sparse loop: sparse unit-pivot elimination, then a dense textbook
+# reduction of whatever core has no unit entry.  nrows and ncols are unread.
+
+
+def smith_normal_form(entries, nrows, ncols):
+    """(rank, elementary divisors) of an integer matrix given sparsely.
+
+    Unit pivots are eliminated first, chosen by Markowitz fill count, which
+    keeps the arithmetic integral and the matrix sparse; whatever core
+    survives without unit entries goes through a dense textbook reduction.
+    Divisors come back positive, each dividing the next.
+    """
+    rows = {}
+    cols = {}
+    for (r, ch), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[ch] = v
+            cols.setdefault(ch, set()).add(r)
+    ones = 0
+    while True:
+        best = None
+        for r, row in rows.items():
+            rl = len(row)
+            for ch, v in row.items():
+                if v == 1 or v == -1:
+                    cost = (rl - 1) * (len(cols[ch]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, ch)
+                        if cost == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, pr, pc = best
+        pv = rows[pr][pc]
+        prow = rows.pop(pr)
+        for ch in prow:
+            cols[ch].discard(pr)
+            if not cols[ch]:
+                del cols[ch]
+        for r in list(cols.get(pc, ())):
+            row = rows[r]
+            mult = row[pc] * pv  # pv in {1,-1} so this is row[pc]/pv
+            for ch, v in prow.items():
+                if ch == pc:
+                    continue
+                nv = row.get(ch, 0) - mult * v
+                if nv:
+                    if ch not in row:
+                        cols.setdefault(ch, set()).add(r)
+                    row[ch] = nv
+                else:
+                    if ch in row:
+                        del row[ch]
+                        cols[ch].discard(r)
+                        if not cols[ch]:
+                            del cols[ch]
+            del row[pc]
+            cols[pc].discard(r)
+            if not row:
+                del rows[r]
+        if pc in cols and not cols[pc]:
+            del cols[pc]
+        ones += 1
+    # Dense leftover.
+    if rows:
+        row_ids = sorted(rows)
+        col_ids = sorted({ch for row in rows.values() for ch in row})
+        cindex = {ch: j for j, ch in enumerate(col_ids)}
+        dense = [[0] * len(col_ids) for _ in row_ids]
+        for i, r in enumerate(row_ids):
+            for ch, v in rows[r].items():
+                dense[i][cindex[ch]] = v
+        core = _dense_snf(dense)
+    else:
+        core = []
+    divisors = [1] * ones + core
+    return (len(divisors), tuple(divisors))
+
+
+def _dense_snf(a):
+    """Textbook Smith reduction of a small dense integer matrix.
+
+    Returns the nonzero diagonal entries, positive, in divisibility order.
+    """
+    a = [row[:] for row in a]
+    nr, nc = len(a), len(a[0]) if a else 0
+    out = []
+    top = 0
+    while top < nr and top < nc:
+        # find smallest nonzero entry in the remaining block
+        best = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                v = a[i][j]
+                if v and (best is None or abs(v) < abs(best[0])):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        a[top], a[bi] = a[bi], a[top]
+        for row in a:
+            row[top], row[bj] = row[bj], row[top]
+        # clear row and column; restart if a remainder creates a smaller entry
+        again = False
+        p = a[top][top]
+        for i in range(top + 1, nr):
+            if a[i][top]:
+                q = a[i][top] // p
+                for j in range(top, nc):
+                    a[i][j] -= q * a[top][j]
+                if a[i][top]:
+                    again = True
+        for j in range(top + 1, nc):
+            if a[top][j]:
+                q = a[top][j] // p
+                for i in range(top, nr):
+                    a[i][j] -= q * a[i][top]
+                if a[top][j]:
+                    again = True
+        if again:
+            continue
+        # ensure p divides everything below-right
+        p = a[top][top]
+        fixed = True
+        for i in range(top + 1, nr):
+            for j in range(top + 1, nc):
+                if a[i][j] % p:
+                    for jj in range(top, nc):
+                        a[top][jj] += a[i][jj]
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        out.append(abs(p))
+        top += 1
+    return out
+
+
+@pytest.fixture
+def snf_oracle():
+    return smith_normal_form
+
+
 # The structural checks of SimplicialCellComplex written cell by cell, one
 # condition at a time; the library checks whole columns of a level at once.
 

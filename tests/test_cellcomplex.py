@@ -12,6 +12,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from nestotope import cellcomplex
 from nestotope.errors import ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
@@ -455,22 +456,75 @@ def _rational_rank(rows):
 
 
 def test_smith_normal_form_known_values():
-    rank, divs = smith_normal_form({(0, 0): 2, (1, 1): 3}, 2, 2)
+    rank, divs = smith_normal_form({(0, 0): 2, (1, 1): 3})
     assert (rank, divs) == (2, (1, 6))
-    rank, divs = smith_normal_form({(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 8}, 2, 2)
+    rank, divs = smith_normal_form({(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 8})
     assert (rank, divs) == (1, (2,))
-    assert smith_normal_form({}, 3, 3) == (0, ())
+    assert smith_normal_form({}) == (0, ())
 
 
-def test_smith_normal_form_random_matrices():
+def _dense_entries(dense):
+    return {(i, j): v for i, row in enumerate(dense)
+            for j, v in enumerate(row) if v}
+
+
+# Hand-built matrices for each step of the sparse loop, with their divisors
+# and, for the remainder step, the first calls it must make: "sparse" builds
+# the row and column maps (a second one is the transpose), "add q" is a row
+# operation row -= q * row.
+@pytest.mark.parametrize("dense, divisors, first_calls", [
+    # content 4, then content 3 after one unit: two content divisions
+    ([[4, 8], [8, 4]], (4, 12), []),
+    ([[2, 0, 0], [0, 4, 0], [0, 0, 8]], (2, 4, 8), []),
+    # the least entry 6 does not divide 15 in its column: a row operation
+    ([[6, 10], [15, 0]], (1, 150), ["sparse", "add 2"]),
+    # 6 divides its column but not 10 in its row: a column operation
+    ([[6, 10], [12, 0]], (2, 60), ["sparse", "sparse", "add 1"]),
+    # 2 divides its row and column, so 3 is first moved into its row
+    ([[2, 0], [0, 3]], (1, 6), ["sparse", "add -1", "sparse", "add 1"]),
+    # as above, after clearing the 4 under the 2 from the moved row
+    ([[2, 4], [4, 3]], (1, 10),
+     ["sparse", "add 2", "add -1", "sparse", "add -1"]),
+], ids=["content 4 then 3", "diag 2,4,8", "row", "column", "move",
+        "clear and move"])
+def test_smith_normal_form_steps(monkeypatch, snf_oracle, dense, divisors,
+                                 first_calls):
+    calls = []
+    add_row, sparse = cellcomplex._add_row, cellcomplex._sparse
+
+    def spy_add_row(rows, cols, dst, src, q):
+        calls.append(f"add {q}")
+        return add_row(rows, cols, dst, src, q)
+
+    def spy_sparse(entries):
+        calls.append("sparse")
+        return sparse(entries)
+
+    monkeypatch.setattr(cellcomplex, "_add_row", spy_add_row)
+    monkeypatch.setattr(cellcomplex, "_sparse", spy_sparse)
+    entries = _dense_entries(dense)
+    want = (len(divisors), divisors)
+    assert smith_normal_form(entries) == want
+    assert snf_oracle(entries, len(dense), len(dense[0])) == want
+    assert calls[:len(first_calls)] == first_calls
+
+
+# Three entry pools without units, so that content division and the
+# remainder step run, and small entries of either sign.
+SNF_POOLS = [(0, 2, -2, 3, -3, 6, 4, -6, 9), (0, 6, 10, 15, -6, -10),
+             (0, 4, 8, -4, 12, 6), tuple(range(-4, 5))]
+
+
+def test_smith_normal_form_random_matrices(snf_oracle):
     rng = random.Random(11)
-    for _ in range(40):
-        nr = rng.randrange(1, 7)
-        nc = rng.randrange(1, 7)
-        dense = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(nr)]
-        entries = {(i, j): v for i, row in enumerate(dense)
-                   for j, v in enumerate(row) if v}
-        rank, divs = smith_normal_form(entries, nr, nc)
+    for trial in range(2000):
+        pool = SNF_POOLS[trial % len(SNF_POOLS)]
+        nr = rng.randrange(1, 8)
+        nc = rng.randrange(1, 8)
+        dense = [[rng.choice(pool) for _ in range(nc)] for _ in range(nr)]
+        entries = _dense_entries(dense)
+        rank, divs = smith_normal_form(entries)
+        assert (rank, divs) == snf_oracle(entries, nr, nc)
         assert rank == _rational_rank(dense)
         assert len(divs) == rank
         assert all(d > 0 for d in divs)

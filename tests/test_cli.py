@@ -293,7 +293,8 @@ def test_realize_closure_budget_refuses_under_memory_cap():
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_cap_memory)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("budget: involution closure")
+    assert proc.stderr == ("budget: involution closure needs 1000320 stored "
+                           "cell indexes, over the 1000000 budget\n")
 
 
 # Each refusal is counted in closed form before anything is built: the

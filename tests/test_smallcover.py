@@ -15,6 +15,7 @@ from nestotope.cellcomplex import (
     homology,
     homology_z2,
     orient,
+    smith_normal_form,
 )
 from nestotope.graphs import (
     Graph,
@@ -385,7 +386,10 @@ def test_broken_coset_table_is_caught():
 
 def test_enumerate_characteristics_budget():
     p = face_poset(graph_building_set(complete_graph(4)))
-    with pytest.raises(BudgetExceeded):
+    # 14 facets, each with 2^3 - 1 candidate columns
+    with pytest.raises(BudgetExceeded, match=r"^characteristic enumeration "
+                       r"needs 678223072849 candidate matrices, over the "
+                       r"1000000 budget$"):
         enumerate_characteristics(p)
 
 
@@ -504,6 +508,25 @@ def test_cellular_homology_matches_simplicial(make, betti_z2_without_clearing):
                 square[row, col] = square.get((row, col), 0) + v * w
         assert not any(square.values())
     assert c.euler_characteristic() == m.complex.euler_characteristic()
+
+
+# The cellular-vs-simplicial comparison runs both sides through the same
+# SNF; the oracle's dense core checks the SNF itself, on every boundary of
+# every glued manifold built here, the n = 4 ones included.
+FOUR_MANIFOLDS = ([(entry, lambda e=entry: _cover(e)) for entry in
+                   ("path:5/can", "complete:5/can", "complete:5/tomei")]
+                  + [(f"eta:{spec}", lambda s=spec: _eta(s))
+                     for spec in ("path:5", "complete:5")])
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED + FOUR_MANIFOLDS],
+                         ids=[name for name, _ in GLUED + FOUR_MANIFOLDS])
+def test_cellular_divisors_match_oracle(make, snf_oracle):
+    c = make().cellular()
+    for k in range(1, c.n + 1):
+        entries = c.boundary_entries(k)
+        assert smith_normal_form(entries) == snf_oracle(
+            entries, c.n_cells(k - 1), c.n_cells(k))
 
 
 @pytest.mark.parametrize("make", [m for _, m in GLUED],

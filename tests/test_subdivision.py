@@ -95,6 +95,15 @@ def test_lemma_rejects_bad_input():
         lemma_subdivision(Graph(3, [(0, 1)]), 0)
 
 
+def test_lemma_refuses_a_collapsing_straightening(monkeypatch):
+    # the two reflected copies of a vertex share its colour, so a constant
+    # straightening map sends two vertices to one image
+    monkeypatch.setattr(subdivision, "_straightening",
+                        lambda g, a: lambda x: (Fraction(0),) * g.n_vertices)
+    with pytest.raises(ValidationError, match="collapsed two vertices"):
+        lemma_subdivision(path_graph(3), 0)
+
+
 def test_middle_apex_triangle_geometry():
     k = lemma_subdivision(path_graph(3), 1)
     c = k.complex
