@@ -3,8 +3,9 @@
 Proper tubes become facets; a set of tubes spans a face exactly when the
 tubes are pairwise compatible, where compatibility means nested, or disjoint
 with union outside the building set.  Faces are enumerated as cliques of the
-compatibility relation and the clique property is verified against the
-stored structure by ``check_simple_and_flag`` rather than taken on faith.
+compatibility relation, and ``check_simple_and_flag`` verifies each stored
+level against the cliques of the stored pair relation rather than taking
+the clique property on faith.
 
 Vertex coordinates come from Postnikov's closed form for the Minkowski sum
 of the simplices Delta_S over the tubes S (Postnikov, "Permutohedra,
@@ -158,22 +159,21 @@ def face_poset(b):
 def check_simple_and_flag(p):
     """Verify the stored face list against the clique model.
 
-    True when faces are subset-closed, coincide with the cliques of the
-    stored pair relation, and every maximal face is a full-size tubing.  A
-    hand-built poset missing the top of a clique (three mutually compatible
-    tubes with no triple face) fails here.
+    True when each level of ``p.face_sets`` equals the cliques of the pair
+    relation that the stored 2-faces record, and every maximal clique is a
+    full-size tubing.  Levels 1 and 2, which the relation is read from, are
+    first checked for shape; the cliques are sorted and subset-closed, so
+    equality implies the same of the store.  A hand-built poset missing the
+    top of a clique (three compatible tubes, no triple face) fails here.
     """
     n = p.dim
-    stored = [set(level) for level in p.faces_by_size]
+    stored = p.face_sets
     if stored[0] != {()}:
         return False
-    for k in range(1, n + 1):
+    for k in range(1, min(n, 2) + 1):
         for face in stored[k]:
             if len(face) != k or list(face) != sorted(set(face)):
                 return False
-            for drop in range(k):
-                if face[:drop] + face[drop + 1:] not in stored[k - 1]:
-                    return False
     # adjacency as recorded by the 2-faces
     m = len(p.b.proper_tubes)
     adj = [0] * m
@@ -185,12 +185,9 @@ def check_simple_and_flag(p):
 
     def rec(members_tup, cand, ext):
         k = len(members_tup)
-        if k <= n:
-            cliques[k].add(members_tup)
-        else:
+        if k > n or (ext == 0 and k < n):
             return False
-        if ext == 0 and k < n:
-            return False
+        cliques[k].add(members_tup)
         c = cand
         ok = True
         while c:
@@ -202,14 +199,10 @@ def check_simple_and_flag(p):
             c ^= low
         return ok
 
-    singles = {f[0] for f in stored[1]} if n >= 1 else set()
-    start = sum(1 << i for i in singles)
-    if not rec((), start, start if n >= 1 else 0):
+    start = sum(1 << f[0] for f in stored[1]) if n >= 1 else 0
+    if not rec((), start, start):
         return False
-    for k in range(n + 1):
-        if cliques[k] != stored[k]:
-            return False
-    return True
+    return all(cliques[k] == stored[k] for k in range(n + 1))
 
 
 def face_incidences(p):
@@ -462,6 +455,22 @@ def _det_sign(rows):
     return (d > 0) - (d < 0)
 
 
+def _simplex_flags(nv):
+    """Each complete flag of the simplex on range(nv), as the chain of masks
+    a permutation fills one element at a time, mapped to the permutation's
+    sign: the chain's 0/1 rows differ by the permutation matrix's rows."""
+    flags = {}
+    for perm in permutations(range(nv)):
+        m = inversions = 0
+        chain = []
+        for v in perm:
+            inversions += (m >> (v + 1)).bit_count()  # earlier elements above v
+            m |= 1 << v
+            chain.append(m)
+        flags[tuple(chain)] = -1 if inversions & 1 else 1
+    return flags
+
+
 def _signed_flag_counts(p, coords):
     """Signed counts of the nondegenerate complete face chains, per image.
 
@@ -541,7 +550,8 @@ def pi_degree(p):
     zero.  For the rest, the product of the two orientation signs is
     accumulated per image flag (``_signed_flag_counts``, which builds the
     face barycentres from per-vertex tables and prunes the chain walk at
-    the first degenerate face).  The count must come out the same for every
+    the first degenerate face); each image flag's sign is its permutation's
+    (``_simplex_flags``).  The count must come out the same for every
     image flag, the image flags must exhaust all orderings of the ground
     set, and face barycentres must land in the subsimplex missing their
     tubes; any failure raises.
@@ -563,25 +573,13 @@ def pi_degree(p):
 
     acc, boundary_keys = _signed_flag_counts(p, coords)
 
-    expected = set()
-    for perm in permutations(range(nv)):
-        m = 0
-        chain = []
-        for v in perm:
-            m |= 1 << v
-            chain.append(m)
-        expected.add(tuple(chain))
-    if set(acc) != expected:
+    flags = _simplex_flags(nv)
+    if acc.keys() != flags.keys():
         raise ValidationError("projection misses some full flags of the simplex")
-    if boundary_keys != {key[:-1] for key in expected}:
+    if boundary_keys != {key[:-1] for key in flags}:
         raise ValidationError("projection misses part of the boundary")
 
-    degs = set()
-    for key, total in acc.items():
-        simg = _det_sign([[(m >> j) & 1 for j in range(nv)] for m in key])
-        if simg == 0:
-            raise ValidationError("degenerate image flag slipped through")
-        degs.add(total * simg)
+    degs = {total * flags[key] for key, total in acc.items()}
     if len(degs) != 1:
         raise ValidationError(f"local degrees disagree: {sorted(degs)}")
     return degs.pop()

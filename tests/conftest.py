@@ -181,6 +181,74 @@ def snf_oracle():
     return smith_normal_form
 
 
+# The face-list check with the subset-closure walk: every stored face is
+# shape-checked and its facets looked up, then the levels are compared with
+# the rebuilt cliques.  The library's check, which compares the levels
+# only, must return the same verdict on every poset.
+
+
+def check_simple_and_flag(p):
+    """Verify the stored face list against the clique model.
+
+    True when faces are subset-closed, coincide with the cliques of the
+    stored pair relation, and every maximal face is a full-size tubing.  A
+    hand-built poset missing the top of a clique (three mutually compatible
+    tubes with no triple face) fails here.
+    """
+    n = p.dim
+    stored = [set(level) for level in p.faces_by_size]
+    if stored[0] != {()}:
+        return False
+    for k in range(1, n + 1):
+        for face in stored[k]:
+            if len(face) != k or list(face) != sorted(set(face)):
+                return False
+            for drop in range(k):
+                if face[:drop] + face[drop + 1:] not in stored[k - 1]:
+                    return False
+    # adjacency as recorded by the 2-faces
+    m = len(p.b.proper_tubes)
+    adj = [0] * m
+    if n >= 2:
+        for (i, j) in stored[2]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cliques = [set() for _ in range(n + 2)]
+
+    def rec(members_tup, cand, ext):
+        k = len(members_tup)
+        if k <= n:
+            cliques[k].add(members_tup)
+        else:
+            return False
+        if ext == 0 and k < n:
+            return False
+        c = cand
+        ok = True
+        while c:
+            low = c & -c
+            i = low.bit_length() - 1
+            higher = ~((1 << (i + 1)) - 1)
+            if not rec(members_tup + (i,), cand & adj[i] & higher, ext & adj[i]):
+                ok = False
+            c ^= low
+        return ok
+
+    singles = {f[0] for f in stored[1]} if n >= 1 else set()
+    start = sum(1 << i for i in singles)
+    if not rec((), start, start if n >= 1 else 0):
+        return False
+    for k in range(n + 1):
+        if cliques[k] != stored[k]:
+            return False
+    return True
+
+
+@pytest.fixture
+def flag_check_oracle():
+    return check_simple_and_flag
+
+
 # The structural checks of SimplicialCellComplex written cell by cell, one
 # condition at a time; the library checks whole columns of a level at once.
 

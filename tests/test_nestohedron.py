@@ -1,6 +1,7 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -20,9 +21,11 @@ from nestotope.graphs import (
 )
 from nestotope.nestohedron import (
     FacePoset,
+    _det_sign,
     _flags,
     _int_det,
     _signed_flag_counts,
+    _simplex_flags,
     all_vertex_coordinates,
     barycentric_complex,
     check_simple_and_flag,
@@ -97,6 +100,50 @@ def test_check_simple_and_flag():
     broken = FacePoset(p.b, [p.faces_by_size[0], p.faces_by_size[1],
                              p.faces_by_size[2][1:], p.faces_by_size[3]])
     assert not check_simple_and_flag(broken)
+
+
+def _outcome(check, p):
+    try:
+        return check(p)
+    except Exception as exc:  # a raise must meet a raise of the same type
+        return type(exc)
+
+
+def _mutated_posets(p):
+    """``(poset, verdict)`` for ``p`` broken at each level in the ways a
+    hand-built face list can go wrong: a face dropped, listed twice,
+    unsorted, with a repeated index, or taken from the level above (a
+    3-tuple in level 2) or below (an empty tuple in level 1).  Only a face
+    listed twice leaves the stored sets, and so the verdict, as they were."""
+    levels = p.faces_by_size
+
+    def at(k, level):
+        return FacePoset(p.b, levels[:k] + (tuple(level),) + levels[k + 1:])
+
+    for k, level in enumerate(levels):
+        for drop in range(len(level)):
+            yield at(k, level[:drop] + level[drop + 1:]), False
+        yield at(k, level + level[:1]), True
+        if k >= 2:
+            yield at(k, level + (level[0][::-1],)), False
+            yield at(k, level + ((level[0][0],) + level[0][:-1],)), False
+        if k + 1 < len(levels):
+            yield at(k, level + levels[k + 1][:1]), False
+        if k >= 1:
+            yield at(k, level + levels[k - 1][:1]), False
+
+
+def test_check_simple_and_flag_matches_oracle(flag_check_oracle):
+    graphs = [complete_graph(6)]
+    for k in range(1, 6):
+        graphs.extend(connected_graph_representatives(k))
+    for g in graphs:
+        p = _poset(g)
+        assert check_simple_and_flag(p) is flag_check_oracle(p) is True, g
+    for g in (path_graph(4), complete_graph(4)):
+        for q, verdict in _mutated_posets(_poset(g)):
+            assert _outcome(check_simple_and_flag, q) is verdict
+            assert _outcome(flag_check_oracle, q) is verdict
 
 
 def test_face_vectors_pentagon_hexagon():
@@ -176,6 +223,36 @@ def test_vertex_support_check_catches_tampering():
         pi_degree(tampered(off, total))
 
 
+def test_vertex_check_words_the_first_failing_tube():
+    # an own tube's equation and an off tube's inequality, broken alone or
+    # together and each either way: the lower failing index words the error
+    p = _poset(path_graph(4))
+    proper = p.b.proper_tubes
+    seen = set()
+    for v in p.vertices:
+        x = vertex_coordinates(p, v)
+        offs = [i for i in range(len(proper)) if i not in v]
+        for own, off, shift, excess in product((*v, None), (*offs, None),
+                                               (1, -1), (0, 1)):
+            if own is None and off is None:
+                continue
+            support = list(p.support)
+            if own is not None:
+                support[own] += shift
+            if off is not None:
+                support[off] = excess + sum(x[j] for j in bits_of(proper[off]))
+            q = FacePoset(p.b, p.faces_by_size)
+            q.support = tuple(support)
+            first_is_own = off is None or (own is not None and own < off)
+            seen.add((own is None, off is None, first_is_own))
+            with pytest.raises(ValidationError, match=(
+                    "vertex equations failed" if first_is_own
+                    else "not strict off the vertex")):
+                vertex_coordinates(q, v)
+    assert seen == {(False, False, True), (False, False, False),
+                    (True, False, False), (False, True, True)}
+
+
 def test_pi_map_lands_off_the_tubes():
     p = _poset(path_graph(3))
     images = pi_map(p)
@@ -194,6 +271,18 @@ def test_barycentric_complex_of_pentagon():
     assert bar.cell_counts() == (11, 20, 10)
     assert bar.euler_characteristic() == 1
     assert bar.validate()
+
+
+def test_simplex_flag_signs_are_determinant_signs():
+    # the sign pi_degree gives an image flag is its permutation's parity;
+    # the determinant of the chain's 0/1 rows is the definition it replaces
+    for nv in range(2, 7):
+        flags = _simplex_flags(nv)
+        assert len(flags) == factorial(nv)
+        for perm in permutations(range(nv)):
+            chain = tuple(sum(1 << v for v in perm[:i + 1]) for i in range(nv))
+            rows = [[(m >> j) & 1 for j in range(nv)] for m in chain]
+            assert flags[chain] == _det_sign(rows), perm
 
 
 def test_projection_degree_is_one():
@@ -254,11 +343,12 @@ def _drop_vertices(p, drop):
 
 
 def test_pi_degree_guards():
-    # The containment guard, the boundary check and the degenerate-image
-    # guard cannot be reached from a FacePoset: pi_map builds each image off
-    # its own face's tubes, every boundary key is a prefix of a key of acc,
-    # and a flag of nested subsets growing one element at a time has
-    # determinant +-1.  Every other refusal is reached below.
+    # The containment guard and the boundary check cannot be reached from a
+    # FacePoset: pi_map builds each image off its own face's tubes, and
+    # every boundary key is a prefix of a key of acc.  No image flag needs
+    # a degeneracy guard: it is a chain of nested subsets growing one
+    # element at a time, and its sign is its permutation's.  Every other
+    # refusal is reached below.
     p = _poset(path_graph(3))
     f0, f1, f2 = p.faces_by_size
     with pytest.raises(ValidationError, match=r"face \(0,\) under .* missing"):
