@@ -3,35 +3,36 @@
 Proper tubes become facets; a set of tubes spans a face exactly when the
 tubes are pairwise compatible, where compatibility means nested, or disjoint
 with union outside the building set.  Faces are enumerated as cliques of the
-compatibility relation, and ``check_simple_and_flag`` verifies each stored
-level against the cliques of the stored pair relation rather than taking
-the clique property on faith.
+compatibility relation, one level per size, each level extended into the
+next in lexicographic order.  ``check_simple_and_flag`` rebuilds the
+cliques of the stored pair relation the same way and compares each stored
+level with them rather than taking the clique property on faith.
 
 Vertex coordinates come from Postnikov's closed form for the Minkowski sum
 of the simplices Delta_S over the tubes S (Postnikov, "Permutohedra,
 associahedra, and beyond", IMRN 2009, arXiv:math/0507163, section 7): at a
 vertex, coordinate j counts the tubes S with j in S contained in T_j, the
 smallest tube of the vertex's tubing (or the ground set) that holds j.  The
-points are integral; each is checked against the support-count equations
-and inequalities, and an independent oracle recovers the same vertex set by
-maximizing every strict linear order over the Minkowski summands.
+points are integral; each tube's support-count equations and inequalities
+are checked once over the columns of all the points, and an independent
+oracle recovers the same vertex set by maximizing every strict linear order
+over the Minkowski summands.
 
 The last third of the module studies the simplicial projection onto the
-simplex spanned by the ground set: barycentres of faces map to barycentres
-of complementary coordinate simplices, and the mapping degree is computed by
-signed counting of nondegenerate flags.
+simplex spanned by the ground set: a face maps to the barycentre of the
+coordinate simplex on the elements its tubes leave uncovered, and the
+mapping degree is computed by signed counting of nondegenerate flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import permutations
 from operator import add
 
 from .errors import ValidationError
-from .graphs import bits_of
+from .graphs import bits_of, members
 
 _MAX_POSET_VERTICES = 10  # clique enumeration above this is not worth having
 
@@ -50,6 +51,11 @@ def compatible(b, s, t):
         raise ValidationError("compatibility needs two distinct tubes")
     if s not in b.tube_index or t not in b.tube_index:
         raise ValidationError("arguments must be tubes of the building set")
+    return _compatible(b, s, t)
+
+
+def _compatible(b, s, t):
+    """``compatible`` without the argument checks."""
     if s & ~t == 0 or t & ~s == 0:
         return True
     if s & t:
@@ -88,8 +94,8 @@ class FacePoset:
     def coordinate_table(self):
         """One row per proper tube T, in index order, and a last row for the
         ground set: entry j counts the tubes S with j in S contained in T
-        (0 off T).  ``vertex_coordinates`` reads its coordinates from here,
-        and nothing else reads it, so only that path builds it."""
+        (0 off T).  The vertex points are read from here, and nothing else
+        reads it, so only that path builds it."""
         b = self.b
         rows = []
         for t in b.proper_tubes + (b.ground_mask,):
@@ -109,9 +115,36 @@ class FacePoset:
                 f"f={self.f_counts()})")
 
 
+def _clique_levels(start, adj, n):
+    """Yield the cliques of the relation ``adj`` (a neighbour bitmask per
+    index) on the indexes of ``start``, one level per size from 0 to n.
+
+    Each level is a list of cliques, in lexicographic order, and the list
+    of their common neighbours.  A clique carries its candidates, the
+    common neighbours above its last index, and is extended by each of
+    them in increasing order.
+    """
+    faces, cands, commons = [()], [start], [start]
+    for _ in range(n):
+        yield faces, commons
+        next_faces, next_cands, next_commons = [], [], []
+        for face, cand, common in zip(faces, cands, commons):
+            while cand:
+                low = cand & -cand
+                i = low.bit_length() - 1
+                cand ^= low
+                next_faces.append(face + (i,))
+                next_cands.append(cand & adj[i])
+                next_commons.append(common & adj[i])
+        faces, cands, commons = next_faces, next_cands, next_commons
+    yield faces, commons
+
+
 def face_poset(b):
     """Enumerate all tubings of the building set as compatibility cliques.
 
+    The cliques are built one level per size, each level in lexicographic
+    order (``_clique_levels``), which ``face_incidences`` relies on.
     Requires the ground set to be a tube (connected graph, in the graphical
     case).  Every maximal tubing must have full size; anything else means the
     input was not a building set and raises.
@@ -123,37 +156,20 @@ def face_poset(b):
             f"face enumeration is capped at {_MAX_POSET_VERTICES} vertices")
     n = b.n_vertices - 1
     proper = b.proper_tubes
-    m = len(proper)
-    compat = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if j != i and compatible(b, proper[i], proper[j]):
-                mask |= 1 << j
-        compat.append(mask)
-    faces = [[] for _ in range(n + 1)]
-    full = (1 << m) - 1
-
-    def rec(members_tup, cand, ext):
-        k = len(members_tup)
-        faces[k].append(members_tup)
-        if k == n:
-            if ext:
-                raise ValidationError(
-                    "found more pairwise compatible tubes than the dimension")
-            return
-        if ext == 0:
+    compat = [sum(1 << j for j, t in enumerate(proper)
+                  if j != i and _compatible(b, s, t))
+              for i, s in enumerate(proper)]
+    levels = []
+    for k, (faces, commons) in enumerate(
+            _clique_levels((1 << len(proper)) - 1, compat, n)):
+        if k < n and not all(commons):
             raise ValidationError(
                 "maximal tubing smaller than the dimension; not a building set")
-        c = cand
-        while c:
-            low = c & -c
-            i = low.bit_length() - 1
-            higher = ~((1 << (i + 1)) - 1)
-            rec(members_tup + (i,), cand & compat[i] & higher, ext & compat[i])
-            c ^= low
-    rec((), full, full)
-    return FacePoset(b, faces)
+        levels.append(faces)
+    if any(commons):
+        raise ValidationError(
+            "found more pairwise compatible tubes than the dimension")
+    return FacePoset(b, levels)
 
 
 def check_simple_and_flag(p):
@@ -162,47 +178,32 @@ def check_simple_and_flag(p):
     True when each level of ``p.face_sets`` equals the cliques of the pair
     relation that the stored 2-faces record, and every maximal clique is a
     full-size tubing.  Levels 1 and 2, which the relation is read from, are
-    first checked for shape; the cliques are sorted and subset-closed, so
-    equality implies the same of the store.  A hand-built poset missing the
-    top of a clique (three compatible tubes, no triple face) fails here.
+    first checked for shape and for indexes in range; the cliques, rebuilt
+    level by level, are sorted and subset-closed, so equality implies the
+    same of the store.  A hand-built poset missing the top of a clique
+    (three compatible tubes, no triple face) fails here.
     """
     n = p.dim
     stored = p.face_sets
-    if stored[0] != {()}:
-        return False
+    m = len(p.b.proper_tubes)
     for k in range(1, min(n, 2) + 1):
         for face in stored[k]:
-            if len(face) != k or list(face) != sorted(set(face)):
+            if (len(face) != k or list(face) != sorted(set(face))
+                    or face[0] < 0 or face[-1] >= m):
                 return False
     # adjacency as recorded by the 2-faces
-    m = len(p.b.proper_tubes)
     adj = [0] * m
     if n >= 2:
         for (i, j) in stored[2]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    cliques = [set() for _ in range(n + 2)]
-
-    def rec(members_tup, cand, ext):
-        k = len(members_tup)
-        if k > n or (ext == 0 and k < n):
-            return False
-        cliques[k].add(members_tup)
-        c = cand
-        ok = True
-        while c:
-            low = c & -c
-            i = low.bit_length() - 1
-            higher = ~((1 << (i + 1)) - 1)
-            if not rec(members_tup + (i,), cand & adj[i] & higher, ext & adj[i]):
-                ok = False
-            c ^= low
-        return ok
-
     start = sum(1 << f[0] for f in stored[1]) if n >= 1 else 0
-    if not rec((), start, start):
-        return False
-    return all(cliques[k] == stored[k] for k in range(n + 1))
+    for k, (faces, commons) in enumerate(_clique_levels(start, adj, n)):
+        # the cliques are distinct, so equal counts and containment suffice
+        if (len(faces) != len(stored[k]) or not stored[k].issuperset(faces)
+                or k < n and not all(commons)):
+            return False
+    return not any(commons)
 
 
 def face_incidences(p):
@@ -293,7 +294,21 @@ def _binomials(n):
 
 
 def vertex_coordinates(p, vertex):
-    """Integer coordinates of a vertex given as a tuple of tube indexes.
+    """Integer coordinates of a vertex given as a tuple of tube indexes: the
+    one-vertex case of ``all_vertex_coordinates``, checked the same way.
+
+    >>> from nestotope.graphs import complete_graph, graph_building_set
+    >>> p = face_poset(graph_building_set(complete_graph(3)))
+    >>> sorted(vertex_coordinates(p, p.vertices[0]))
+    [1, 2, 4]
+    """
+    if vertex not in p.face_sets[p.dim]:
+        raise ValidationError("not a vertex of this face poset")
+    return _checked_points(p, (vertex,))[0]
+
+
+def all_vertex_coordinates(p):
+    """Map every vertex tubing to its coordinate tuple.
 
     Postnikov's formula (IMRN 2009, arXiv:math/0507163, section 7):
     coordinate j counts the tubes S with j in S contained in T_j, the
@@ -303,46 +318,64 @@ def vertex_coordinates(p, vertex):
     (the canonical tube order is by size), overwrite it on their members,
     so each x_j ends as T_j's entry.
 
-    The point is then checked to meet the support-count equation of every
-    tube of the vertex, and every other proper tube's inequality strictly.
-    The sums over tubes are read from a subset-sum table of x over all
-    2^n_vertices masks, built by doubling, so each tube costs one lookup.
-
-    >>> from nestotope.graphs import complete_graph, graph_building_set
-    >>> p = face_poset(graph_building_set(complete_graph(3)))
-    >>> sorted(vertex_coordinates(p, p.vertices[0]))
-    [1, 2, 4]
+    Each point must meet the support-count equation of every tube of its
+    tubing, and every other proper tube's inequality strictly.  The checks
+    run one tube at a time over all the points, on the points' sums over
+    masks: each mask's sums are its lowest bit's coordinate column added to
+    the sums of the rest of the mask.  The points holding a tube must all
+    sum to its support count, and the count must appear on no other point
+    and nothing lie below it.  A failure raises for the first failing
+    vertex, worded by its ground-set sum if that is wrong, else by its
+    lowest failing tube.
     """
+    return dict(zip(p.vertices, _checked_points(p, p.vertices)))
+
+
+def _checked_points(p, vertices):
+    """The checked points of ``vertices``, in order (see
+    ``all_vertex_coordinates``)."""
     b = p.b
-    if vertex not in p.face_sets[p.dim]:
-        raise ValidationError("not a vertex of this face poset")
-    proper = b.proper_tubes
     table = p.coordinate_table
-    x = list(table[-1])
-    for i in sorted(vertex, reverse=True):
-        row = table[i]
-        for j in bits_of(proper[i]):
-            x[j] = row[j]
-    if sum(x) != len(b.tubes):
-        raise ValidationError("vertex equations failed to hold")
-    sums = [0]  # sums[mask] = sum of x[j] over the bits j of mask
-    for xj in x:
-        sums += [s + xj for s in sums]
-    own = set(vertex)
-    for idx, (s, c) in enumerate(zip(proper, p.support)):
-        total = sums[s]
-        if idx in own:
-            if total != c:
-                raise ValidationError("vertex equations failed to hold")
-        elif total <= c:
-            raise ValidationError(
-                "support inequality not strict off the vertex's own tubes")
-    return tuple(x)
-
-
-def all_vertex_coordinates(p):
-    """Map every vertex tubing to its coordinate tuple."""
-    return {v: vertex_coordinates(p, v) for v in p.vertices}
+    proper = b.proper_tubes
+    tube_members = [members(t) for t in proper]
+    points = []
+    own_rows = [[] for _ in proper]  # own_rows[i]: points whose tubing holds i
+    for r, vertex in enumerate(vertices):
+        x = list(table[-1])
+        for i in sorted(set(vertex), reverse=True):
+            row = table[i]
+            for j in tube_members[i]:
+                x[j] = row[j]
+            own_rows[i].append(r)
+        points.append(tuple(x))
+    sums = {0: [0] * len(points)}  # sums[mask][r]: sum of x_j over j in mask
+    masks = set()
+    for s in proper + (b.ground_mask,):
+        while s:
+            masks.add(s)
+            s &= s - 1
+    columns = list(zip(*points)) or [()] * b.n_vertices
+    for s in sorted(masks):
+        low = s & -s
+        sums[s] = list(map(add, sums[s ^ low], columns[low.bit_length() - 1]))
+    checks = [(-1, b.ground_mask, len(b.tubes), range(len(points)))]
+    checks += zip(range(len(proper)), proper, p.support, own_rows)
+    failures = []  # (first failing point, tube) of each failing tube
+    for idx, s, c, own in checks:
+        totals = sums[s]
+        if ([totals[r] for r in own] != [c] * len(own)
+                or totals.count(c) != len(own) or min(totals, default=c) < c):
+            # a point fails below c, or where being at c and holding disagree
+            holders = set(own)
+            failures.append((next(r for r, t in enumerate(totals)
+                                  if t < c or (t == c) != (r in holders)), idx))
+    if failures:
+        r, idx = min(failures)
+        if idx == -1 or idx in vertices[r]:
+            raise ValidationError("vertex equations failed to hold")
+        raise ValidationError(
+            "support inequality not strict off the vertex's own tubes")
+    return points
 
 
 def minkowski_vertex_oracle(b):
@@ -400,28 +433,6 @@ def barycentric_complex(p):
         tops.append(tuple((n - len(face), face) for face in flag))
     from .cellcomplex import SimplicialCellComplex
     return SimplicialCellComplex.from_top_simplices(tops)
-
-
-def pi_map(p):
-    """Barycentre images of all faces: a face with tubing T goes to the
-    barycentre of the coordinate simplex on the vertices not covered by T."""
-    b = p.b
-    proper = b.proper_tubes
-    zero = Fraction(0)
-    share = [zero] + [Fraction(1, k) for k in range(1, b.n_vertices + 1)]
-    out = {}
-    for level in p.faces_by_size:
-        for face in level:
-            covered = 0
-            for i in face:
-                covered |= proper[i]
-            u = b.ground_mask & ~covered
-            if u == 0:
-                raise ValidationError("tubing covers the whole ground set")
-            w = share[u.bit_count()]
-            out[face] = tuple(w if (u >> j) & 1 else zero
-                              for j in range(b.n_vertices))
-    return out
 
 
 def _int_det(rows):
@@ -486,8 +497,9 @@ def _signed_flag_counts(p, coords):
     So a chain is nondegenerate exactly when every face F on it is good,
     |u(F)| = n_vertices - |F|, and the walk down from each vertex, which
     descends only into good faces, reaches exactly the nondegenerate chains
-    of ``_flags``.  A face under a good face that the poset does not store,
-    and a stored face that no vertex contains, raise.
+    of ``_flags``.  A stored tubing that covers the whole ground set (it has
+    no image), a face under a good face that the poset does not store, and
+    a stored face that no vertex contains, raise.
     """
     b = p.b
     nv = b.n_vertices
@@ -500,6 +512,8 @@ def _signed_flag_counts(p, coords):
             for i in face:
                 covered |= proper[i]
             uncovered[face] = b.ground_mask & ~covered
+            if not uncovered[face]:
+                raise ValidationError("tubing covers the whole ground set")
             bary[face] = None
     for v in p.vertices:
         pt = coords[v]
@@ -545,35 +559,20 @@ def _signed_flag_counts(p, coords):
 def pi_degree(p):
     """Degree of the barycentric projection onto the ground-set simplex.
 
-    Every complete face chain maps to a chain of coordinate subsets; chains
-    whose subset sizes fail to grow one by one are degenerate and count
-    zero.  For the rest, the product of the two orientation signs is
-    accumulated per image flag (``_signed_flag_counts``, which builds the
-    face barycentres from per-vertex tables and prunes the chain walk at
-    the first degenerate face); each image flag's sign is its permutation's
-    (``_simplex_flags``).  The count must come out the same for every
-    image flag, the image flags must exhaust all orderings of the ground
-    set, and face barycentres must land in the subsimplex missing their
-    tubes; any failure raises.
+    A face maps to the barycentre of the coordinate simplex on the elements
+    its tubes leave uncovered, so every complete face chain maps to a chain
+    of coordinate subsets; chains whose subset sizes fail to grow one by one
+    are degenerate and count zero.  For the rest, the product of the two
+    orientation signs is accumulated per image flag
+    (``_signed_flag_counts``, which builds the face barycentres from the
+    vertex coordinates, refuses a tubing that covers the whole ground set
+    and prunes the chain walk at the first degenerate face); each image
+    flag's sign is its permutation's (``_simplex_flags``).  The count must
+    come out the same for every image flag, and the image flags must
+    exhaust all orderings of the ground set; any failure raises.
     """
-    b = p.b
-    nv = b.n_vertices
-    proper = b.proper_tubes
-    coords = all_vertex_coordinates(p)
-    images = pi_map(p)
-
-    # containment guard: image support avoids every tube of the face
-    for face, img in images.items():
-        covered = 0
-        for i in face:
-            covered |= proper[i]
-        if any(img[j] != 0 for j in bits_of(covered)):
-            raise ValidationError(
-                "face image meets a coordinate its tube forbids")
-
-    acc, boundary_keys = _signed_flag_counts(p, coords)
-
-    flags = _simplex_flags(nv)
+    acc, boundary_keys = _signed_flag_counts(p, all_vertex_coordinates(p))
+    flags = _simplex_flags(p.b.n_vertices)
     if acc.keys() != flags.keys():
         raise ValidationError("projection misses some full flags of the simplex")
     if boundary_keys != {key[:-1] for key in flags}:

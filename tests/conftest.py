@@ -10,7 +10,7 @@ from nestotope.cellcomplex import (
     pseudo_manifold_check,
 )
 from nestotope.errors import ValidationError
-from nestotope.graphs import members
+from nestotope.graphs import bits_of, members
 
 
 def _betti_z2_without_clearing(c):
@@ -247,6 +247,65 @@ def check_simple_and_flag(p):
 @pytest.fixture
 def flag_check_oracle():
     return check_simple_and_flag
+
+
+# The vertex check one vertex at a time: the point from the coordinate
+# table, a subset-sum table of it over all masks, then every tube in index
+# order.  The library checks each tube once over the columns of all the
+# points and must return the same points and raise the same error.
+
+
+def vertex_coordinates(p, vertex):
+    """Integer coordinates of a vertex given as a tuple of tube indexes.
+
+    Postnikov's formula (IMRN 2009, arXiv:math/0507163, section 7):
+    coordinate j counts the tubes S with j in S contained in T_j, the
+    smallest tube of the vertex holding j, or the ground set if none does.
+    Those counts are the rows of ``p.coordinate_table``: x starts as the
+    ground-set row, and the vertex's tubes, walked from largest to smallest
+    (the canonical tube order is by size), overwrite it on their members,
+    so each x_j ends as T_j's entry.
+
+    The point is then checked to meet the support-count equation of every
+    tube of the vertex, and every other proper tube's inequality strictly.
+    The sums over tubes are read from a subset-sum table of x over all
+    2^n_vertices masks, built by doubling, so each tube costs one lookup.
+
+    >>> from nestotope.graphs import complete_graph, graph_building_set
+    >>> p = face_poset(graph_building_set(complete_graph(3)))
+    >>> sorted(vertex_coordinates(p, p.vertices[0]))
+    [1, 2, 4]
+    """
+    b = p.b
+    if vertex not in p.face_sets[p.dim]:
+        raise ValidationError("not a vertex of this face poset")
+    proper = b.proper_tubes
+    table = p.coordinate_table
+    x = list(table[-1])
+    for i in sorted(vertex, reverse=True):
+        row = table[i]
+        for j in bits_of(proper[i]):
+            x[j] = row[j]
+    if sum(x) != len(b.tubes):
+        raise ValidationError("vertex equations failed to hold")
+    sums = [0]  # sums[mask] = sum of x[j] over the bits j of mask
+    for xj in x:
+        sums += [s + xj for s in sums]
+    own = set(vertex)
+    for idx, (s, c) in enumerate(zip(proper, p.support)):
+        total = sums[s]
+        if idx in own:
+            if total != c:
+                raise ValidationError("vertex equations failed to hold")
+        elif total <= c:
+            raise ValidationError(
+                "support inequality not strict off the vertex's own tubes")
+    return tuple(x)
+
+
+@pytest.fixture
+def vertex_coordinates_oracle():
+    return vertex_coordinates
 
 
 # The structural checks of SimplicialCellComplex written cell by cell, one

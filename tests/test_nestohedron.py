@@ -1,6 +1,6 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -35,7 +35,6 @@ from nestotope.nestohedron import (
     face_vectors,
     minkowski_vertex_oracle,
     pi_degree,
-    pi_map,
     support_constant,
     vertex_coordinates,
 )
@@ -79,12 +78,26 @@ def test_face_counts_small():
 
 def test_face_poset_rejects_non_graphical_input():
     # singletons plus the ground set satisfy the axioms but the clique
-    # model only covers building sets coming from graphs
+    # model only covers building sets coming from graphs: the three
+    # singletons are pairwise compatible, one more than the dimension
     b = BuildingSet(3, [0b1, 0b10, 0b100, 0b111])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="found more pairwise "
+                                              "compatible tubes than the dimension"):
         face_poset(b)
+    # {0,1} and {1,2} overlap, so each alone is a maximal tubing
+    with pytest.raises(ValidationError, match="maximal tubing smaller than "
+                                              "the dimension"):
+        face_poset(BuildingSet(3, [0b11, 0b110, 0b111]))
     with pytest.raises(ValidationError, match="ground"):
         face_poset(graph_building_set(Graph(3, [(0, 1)])))
+
+
+def test_face_poset_levels_are_lexicographic():
+    # face_incidences lists each face's facets in this order
+    for k in range(2, 7):
+        for g in connected_graph_representatives(k):
+            for level in _poset(g).faces_by_size:
+                assert all(a < b for a, b in zip(level, level[1:])), g
 
 
 def test_check_simple_and_flag():
@@ -144,6 +157,16 @@ def test_check_simple_and_flag_matches_oracle(flag_check_oracle):
         for q, verdict in _mutated_posets(_poset(g)):
             assert _outcome(check_simple_and_flag, q) is verdict
             assert _outcome(flag_check_oracle, q) is verdict
+
+
+def test_check_simple_and_flag_refuses_indexes_out_of_range():
+    # path:3 has m = 5 proper tubes; the former check raises on these
+    p = _poset(path_graph(3))
+    f0, f1, f2 = p.faces_by_size
+    assert len(p.b.proper_tubes) == 5
+    for levels in ([f0, f1 + ((5,),), f2], [f0, f1 + ((-1,),), f2],
+                   [f0, f1, f2 + ((0, 5),)], [f0, f1, f2 + ((-1, 0),)]):
+        assert check_simple_and_flag(FacePoset(p.b, levels)) is False
 
 
 def test_face_vectors_pentagon_hexagon():
@@ -253,16 +276,86 @@ def test_vertex_check_words_the_first_failing_tube():
                     (True, False, False), (False, True, True)}
 
 
-def test_pi_map_lands_off_the_tubes():
-    p = _poset(path_graph(3))
-    images = pi_map(p)
+def test_vertex_coordinates_match_oracle(vertex_coordinates_oracle):
+    graphs = [path_graph(6), complete_graph(6)]
+    for k in range(1, 6):
+        graphs.extend(connected_graph_representatives(k))
+    for g in graphs:
+        p = _poset(g)
+        assert all_vertex_coordinates(p) == {
+            v: vertex_coordinates_oracle(p, v) for v in p.vertices}, g
+
+
+def _error(f, *args):
+    try:
+        f(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _vertex_errors(vertex_coordinates_oracle, p, support, vertices):
+    """The errors of ``all_vertex_coordinates`` and of the oracle, vertex
+    by vertex, on ``p`` with the given supports and vertex list."""
+    q = FacePoset(p.b, p.faces_by_size[:-1] + (tuple(vertices),))
+    q.support = tuple(support)
+    return (_error(all_vertex_coordinates, q),
+            _error(lambda: {v: vertex_coordinates_oracle(q, v)
+                            for v in vertices}))
+
+
+def test_vertex_errors_match_oracle(vertex_coordinates_oracle):
+    # two supports moved one either way, vertices in both orders
+    for g in (path_graph(4), complete_graph(4), star_graph(4)):
+        p = _poset(g)
+        m = len(p.b.proper_tubes)
+        for (t1, t2), d1, d2 in product(combinations(range(m), 2),
+                                        (-1, 1), (-1, 1)):
+            support = list(p.support)
+            support[t1] += d1
+            support[t2] += d2
+            for vertices in (p.vertices, p.vertices[::-1]):
+                mine, oracle = _vertex_errors(vertex_coordinates_oracle, p,
+                                              support, vertices)
+                assert mine == oracle is not None
+
+
+def test_vertex_error_names_the_first_failing_vertex(
+        vertex_coordinates_oracle):
+    # Vertex a fails only on tube t2 and vertex b on tube t1 < t2, with the
+    # other message: the error is the first vertex's, not the lower tube's.
+    # A support moved down breaks only its own vertices' equations; one
+    # moved up also breaks the off vertices whose sum then equals it.
+    p = _poset(path_graph(4))
     proper = p.b.proper_tubes
-    for face, point in images.items():
-        assert sum(point) == 1
-        covered = 0
-        for i in face:
-            covered |= proper[i]
-        assert all(point[j] == 0 for j in range(3) if covered >> j & 1)
+    sums = {v: [sum(x[j] for j in bits_of(t)) for t in proper]
+            for v, x in all_vertex_coordinates(p).items()}
+    equations = "vertex equations failed to hold"
+    strict = "support inequality not strict off the vertex's own tubes"
+
+    def failure(v, t, c):
+        if t in v:
+            return equations if sums[v][t] != c else None
+        return strict if sums[v][t] <= c else None
+
+    pinned = {}
+    for t1, t2 in combinations(range(len(proper)), 2):
+        for d1, d2 in product((-1, 1), (-1, 1)):
+            c1, c2 = p.support[t1] + d1, p.support[t2] + d2
+            for a, b in permutations(p.vertices, 2):
+                first_a = failure(a, t1, c1) or failure(a, t2, c2)
+                first_b = failure(b, t1, c1)
+                if (failure(a, t1, c1) is None and first_a and first_b
+                        and first_a != first_b):
+                    pinned.setdefault(first_a, (t1, t2, c1, c2, a, b))
+    assert set(pinned) == {equations, strict}
+    for t1, t2, c1, c2, a, b in pinned.values():
+        support = list(p.support)
+        support[t1], support[t2] = c1, c2
+        for first, second in ((a, b), (b, a)):
+            want = failure(first, t1, c1) or failure(first, t2, c2)
+            assert _vertex_errors(vertex_coordinates_oracle, p, support,
+                                  (first, second)) == (want, want)
 
 
 def test_barycentric_complex_of_pentagon():
@@ -343,12 +436,13 @@ def _drop_vertices(p, drop):
 
 
 def test_pi_degree_guards():
-    # The containment guard and the boundary check cannot be reached from a
-    # FacePoset: pi_map builds each image off its own face's tubes, and
-    # every boundary key is a prefix of a key of acc.  No image flag needs
-    # a degeneracy guard: it is a chain of nested subsets growing one
-    # element at a time, and its sign is its permutation's.  Every other
-    # refusal is reached below.
+    # The boundary check cannot be reached from a FacePoset: every boundary
+    # key is a prefix of a key of acc.  No image needs a guard either: a
+    # face's image is the simplex on its uncovered set, off its tubes by
+    # definition, and an image flag is a chain of nested subsets growing one
+    # element at a time, whose sign is its permutation's.  Every other
+    # refusal is reached below; a tubing that covers the whole ground set
+    # has no image, and _signed_flag_counts refuses it.
     p = _poset(path_graph(3))
     f0, f1, f2 = p.faces_by_size
     with pytest.raises(ValidationError, match=r"face \(0,\) under .* missing"):
@@ -374,8 +468,11 @@ def test_pi_degree_guards():
     covering = next((i, j) for i in range(len(proper))
                     for j in range(i + 1, len(proper))
                     if proper[i] | proper[j] == q.b.ground_mask)
+    covered = FacePoset(q.b, [g0, g1, g2 + (covering,), g3])
     with pytest.raises(ValidationError, match="covers the whole ground set"):
-        pi_degree(FacePoset(q.b, [g0, g1, g2 + (covering,), g3]))
+        pi_degree(covered)
+    with pytest.raises(ValidationError, match="covers the whole ground set"):
+        _signed_flag_counts(covered, all_vertex_coordinates(covered))
 
 
 def test_gamma_vector_nonnegative_small():
