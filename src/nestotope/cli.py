@@ -128,8 +128,7 @@ def _cmd_subdivide(args):
     emit = _emit_path(args.emit)
     z = pseudomanifold_from_spec(args.pseudomanifold)
     g = graph_from_spec(args.graph)
-    apex = _apex(args.apex)
-    y = subdivide_pseudomanifold(z, g, apex=apex)
+    y = subdivide_pseudomanifold(z, g, apex=_apex(args.apex))
     report = {
         "schema": SCHEMA,
         "mode": y.mode,
@@ -145,8 +144,8 @@ def _cmd_subdivide(args):
             "failures": star.failures,
         }
         if y.mode == "substitution":
-            k = lemma_subdivision(g, 0 if apex is None else apex)
-            cert = verify_lemma_conditions(k, g, 0 if apex is None else apex)
+            k = lemma_subdivision(g, y.apex)
+            cert = verify_lemma_conditions(k, g, y.apex)
             report["certificate"]["simplex_checks"] = cert.checks
             report["certificate"]["simplex_ok"] = cert.ok
     _write_json(emit, report)

@@ -14,12 +14,18 @@ one bit and never read it, so every check is made on the fibre g = 0:
 in full when it fits the budget or is small, else on a seeded sample.
 The fibre histogram and the degree are closed forms in r, m and the
 family sizes; see ``build_covering``.
+
+The checks walk fibre labels as ints sigma + size * u, u the mixed-radix
+index of mu.  Each tube's step on them is filled lazily, once per u
+reached, from ``phi_action``, which stays the one definition of a face
+involution.  A face orbit that passes counts as passed for each of its
+members, whose orbits are the same set shifted in g.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import prod
+from operator import mul
 
 from .cellcomplex import pseudo_manifold_check
 from .errors import CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError, check_budget
@@ -153,7 +159,9 @@ def phi_action(b, sets, s, omega):
     """The face involution of one tube on a sheet label (sigma, mu, g).
 
     The tube's own involution moves the cell; families at larger tubes
-    are conjugated; the group coordinate flips the tube's bit.
+    are conjugated; the group coordinate flips the tube's bit.  ``sigma``
+    indexes the tube's permutation, so a slice there returns that part of
+    the permutation instead of one cell.
     """
     sigma, mu, g = omega
     j = b.proper_index[s]
@@ -187,30 +195,6 @@ class CoveringCertificate:
     mode: str
 
 
-def _orbit_check(b, sets, sys, omega, face):
-    """Face orbit must have size 2^k and hit each group coset element once."""
-    tubes = [b.proper_tubes[i] for i in face]
-    k = len(tubes)
-    seen = {omega}
-    frontier = [omega]
-    while frontier:
-        w = frontier.pop()
-        for s in tubes:
-            nxt = phi_action(b, sets, s, w)
-            if nxt not in seen:
-                if len(seen) >= (1 << k):
-                    return False
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != (1 << k):
-        return False
-    span = {0}
-    for s in tubes:
-        bit = 1 << b.proper_index[s]
-        span |= {g ^ bit for g in span}
-    return {w[2] for w in seen} == {omega[2] ^ d for d in span}
-
-
 def build_covering(b, sets, sys, budget=None):
     """Certify that the sheet labels assemble into a covering.
 
@@ -223,6 +207,14 @@ def build_covering(b, sets, sys, budget=None):
     most _SAMPLE_SIZE entries; otherwise a seeded sample of _SAMPLE_SIZE
     entries is drawn from it (mode "sampled").
 
+    A fibre label is the int x = sigma + size * u below r, where u is the
+    mixed-radix index of mu with mu[0] fastest.  Each tube keeps a dict
+    u -> (sigma permutation, size * u'), filled from ``phi_action`` the
+    first time u is reached, so a step is one lookup and one index; signs
+    still go through ``epsilon``.  The steps permute the labels, so every
+    member of a face orbit has the same orbit, shifted in g: once an orbit
+    passes, each of its fibre labels counts as passed for that face.
+
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
     {r: sum over faces of 2^(m - |F|)}; and half of the 2^m group
@@ -233,16 +225,18 @@ def build_covering(b, sets, sys, budget=None):
     if budget is None:
         budget = OMEGA_BUDGET
     p = face_poset(b)
-    m = len(b.proper_tubes)
-    sizes = [len(sets[t]) for t in b.proper_tubes]
+    tubes = b.proper_tubes
+    m = len(tubes)
+    size = sys.size
+    sizes = [len(sets[t]) for t in tubes]
     prod_i = prod(sizes)
-    r = sys.size * prod_i
+    r = size * prod_i
     mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
     checks["xi_involutions"] = all(
-        compose(x, x) == tuple(range(sys.size))
-        and all(sys.plus[x[t]] != sys.plus[t] for t in range(sys.size))
+        compose(x, x) == tuple(range(size))
+        and all(sys.plus[x[t]] != sys.plus[t] for t in range(size))
         for x in sys.xi)
     graph = sys.y.graph
     checks["xi_commutation"] = all(
@@ -250,51 +244,88 @@ def build_covering(b, sets, sys, budget=None):
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
 
-    def fibre_label(index):
-        """The fibre label at a mixed-radix index below r, sigma fastest."""
-        index, sigma = divmod(index, sys.size)
+    weights = [size * prod(sizes[:k]) for k in range(m)]
+    steps = [{} for _ in tubes]
+
+    def step(j, u):
+        """Tube j's step on the mu index u: ``phi_action`` with a full
+        slice for sigma gives the whole permutation and the new mu."""
         mu = []
-        for size in sizes:
-            index, i = divmod(index, size)
+        for n_i in sizes:
+            u, i = divmod(u, n_i)
             mu.append(i)
-        return sigma, tuple(mu), 0
+        perm, mu, _ = phi_action(b, sets, tubes[j], (slice(None), tuple(mu), 0))
+        return perm, sum(map(mul, mu, weights))
+
+    def phi(j, x):
+        """Tube j's face involution on the fibre label x, g dropped."""
+        u, sigma = divmod(x, size)
+        hit = steps[j].get(u)
+        if hit is None:
+            hit = steps[j][u] = step(j, u)
+        return hit[1] + hit[0][sigma]
 
     def pool(items):
         """Stream (fibre label, item) pairs: all of them, or a sample."""
         k = len(items)
         if mode == "full" or r * k <= _SAMPLE_SIZE:
-            labels = ((sigma, mu, 0) for mu in product(*map(range, sizes))
-                      for sigma in range(sys.size))
-            return ((w, x) for w in labels for x in items)
+            return ((x, item) for x in range(r) for item in items)
         rng = random.Random(_SAMPLE_SEED)
-        return ((fibre_label(i // k), items[i % k])
-                for i in (rng.randrange(r * k) for _ in range(_SAMPLE_SIZE)))
+        return ((x, items[i]) for x, i in
+                (divmod(rng.randrange(r * k), k) for _ in range(_SAMPLE_SIZE)))
 
-    tubes = b.proper_tubes
     involutions = class_constant = True
-    for w, s in pool(tubes):
-        image = phi_action(b, sets, s, w)
-        involutions = involutions and phi_action(b, sets, s, image) == w
-        class_constant = class_constant and epsilon(sys, image) == epsilon(sys, w)
+    for x, j in pool(range(m)):
+        y = phi(j, x)
+        involutions = involutions and phi(j, y) == x
+        # epsilon reads sigma and g only
+        class_constant = class_constant and (
+            epsilon(sys, (y % size, None, 1 << j))
+            == epsilon(sys, (x % size, None, 0)))
     checks["phi_involutions"] = involutions
     checks["epsilon_class_constant"] = class_constant
 
-    compat_pairs = [(tubes[i], tubes[j])
-                    for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
-    checks["phi_commutation"] = all(
-        phi_action(b, sets, s, phi_action(b, sets, t, w))
-        == phi_action(b, sets, t, phi_action(b, sets, s, w))
-        for w, (s, t) in pool(compat_pairs))
+    pairs = p.faces_by_size[2] if p.dim >= 2 else ()
+    checks["phi_commutation"] = all(phi(i, phi(j, x)) == phi(j, phi(i, x))
+                                    for x, (i, j) in pool(pairs))
 
     faces = [face for level in p.faces_by_size for face in level]
-    checks["covering_fibers"] = all(
-        _orbit_check(b, sets, sys, w, face) for w, face in pool(faces))
+    passed = {face: set() for face in faces}
+
+    def orbit_passes(x, face):
+        """Face orbit of (x, 0) must have size 2^k and hit each group
+        coordinate of the face's span once; labels are x + r * g."""
+        done = passed[face]
+        if x in done:
+            return True
+        want = 1 << len(face)
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            g, y = divmod(frontier.pop(), r)
+            for j in face:
+                nxt = phi(j, y) + r * (g ^ (1 << j))
+                if nxt not in seen:
+                    if len(seen) >= want:
+                        return False
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        span = {0}
+        for j in face:
+            span |= {g ^ (1 << j) for g in span}
+        if len(seen) != want or {w // r for w in seen} != span:
+            return False
+        done.update(w % r for w in seen)
+        return True
+
+    checks["covering_fibers"] = all(orbit_passes(x, face)
+                                    for x, face in pool(faces))
     checks["degree_independent"] = True
 
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}
     i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
                for t in tubes}
-    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, sys.size,
+    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, size,
                                i_sizes, histogram, checks, mode)
 
 

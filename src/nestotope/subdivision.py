@@ -15,10 +15,12 @@ graph, either directly along a path or by substituting the simplex
 subdivision into every barycentric cell.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial, lcm
+from operator import itemgetter, mul
 
 from .errors import ValidationError, check_budget
 from .graphs import components_minus_vertex, path_order
@@ -254,19 +256,21 @@ def verify_lemma_conditions(k, g, a):
 
 
 def _codim2_cofacets(c):
-    """Top-cell count of every codimension-2 cell, in first-seen order."""
+    """Top-cell count of every codimension-2 cell, in first-seen order
+    over the facets.
+
+    A top cell holding a codimension-2 cell C holds exactly two of its
+    facets through C, so tops(C) = (1/2) * sum of tops(F) over the facets
+    F through C.  That holds with or without boundary: a boundary facet
+    simply counts one top cell.  Two passes count it, the facets' top
+    counts and then their faces with each row repeated by that count.
+    """
     n = c.n
-    counts = {}
-    below = c.faces_of[n - 1]
-    for faces in c.faces_of[n]:
-        hits = set()
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                # drop slot j, then slot i of that facet
-                hits.add((n - 2, below[faces[j]][i]))
-        for key in hits:
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    tops = Counter(chain.from_iterable(c.faces_of[n]))
+    facets = c.faces_of[n - 1]
+    twice = Counter(chain.from_iterable(
+        map(mul, facets, map(tops.__getitem__, range(len(facets))))))
+    return {(n - 2, cid): cnt >> 1 for cid, cnt in twice.items()}
 
 
 def _codim2_rule(c, colours, coords, g, failures):
@@ -315,7 +319,9 @@ def subdivide_pseudomanifold(z, g, apex=None):
     The barycentric subdivision colours vertices by the dimension of the
     cell they subdivide.  Along a path graph, dimensions map straight
     onto path positions.  Any other graph is routed through the simplex
-    subdivision, substituted into every barycentric cell by carrier.
+    subdivision, substituted into every barycentric cell by carrier.  The
+    result records the apex the substitution used (0 unless given); a
+    path subdivision has none.
     """
     if z.n + 1 != g.n_vertices:
         raise ValidationError(
@@ -336,13 +342,14 @@ def subdivide_pseudomanifold(z, g, apex=None):
         colours = tuple(po[lbl[0]] for lbl in bar.vertex_labels)
         y, mode = bar, "path"
     else:
-        a = 0 if apex is None else apex
-        if not 0 <= a < g.n_vertices:
-            raise ValidationError(f"apex {a} out of range")
+        if apex is None:
+            apex = 0
+        if not 0 <= apex < g.n_vertices:
+            raise ValidationError(f"apex {apex} out of range")
         check_budget("substitution", z.n_cells(z.n) * factorial(z.n + 1)
-                     * _lemma_top_count(g, a))
+                     * _lemma_top_count(g, apex))
         bar = barycentric_subdivide(z)
-        y, colours = _substitute(bar, lemma_subdivision(g, a))
+        y, colours = _substitute(bar, lemma_subdivision(g, apex))
         mode = "substitution"
 
     ocert = orient(y)
@@ -363,7 +370,10 @@ def _substitute(bar, k):
     dimensions, so pieces on a common boundary are shared and the copies
     glue.  Vertices are numbered in (host cell, piece vertex) order; higher
     cells on first sight in one pass over the top cells, which lists the
-    top cells in (barycentric top, piece) order.  The result is not
+    top cells in (barycentric top, piece) order.  A piece whose carrier is
+    every slot lies inside t alone and takes a fresh id; any other piece
+    is looked up by the int host id * (piece cells) + piece cell, its
+    host's dimension being fixed by its carrier.  The result is not
     validated here: ``orient`` checks it as a pseudo-manifold.
     """
     n = bar.n
@@ -388,7 +398,15 @@ def _substitute(bar, k):
             dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
             labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
 
-    ids = [{} for _ in range(n + 1)]   # (host dim, host id, piece cell) -> id
+    # per piece cell: its carrier and the getters of its vertex and face
+    # rows, read from the output ids of the cells below it in the host
+    full = (1 << (n + 1)) - 1
+    pieces = [None] + [
+        list(zip(range(kc.n_cells(kk)), carrier[kk],
+                 [itemgetter(*verts) for verts in kc.vertices_of[kk]],
+                 [itemgetter(*faces) for faces in kc.faces_of[kk]]))
+        for kk in range(1, n + 1)]
+    ids = [{} for _ in range(n + 1)]   # host id * piece cells + cid -> id
     cell_vertices = [[] for _ in range(n + 1)]
     cell_faces = [[] for _ in range(n + 1)]
     for t, verts in enumerate(bar.vertices_of[n]):
@@ -397,18 +415,24 @@ def _substitute(bar, k):
         table = bar.subfaces(n, t)
         # here[kk][cid]: the output id of piece cell cid inside top cell t
         here = [[first[table[m]] + r for m, r in zip(carrier[0], rank)]]
+        points = here[0]
         for kk in range(1, n + 1):
+            keyed, width, below = ids[kk], kc.n_cells(kk), here[kk - 1]
+            verts_out, faces_out = cell_vertices[kk], cell_faces[kk]
             row = []
-            for cid, m in enumerate(carrier[kk]):
-                key = table[m] + (cid,)
-                got = ids[kk].get(key)
-                if got is None:
-                    got = ids[kk][key] = len(cell_vertices[kk])
-                    cell_vertices[kk].append(
-                        tuple(here[0][u] for u in kc.vertices_of[kk][cid]))
-                    cell_faces[kk].append(
-                        tuple(here[kk - 1][f] for f in kc.faces_of[kk][cid]))
-                row.append(got)
+            for cid, m, vertex_row, face_row in pieces[kk]:
+                if m != full:
+                    # a piece on a proper face of t is shared with the top
+                    # cells around that face
+                    key = table[m][1] * width + cid
+                    got = keyed.get(key)
+                    if got is not None:
+                        row.append(got)
+                        continue
+                    keyed[key] = len(verts_out)
+                row.append(len(verts_out))
+                verts_out.append(vertex_row(points))
+                faces_out.append(face_row(below))
             here.append(row)
     out = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
                                 vertex_labels=labels)

@@ -1,5 +1,8 @@
 """Oracles shared between test modules."""
 
+import random
+from itertools import product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -9,8 +12,17 @@ from nestotope.cellcomplex import (
     gf2_rank,
     pseudo_manifold_check,
 )
-from nestotope.errors import ValidationError
+from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, members
+from nestotope.nestohedron import face_poset
+from nestotope.realization import (
+    _SAMPLE_SEED,
+    _SAMPLE_SIZE,
+    CoveringCertificate,
+    compose,
+    epsilon,
+    phi_action,
+)
 
 
 def _betti_z2_without_clearing(c):
@@ -619,3 +631,209 @@ def _lambda_to_json_dict(lam):
 @pytest.fixture
 def lambda_to_json_dict():
     return _lambda_to_json_dict
+
+
+# The covering chain on tuple labels and per-top walks: the sheet labels
+# as (sigma, mu, g) tuples, one ``phi_action`` call per step, and every
+# face orbit walked from every pooled label; the barycentric substitution
+# with one dict lookup per piece cell; and the codimension-2 cofacet count
+# from the pairs of facet slots of every top cell.  The library's integer
+# labels, keyed substitution and half-sum count must give the same
+# certificates and complexes.
+
+
+def _orbit_check(b, sets, sys, omega, face):
+    """Face orbit must have size 2^k and hit each group coset element once."""
+    tubes = [b.proper_tubes[i] for i in face]
+    k = len(tubes)
+    seen = {omega}
+    frontier = [omega]
+    while frontier:
+        w = frontier.pop()
+        for s in tubes:
+            nxt = phi_action(b, sets, s, w)
+            if nxt not in seen:
+                if len(seen) >= (1 << k):
+                    return False
+                seen.add(nxt)
+                frontier.append(nxt)
+    if len(seen) != (1 << k):
+        return False
+    span = {0}
+    for s in tubes:
+        bit = 1 << b.proper_index[s]
+        span |= {g ^ bit for g in span}
+    return {w[2] for w in seen} == {omega[2] ^ d for d in span}
+
+
+def build_covering(b, sets, sys, budget=None):
+    """Certify that the sheet labels assemble into a covering.
+
+    The checks run on the fibre g = 0 only.  ``phi_action`` sends
+    (sigma, mu, g) to (f_s(sigma, mu), g ^ e_s) with f_s blind to g, and
+    ``epsilon`` flips with the parity of g, so each check on (sigma, mu, g)
+    is the same check as on (sigma, mu, 0).  Each pool of (fibre label,
+    tube, compatible pair or face) is walked in full when the whole label
+    space r * 2^m fits in the budget (mode "full") or when the pool has at
+    most _SAMPLE_SIZE entries; otherwise a seeded sample of _SAMPLE_SIZE
+    entries is drawn from it (mode "sampled").
+
+    Two entries are closed forms, not counts: every face F splits the
+    labels into classes of r * 2^|F|, so the fibre histogram is
+    {r: sum over faces of 2^(m - |F|)}; and half of the 2^m group
+    coordinates have each parity, so every probe cell carries
+    s = 2^(m-1) * prod |I_t| positive labels and ``degree_independent``
+    holds.
+    """
+    if budget is None:
+        budget = OMEGA_BUDGET
+    p = face_poset(b)
+    m = len(b.proper_tubes)
+    sizes = [len(sets[t]) for t in b.proper_tubes]
+    prod_i = prod(sizes)
+    r = sys.size * prod_i
+    mode = "full" if r << m <= budget else "sampled"
+    checks = {}
+
+    checks["xi_involutions"] = all(
+        compose(x, x) == tuple(range(sys.size))
+        and all(sys.plus[x[t]] != sys.plus[t] for t in range(sys.size))
+        for x in sys.xi)
+    graph = sys.y.graph
+    checks["xi_commutation"] = all(
+        compose(sys.xi[i], sys.xi[j]) == compose(sys.xi[j], sys.xi[i])
+        for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
+        if not graph.has_edge(i, j))
+
+    def fibre_label(index):
+        """The fibre label at a mixed-radix index below r, sigma fastest."""
+        index, sigma = divmod(index, sys.size)
+        mu = []
+        for size in sizes:
+            index, i = divmod(index, size)
+            mu.append(i)
+        return sigma, tuple(mu), 0
+
+    def pool(items):
+        """Stream (fibre label, item) pairs: all of them, or a sample."""
+        k = len(items)
+        if mode == "full" or r * k <= _SAMPLE_SIZE:
+            labels = ((sigma, mu, 0) for mu in product(*map(range, sizes))
+                      for sigma in range(sys.size))
+            return ((w, x) for w in labels for x in items)
+        rng = random.Random(_SAMPLE_SEED)
+        return ((fibre_label(i // k), items[i % k])
+                for i in (rng.randrange(r * k) for _ in range(_SAMPLE_SIZE)))
+
+    tubes = b.proper_tubes
+    involutions = class_constant = True
+    for w, s in pool(tubes):
+        image = phi_action(b, sets, s, w)
+        involutions = involutions and phi_action(b, sets, s, image) == w
+        class_constant = class_constant and epsilon(sys, image) == epsilon(sys, w)
+    checks["phi_involutions"] = involutions
+    checks["epsilon_class_constant"] = class_constant
+
+    compat_pairs = [(tubes[i], tubes[j])
+                    for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
+    checks["phi_commutation"] = all(
+        phi_action(b, sets, s, phi_action(b, sets, t, w))
+        == phi_action(b, sets, t, phi_action(b, sets, s, w))
+        for w, (s, t) in pool(compat_pairs))
+
+    faces = [face for level in p.faces_by_size for face in level]
+    checks["covering_fibers"] = all(
+        _orbit_check(b, sets, sys, w, face) for w, face in pool(faces))
+    checks["degree_independent"] = True
+
+    histogram = {r: sum(1 << (m - len(face)) for face in faces)}
+    i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
+               for t in tubes}
+    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, sys.size,
+                               i_sizes, histogram, checks, mode)
+
+
+def _substitute(bar, k):
+    """Replace every barycentric cell by the matching piece of the simplex
+    subdivision, matching graph vertices to barycentric dimensions.
+
+    Slot i of every top barycentric cell has dimension i, so a piece whose
+    coordinate support is the slot set S sits, inside top cell t, in the
+    subcell ``subfaces(n, t)[S]``: the smallest barycentric cell with those
+    dimensions, so pieces on a common boundary are shared and the copies
+    glue.  Vertices are numbered in (host cell, piece vertex) order; higher
+    cells on first sight in one pass over the top cells, which lists the
+    top cells in (barycentric top, piece) order.  The result is not
+    validated here: ``orient`` checks it as a pseudo-manifold.
+    """
+    n = bar.n
+    kc = k.complex
+    # carrier[kk][cid]: the coordinate support of a piece, as a slot mask;
+    # any two facets of a cell cover all its vertices
+    carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
+    for kk in range(1, n + 1):
+        below = carrier[-1]
+        carrier.append([below[f[0]] | below[f[1]] for f in kc.faces_of[kk]])
+    on_support = {}            # support mask -> piece vertices, ascending
+    rank = []                  # each piece vertex's place in its list
+    for u, m in enumerate(carrier[0]):
+        same = on_support.setdefault(m, [])
+        rank.append(len(same))
+        same.append(u)
+    first = {}                 # barycentric cell -> its first hosted vertex
+    labels = []
+    for bk in range(n + 1):
+        for bid, verts in enumerate(bar.vertices_of[bk]):
+            first[bk, bid] = len(labels)
+            dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
+            labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
+
+    ids = [{} for _ in range(n + 1)]   # (host dim, host id, piece cell) -> id
+    cell_vertices = [[] for _ in range(n + 1)]
+    cell_faces = [[] for _ in range(n + 1)]
+    for t, verts in enumerate(bar.vertices_of[n]):
+        if [bar.vertex_labels[v][0] for v in verts] != list(range(n + 1)):
+            raise ValidationError("barycentric cell with repeated dims")
+        table = bar.subfaces(n, t)
+        # here[kk][cid]: the output id of piece cell cid inside top cell t
+        here = [[first[table[m]] + r for m, r in zip(carrier[0], rank)]]
+        for kk in range(1, n + 1):
+            row = []
+            for cid, m in enumerate(carrier[kk]):
+                key = table[m] + (cid,)
+                got = ids[kk].get(key)
+                if got is None:
+                    got = ids[kk][key] = len(cell_vertices[kk])
+                    cell_vertices[kk].append(
+                        tuple(here[0][u] for u in kc.vertices_of[kk][cid]))
+                    cell_faces[kk].append(
+                        tuple(here[kk - 1][f] for f in kc.faces_of[kk][cid]))
+                row.append(got)
+            here.append(row)
+    out = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
+                                vertex_labels=labels)
+    return out, tuple(k.colours[u] for _, u in labels)
+
+
+def _codim2_cofacets(c):
+    """Top-cell count of every codimension-2 cell, in first-seen order."""
+    n = c.n
+    counts = {}
+    below = c.faces_of[n - 1]
+    for faces in c.faces_of[n]:
+        hits = set()
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                # drop slot j, then slot i of that facet
+                hits.add((n - 2, below[faces[j]][i]))
+        for key in hits:
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.fixture
+def covering_oracle():
+    return SimpleNamespace(build_covering=build_covering,
+                           orbit_check=_orbit_check,
+                           substitute=_substitute,
+                           codim2_cofacets=_codim2_cofacets)

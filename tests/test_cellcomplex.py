@@ -32,10 +32,20 @@ from nestotope.cellcomplex import (
     smith_normal_form,
     torus7,
 )
-from nestotope.graphs import graph_building_set, members, path_graph, star_graph
+from nestotope.graphs import (
+    cycle_graph,
+    graph_building_set,
+    members,
+    path_graph,
+    star_graph,
+)
 from nestotope.nestohedron import face_poset, face_vectors
 from nestotope.smallcover import lambda_can, orientation_cover_via_eta, small_cover
-from nestotope.subdivision import _codim2_cofacets, subdivide_pseudomanifold
+from nestotope.subdivision import (
+    _codim2_cofacets,
+    lemma_subdivision,
+    subdivide_pseudomanifold,
+)
 
 
 def test_from_top_simplices_builds_valid_complexes():
@@ -86,7 +96,12 @@ def test_subcell_tables_match_vertex_sets():
 
 
 def test_codim2_cofacets_match_vertex_sets():
-    for c in _vertex_determined_complexes():
+    # closed complexes, and simplex subdivisions, whose boundary facets lie
+    # in a single top cell
+    lemmas = (lemma_subdivision(g, a).complex
+              for g, a in ((path_graph(3), 0), (path_graph(3), 1),
+                           (star_graph(4), 2), (cycle_graph(4), 0)))
+    for c in chain(_vertex_determined_complexes(), lemmas):
         if c.n < 2:
             continue
         want = Counter(frozenset(sub) for verts in c.vertices_of[c.n]

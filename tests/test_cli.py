@@ -87,6 +87,29 @@ def test_subdivide_substitution_certificate(tmp_path):
     assert data["certificate"]["simplex_ok"] is True
 
 
+@pytest.mark.parametrize("zspec, gspec, apex, want", [
+    ("sphere:2", "cycle:3", "auto", 0),
+    ("sphere:1", "path:2", "1", 1),
+])
+def test_subdivide_certifies_the_apex_it_substituted(monkeypatch, tmp_path,
+                                                     zspec, gspec, apex, want):
+    seen = []
+    verify_lemma = cli.verify_lemma_conditions
+
+    def recording(k, g, a):
+        seen.append((k.apex, a))
+        return verify_lemma(k, g, a)
+
+    monkeypatch.setattr(cli, "verify_lemma_conditions", recording)
+    out = tmp_path / "y.json"
+    assert cli.run(["subdivide", "--pseudomanifold", zspec, "--graph", gspec,
+                    "--apex", apex, "--certify", "--emit", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["mode"] == "substitution"
+    assert data["certificate"]["simplex_ok"] is True
+    assert seen == [(want, want)]
+
+
 def test_realize_certificate(tmp_path):
     out = tmp_path / "cert.json"
     code = cli.run(["realize", "--pseudomanifold", "sphere:1", "--graph",

@@ -1,5 +1,6 @@
 """Covering certificates over subdivided glued manifolds."""
 
+import json
 from itertools import product
 
 import pytest
@@ -8,13 +9,18 @@ from nestotope.errors import ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
     klein_bottle,
+    pseudomanifold_from_spec,
     simplex_sphere,
     torus7,
 )
-from nestotope.graphs import graph_building_set, mask_of, path_graph
+from nestotope.graphs import (
+    graph_building_set,
+    graph_from_spec,
+    mask_of,
+    path_graph,
+)
 from nestotope.nestohedron import face_poset
 from nestotope.realization import (
-    _orbit_check,
     build_covering,
     build_sigma_system,
     certificate_to_json_dict,
@@ -187,7 +193,7 @@ def test_sampled_certificate_on_three_sphere():
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_fibre_certificate_matches_every_label(k):
+def test_fibre_certificate_matches_every_label(k, covering_oracle):
     # the certificate checks the fibre g = 0 and writes the histogram and
     # degree as closed forms; here every check runs on every (sigma, mu, g)
     sys, b = _system(simplex_sphere(k), path_graph(k + 1))
@@ -228,7 +234,8 @@ def test_fibre_certificate_matches_every_label(k):
             histogram[fibre] = histogram.get(fibre, 0) + 1
     assert cert.fiber_histogram == histogram
     assert cert.checks["covering_fibers"] == (even and all(
-        _orbit_check(b, sets, sys, w, face) for w in labels for face in faces))
+        covering_oracle.orbit_check(b, sets, sys, w, face)
+        for w in labels for face in faces))
     positive = {probe: 0 for probe in range(sys.size)}
     for w in labels:
         positive[w[0]] += epsilon(sys, w) == 1
@@ -240,7 +247,7 @@ def test_fibre_certificate_matches_every_label(k):
 @pytest.mark.parametrize("k, budget, mode", [(2, None, "full"),
                                              (2, 1000, "sampled"),
                                              (3, None, "sampled")])
-def test_broken_conjugation_row_is_caught(k, budget, mode):
+def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
     # mu_0 conjugates I_{0,1} by the row (0, 2, 1); swapping its first two
     # entries makes it a 3-cycle, so phi of the tube {0} is no involution
     sys, b = _system(simplex_sphere(k), path_graph(k + 1))
@@ -254,6 +261,58 @@ def test_broken_conjugation_row_is_caught(k, budget, mode):
     assert not cert.checks["phi_involutions"]
     assert not cert.checks["phi_commutation"]
     assert not cert.checks["covering_fibers"]
+    assert cert == covering_oracle.build_covering(b, sets, sys, budget)
+
+
+@pytest.mark.parametrize("k, budget, mode", [(1, None, "full"),
+                                             (2, None, "full"),
+                                             (2, 1000, "sampled")])
+def test_broken_cell_step_matches_tuple_label_oracle(k, budget, mode,
+                                                     covering_oracle):
+    # swapping two unpaired cells in the tube {0}'s only involution leaves
+    # it a permutation but no involution, so orbits through those cells
+    # fail while the first labels walked pass: a passed orbit may vouch
+    # for its own labels only
+    sys, b = _system(simplex_sphere(k), path_graph(k + 1))
+    sets = enumerate_involution_sets(sys, b)
+    s = mask_of([0])
+    (perm,) = sets[s].perms
+    a = sys.size - 1
+    c = max(x for x in range(sys.size) if x not in (a, perm[a]))
+    broken = list(perm)
+    broken[a], broken[c] = perm[c], perm[a]
+    sets[s].perms = (tuple(broken),)
+    cert = build_covering(b, sets, sys, budget)
+    assert cert.mode == mode
+    assert cert == covering_oracle.build_covering(b, sets, sys, budget)
+    if mode == "full":
+        assert not cert.checks["phi_involutions"]
+        assert not cert.checks["covering_fibers"]
+
+
+# the covering benchmark's realize catalogue, the torus in full mode and
+# the sampled 3-sphere
+_REALIZE = [
+    ("sphere:1", "path:2", None),
+    ("sphere:2", "path:3", 1000),
+    ("sphere:2", "path:3", None),
+    ("torus7", "path:3", 1000),
+    ("torus7", "path:3", None),
+    ("sphere:2", "complete:3", 1000),
+    ("sphere:3", "path:4", None),
+]
+
+
+@pytest.mark.parametrize("zspec,gspec,budget", _REALIZE)
+def test_covering_matches_tuple_label_oracle(covering_oracle, zspec, gspec,
+                                             budget):
+    sys, b = _system(pseudomanifold_from_spec(zspec), graph_from_spec(gspec))
+    sets = enumerate_involution_sets(sys, b)
+    got = certificate_to_json_dict(build_covering(b, sets, sys, budget))
+    want = certificate_to_json_dict(
+        covering_oracle.build_covering(b, sets, sys, budget))
+    assert all(got["checks"].values())
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_certificates_are_deterministic():

@@ -12,11 +12,19 @@ from nestotope.cellcomplex import (
     homology_z2,
     klein_bottle,
     orient,
+    pseudomanifold_from_spec,
     simplex_sphere,
     torus7,
 )
-from nestotope.graphs import Graph, cycle_graph, path_graph, star_graph
+from nestotope.graphs import (
+    Graph,
+    cycle_graph,
+    graph_from_spec,
+    path_graph,
+    star_graph,
+)
 from nestotope.subdivision import (
+    ColouredSubdivision,
     _lemma_top_count,
     condition_star_check,
     lemma_subdivision,
@@ -198,3 +206,64 @@ def test_substituted_sphere_stays_oriented():
     assert y.mode == "substitution"
     assert y.orientation is not None
     assert homology_z2(y.complex) == (1, 0, 0, 1)
+
+
+def test_subdivision_records_its_apex():
+    # path mode has no apex; substitution records the one it used
+    assert subdivide_pseudomanifold(torus7(), path_graph(3)).apex is None
+    y = subdivide_pseudomanifold(simplex_sphere(2), cycle_graph(3))
+    assert (y.mode, y.apex) == ("substitution", 0)
+    y = subdivide_pseudomanifold(simplex_sphere(1), path_graph(2), apex=1)
+    assert (y.mode, y.apex) == ("substitution", 1)
+
+
+# the substitution catalogue of the covering benchmark, and a forced apex
+_SUBSTITUTIONS = [
+    ("sphere:2", "complete:3", None),
+    ("sphere:3", "star:4", None),
+    ("sphere:3", "cycle:4", None),
+    ("sphere:3", "path:4", 1),
+    ("sphere:4", "star:5", None),
+]
+
+
+@pytest.mark.parametrize("zspec,gspec,apex", _SUBSTITUTIONS)
+def test_substitution_matches_keyed_oracle(monkeypatch, covering_oracle,
+                                           zspec, gspec, apex):
+    z, g = pseudomanifold_from_spec(zspec), graph_from_spec(gspec)
+    y = subdivide_pseudomanifold(z, g, apex=apex)
+    monkeypatch.setattr(subdivision, "_substitute", covering_oracle.substitute)
+    want = subdivide_pseudomanifold(z, g, apex=apex)
+    assert y.mode == want.mode == "substitution"
+    assert y.complex.vertices_of == want.complex.vertices_of
+    assert y.complex.faces_of == want.complex.faces_of
+    assert y.complex.vertex_labels == want.complex.vertex_labels
+    assert y.colours == want.colours
+    assert y.orientation == want.orientation
+
+
+def _recoloured(y, vertex, colour):
+    colours = list(y.colours)
+    colours[vertex] = colour
+    return ColouredSubdivision(y.graph, y.complex, tuple(colours), apex=y.apex,
+                               orientation=y.orientation, mode=y.mode)
+
+
+def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
+    # a star:4 subdivision checked against the path, and one vertex of it
+    # recoloured, reach both failure branches; the library lists the
+    # messages in first-seen order over facets, the oracle over top cells
+    y = subdivide_pseudomanifold(simplex_sphere(3), star_graph(4))
+    assert y.colours[0] == 1
+    cases = [(y, path_graph(4), 510, 150),
+             (_recoloured(y, 0, 0), star_graph(4), 722, 38)]
+    for yy, g, checked, failed in cases:
+        got = condition_star_check(yy, g)
+        with monkeypatch.context() as m:
+            m.setattr(subdivision, "_codim2_cofacets",
+                      covering_oracle.codim2_cofacets)
+            want = condition_star_check(yy, g)
+        assert got.ok is want.ok is False
+        assert got.cells_checked == want.cells_checked == checked
+        assert len(got.failures) == len(want.failures) == failed
+        assert sorted(got.failures) == sorted(want.failures)
