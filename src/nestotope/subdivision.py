@@ -13,17 +13,37 @@ orthant.
 orientable complex: barycentric vertices are coloured through the
 graph, either directly along a path or by substituting the simplex
 subdivision into every barycentric cell.
+
+Both builders are memoised on the exact content of their input: the
+graph's vertex count and adjacency masks with the apex for
+``lemma_subdivision``; the complex's dimension, ``vertices_of`` and
+``faces_of``, the graph and the apex exactly as passed for
+``subdivide_pseudomanifold``.  A key is admitted on its second sight: the
+first call that returns records only the key, counted at its input's cell
+count, and the second stores the result, counted at its complex's cell
+count, so a one-off input is never retained.  The least recently used
+entries are evicted so that the memo never holds more than CELL_BUDGET
+cells, the budget being read from ``errors`` on every call.  A call that
+raises stores nothing.  Verdicts are never memoised:
+``verify_lemma_conditions`` and ``condition_star_check`` run on every
+call.  Callers of a memoised input share one result, so
+``ColouredSubdivision`` is frozen.
+
+Both checks read a codimension-2 cell's colours as the OR of
+``1 << colour`` over its vertices, and the pair of colours it misses from a
+table keyed by that mask.
 """
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import factorial, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 
+from . import errors
 from .errors import ValidationError, check_budget
-from .graphs import components_minus_vertex, path_order
+from .graphs import components_minus_vertex, members, path_order
 from .cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
@@ -32,12 +52,14 @@ from .cellcomplex import (
 from .nestohedron import _int_det
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColouredSubdivision:
     """A complex whose vertices carry graph-vertex colours.
 
     ``coords`` is set for simplex subdivisions (exact rational points),
-    ``orientation`` for closed subdivided pseudo-manifolds.
+    ``orientation`` for closed subdivided pseudo-manifolds.  Memoised
+    results are shared between callers, so neither it nor its complex is
+    ever changed.
     """
     graph: object
     complex: SimplicialCellComplex
@@ -48,8 +70,57 @@ class ColouredSubdivision:
     mode: str = ""
 
 
+class _Memo:
+    """Results keyed by input content, admitted on a key's second sight and
+    evicted least recently used beyond CELL_BUDGET cells in all."""
+
+    def __init__(self):
+        self.entries = OrderedDict()   # key -> (cells, result or None)
+        self.cells = 0
+
+    def clear(self):
+        self.entries.clear()
+        self.cells = 0
+
+    def fetch(self, key, input_cells, build):
+        """The stored result for ``key``, or ``build()``; a first sight
+        records the key at ``input_cells``, a second stores the result."""
+        budget = errors.CELL_BUDGET
+        self._trim(budget)
+        seen = self.entries.get(key)
+        if seen is not None and seen[1] is not None:
+            self.entries.move_to_end(key)
+            return seen[1]
+        result = build()
+        if seen is None:
+            cells, kept = input_cells, None
+        else:
+            cells, kept = result.complex.total_cells(), result
+        # the build may have evicted the key through a nested fetch
+        old = self.entries.pop(key, None)
+        if old is not None:
+            self.cells -= old[0]
+        if cells <= budget:
+            self.entries[key] = (cells, kept)
+            self.cells += cells
+            self._trim(budget)
+        return result
+
+    def _trim(self, budget):
+        while self.cells > budget:
+            self.cells -= self.entries.popitem(last=False)[1][0]
+
+
+_MEMO = _Memo()
+
+
 def lemma_subdivision(g, a):
     """Colour-subdivide the simplex on the graph's vertices, apex first."""
+    return _MEMO.fetch((g.n_vertices, g.adjacency, a), g.n_vertices,
+                       lambda: _lemma_subdivision(g, a))
+
+
+def _lemma_subdivision(g, a):
     if not 0 <= a < g.n_vertices:
         raise ValidationError(f"apex {a} out of range")
     if not g.is_connected():
@@ -273,26 +344,49 @@ def _codim2_cofacets(c):
     return {(n - 2, cid): cnt >> 1 for cid, cnt in twice.items()}
 
 
+def _missing_pairs(g):
+    """Colour mask of a cell missing exactly the colours u < w -> (u, w,
+    whether u and w are adjacent)."""
+    full = (1 << g.n_vertices) - 1
+    return {full ^ (1 << u) ^ (1 << w): (u, w, g.has_edge(u, w))
+            for u, w in combinations(range(g.n_vertices), 2)}
+
+
+def _colour_masks(c, k, colours, full):
+    """The OR of ``1 << colour`` over the vertices of every k-cell, one
+    vertex column at a time, kept to the colours in ``full``."""
+    bits = [(1 << col) & full for col in colours]
+    rows = c.vertices_of[k]
+    masks = [0] * len(rows)
+    for j in range(k + 1):
+        masks = list(map(or_, masks, map(bits.__getitem__,
+                                         map(itemgetter(j), rows))))
+    return masks
+
+
 def _codim2_rule(c, colours, coords, g, failures):
     """Codimension-2 cells missing two non-adjacent colours: four top
     cofacets when interior, two on a boundary facet, nothing deeper."""
     if c.n < 2:
         return True
     nv = g.n_vertices
+    full = (1 << nv) - 1
+    pairs = _missing_pairs(g)
+    masks = _colour_masks(c, c.n - 2, colours, full)
     ok = True
     for (kk, cid), cnt in _codim2_cofacets(c).items():
-        verts = c.vertices_of[kk][cid] if kk else (cid,)
-        missing = set(range(nv)) - {colours[v] for v in verts}
-        if len(missing) != 2:
+        pair = pairs.get(masks[cid])
+        if pair is None:
             ok = False
-            failures.append(f"cell ({kk},{cid}) misses {sorted(missing)} colours")
+            failures.append(f"cell ({kk},{cid}) misses "
+                            f"{list(members(full ^ masks[cid]))} colours")
             continue
-        u, w = sorted(missing)
-        if g.has_edge(u, w):
+        u, w, adjacent = pair
+        if adjacent:
             continue
         if coords is not None:
             support = set()
-            for v in verts:
+            for v in c.vertices_of[kk][cid]:
                 support.update(j for j, x in enumerate(coords[v]) if x != 0)
             depth = nv - len(support)
         else:
@@ -323,6 +417,13 @@ def subdivide_pseudomanifold(z, g, apex=None):
     result records the apex the substitution used (0 unless given); a
     path subdivision has none.
     """
+    key = (z.n, tuple(map(tuple, z.vertices_of)),
+           tuple(map(tuple, z.faces_of)), g.n_vertices, g.adjacency, apex)
+    return _MEMO.fetch(key, z.total_cells(),
+                       lambda: _subdivide_pseudomanifold(z, g, apex))
+
+
+def _subdivide_pseudomanifold(z, g, apex):
     if z.n + 1 != g.n_vertices:
         raise ValidationError(
             f"dimension mismatch: a {z.n}-complex needs a graph "
@@ -451,18 +552,20 @@ def condition_star_check(y, g):
     in exactly four top cells."""
     c = y.complex
     n = c.n
-    nv = g.n_vertices
     failures = []
     checked = 0
     if n >= 2:
+        full = (1 << g.n_vertices) - 1
+        pairs = _missing_pairs(g)
+        masks = _colour_masks(c, n - 2, y.colours, full)
         for (kk, cid), cnt in _codim2_cofacets(c).items():
-            verts = c.vertices_of[kk][cid] if kk else (cid,)
-            missing = sorted(set(range(nv)) - {y.colours[v] for v in verts})
-            if len(missing) != 2:
-                failures.append(f"cell ({kk},{cid}) misses colours {missing}")
+            pair = pairs.get(masks[cid])
+            if pair is None:
+                failures.append(f"cell ({kk},{cid}) misses colours "
+                                f"{list(members(full ^ masks[cid]))}")
                 continue
-            u, w = missing
-            if g.has_edge(u, w):
+            u, w, adjacent = pair
+            if adjacent:
                 continue
             checked += 1
             if cnt != 4:

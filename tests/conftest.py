@@ -1,4 +1,5 @@
-"""Oracles shared between test modules."""
+"""Oracles shared between test modules, and a fixture that empties the
+subdivision memo before every test."""
 
 import random
 from itertools import product
@@ -12,6 +13,7 @@ from nestotope.cellcomplex import (
     gf2_rank,
     pseudo_manifold_check,
 )
+from nestotope import subdivision
 from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, members
 from nestotope.nestohedron import face_poset
@@ -23,6 +25,13 @@ from nestotope.realization import (
     epsilon,
     phi_action,
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_subdivision_memo():
+    """Every test starts with an empty subdivision memo, so a test that
+    patches a builder or counts its calls sees the build itself."""
+    subdivision._MEMO.clear()
 
 
 def _betti_z2_without_clearing(c):
