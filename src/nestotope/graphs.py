@@ -103,9 +103,6 @@ class Graph:
     def __repr__(self):
         return f"Graph({self.n_vertices}, {sorted(self.edges)})"
 
-    def to_json_dict(self):
-        return {"n_vertices": self.n_vertices, "edges": [list(e) for e in sorted(self.edges)]}
-
 
 def is_connected_induced(g, subset):
     """Is the subgraph induced on the vertex subset ``subset`` connected?

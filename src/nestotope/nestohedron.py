@@ -436,7 +436,8 @@ def barycentric_complex(p):
 
 
 def _int_det(rows):
-    """Fraction-free Bareiss determinant of a square integer matrix."""
+    """Bareiss determinant of a square integer matrix; every division is
+    exact, so it never leaves the integers."""
     a = [list(r) for r in rows]
     n = len(a)
     sign = 1

@@ -26,7 +26,7 @@ from math import factorial
 from operator import itemgetter
 
 from .errors import ValidationError, check_budget
-from .graphs import bits_of, members
+from .graphs import members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
     ChainComplex,
@@ -62,13 +62,6 @@ class CharacteristicFunction:
 
     def column(self, tube_mask):
         return self.columns[self.b.proper_index[tube_mask]]
-
-    def apply(self, g):
-        """Image of a group element: XOR of the columns picked by its bits."""
-        out = 0
-        for j in bits_of(g):
-            out ^= self.columns[j]
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, CharacteristicFunction)

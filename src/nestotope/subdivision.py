@@ -7,7 +7,9 @@ apex vertex, subdivides each remaining component, reflects those
 pieces over all sign patterns so they tile the boundary of a
 cross-polytope, joins the tiled spheres, cones at the origin, and
 finally straightens the cross-polytope onto the simplex orthant by
-orthant.
+orthant.  Its points are integer barycentric tuples that all sum to one
+positive scale, and its certificate measures cell volumes by integer
+Bareiss determinants.
 
 ``subdivide_pseudomanifold`` pushes the same colouring onto any closed
 orientable complex: barycentric vertices are coloured through the
@@ -29,14 +31,13 @@ raises stores nothing.  Verdicts are never memoised:
 call.  Callers of a memoised input share one result, so
 ``ColouredSubdivision`` is frozen.
 
-Both checks read a codimension-2 cell's colours as the OR of
-``1 << colour`` over its vertices, and the pair of colours it misses from a
-table keyed by that mask.
+Both checks walk the codimension-2 cells in one routine, which reads a
+cell's colours as the OR of ``1 << colour`` over its vertices, and the pair
+of colours it misses from a table keyed by that mask.
 """
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial, lcm
 from operator import itemgetter, mul, or_
@@ -56,10 +57,10 @@ from .nestohedron import _int_det
 class ColouredSubdivision:
     """A complex whose vertices carry graph-vertex colours.
 
-    ``coords`` is set for simplex subdivisions (exact rational points),
-    ``orientation`` for closed subdivided pseudo-manifolds.  Memoised
-    results are shared between callers, so neither it nor its complex is
-    ever changed.
+    ``coords`` is set for simplex subdivisions (integer barycentric points,
+    all summing to one positive scale), ``orientation`` for closed
+    subdivided pseudo-manifolds.  Memoised results are shared between
+    callers, so neither it nor its complex is ever changed.
     """
     graph: object
     complex: SimplicialCellComplex
@@ -147,32 +148,40 @@ def _lemma_top_count(g, a):
 
 def _lemma_tops(g, a):
     """Top simplices as tuples of (coords, colour) labels; coordinates are
-    barycentric over the graph's own vertex list."""
+    integer barycentric points over the graph's own vertex list, all
+    summing to one positive scale.
+
+    A block's reflected points sum in absolute value to that block's own
+    scale, so each block is brought to the lcm of the scales before the
+    join, and the straightening multiplies that by lcm(1..nv).
+    """
     nv = g.n_vertices
     if nv == 1:
-        return [(((Fraction(1),), 0),)]
+        return [(((1,), 0),)]
     blocks = []
     for sub, labels in components_minus_vertex(g, a):
         adjacent = g.adjacency[a]
         b_old = min(v for v in labels if (adjacent >> v) & 1)
         sub_tops = _lemma_tops(sub, labels.index(b_old))
-        blocks.append((_reflect_block(sub_tops, len(labels)), labels))
+        blocks.append((_reflect_block(sub_tops, len(labels)), labels,
+                       sum(sub_tops[0][0][0])))
+    scale = lcm(*(s for _, _, s in blocks))
 
     ambient = [v for v in range(nv) if v != a]
     slot_of = {v: j for j, v in enumerate(ambient)}
     joined = [()]
-    for tops, labels in blocks:
+    for tops, labels, s in blocks:
         positions = [slot_of[v] for v in labels]
         grown = []
         for top in tops:
-            emb = tuple((_embed(c, positions, len(ambient)), labels[col])
-                        for c, col in top)
+            emb = tuple((_embed(c, positions, len(ambient), scale // s),
+                         labels[col]) for c, col in top)
             for prefix in joined:
                 grown.append(prefix + emb)
         joined = grown
 
-    origin = (tuple(Fraction(0) for _ in ambient), a)
-    phi = _straightening(g, a)
+    origin = ((0,) * len(ambient), a)
+    phi = _straightening(g, a, scale)
     tops = [top + (origin,) for top in joined]
     image = {(c, col): (phi(c), col)
              for c, col in set(chain.from_iterable(tops))}
@@ -185,10 +194,10 @@ def _flip(coords, pattern):
     return tuple(-c if (pattern >> j) & 1 else c for j, c in enumerate(coords))
 
 
-def _embed(coords, positions, width):
-    out = [Fraction(0)] * width
+def _embed(coords, positions, width, factor):
+    out = [0] * width
     for c, j in zip(coords, positions):
-        out[j] = c
+        out[j] = c * factor
     return tuple(out)
 
 
@@ -207,32 +216,31 @@ def _reflect_block(tops, k):
     return out
 
 
-def _straightening(g, a):
-    """Affine-per-orthant bijection from the cross-polytope onto the simplex.
+def _straightening(g, a, scale):
+    """Affine-per-orthant bijection from the cross-polytope of radius
+    ``scale`` onto the simplex of points summing to scale * lcm(1..nv).
 
     The positive endpoint of every axis stays put; the negative endpoint
     of the i-th axis (apex first, the rest in increasing order) goes to
     the barycentre of the first i simplex corners; the origin goes to
-    the overall barycentre.
+    the overall barycentre.  The lcm makes every barycentre integral.
     """
     nv = g.n_vertices
+    m = lcm(*range(1, nv + 1))
     order = [a] + [v for v in range(nv) if v != a]
-    whole = tuple(Fraction(1, nv) for _ in range(nv))
-
-    def corner(v):
-        return tuple(Fraction(1) if u == v else Fraction(0) for u in range(nv))
+    whole = m // nv
 
     plus_target = []
     minus_target = []
     for i in range(1, nv):
-        plus_target.append(corner(order[i]))
+        plus_target.append(tuple(m if u == order[i] else 0 for u in range(nv)))
         head = order[:i]
         minus_target.append(tuple(
-            Fraction(1, i) if u in head else Fraction(0) for u in range(nv)))
+            m // i if u in head else 0 for u in range(nv)))
 
     def phi(x):
-        slack = 1 - sum(abs(c) for c in x)
-        acc = [slack * w for w in whole]
+        slack = scale - sum(abs(c) for c in x)
+        acc = [slack * whole] * nv
         for j, c in enumerate(x):
             if c == 0:
                 continue
@@ -256,27 +264,15 @@ class LemmaCertificate:
     failures: list
 
 
-def _fraction_det(rows):
-    denoms = []
-    scaled = []
-    for row in rows:
-        d = lcm(*(f.denominator for f in row))
-        denoms.append(d)
-        scaled.append([int(f * d) for f in row])
-    det = _int_det(scaled)
-    out = Fraction(det)
-    for d in denoms:
-        out /= d
-    return out
-
-
 def verify_lemma_conditions(k, g, a):
     """All structural guarantees of the simplex subdivision at once.
 
     The certificate covers: complex validity, rainbow tops, apex colour
     confined to the interior, distinct vertex coordinates, nonzero cell
     volumes adding up to the whole simplex, and the four-cofacet rule
-    for codimension-2 cells missing two non-adjacent colours.
+    for codimension-2 cells missing two non-adjacent colours.  The points
+    share one scale s, read from the first, so the whole simplex has
+    volume s^nv in integer determinants.
     """
     c = k.complex
     nv = g.n_vertices
@@ -307,20 +303,23 @@ def verify_lemma_conditions(k, g, a):
     if not checks["coords_injective"]:
         failures.append("two vertices share coordinates")
 
-    total = Fraction(0)
+    whole = sum(k.coords[0]) ** nv
+    total = 0
     volumes_ok = True
     for verts in c.vertices_of[n]:
-        det = _fraction_det([list(k.coords[v]) for v in verts])
+        det = _int_det([k.coords[v] for v in verts])
         if det == 0:
             volumes_ok = False
             failures.append(f"degenerate cell {verts}")
             break
         total += abs(det)
-    checks["volumes"] = volumes_ok and total == 1
-    if volumes_ok and total != 1:
-        failures.append(f"cell volumes add to {total}, not 1")
+    checks["volumes"] = volumes_ok and total == whole
+    if volumes_ok and total != whole:
+        failures.append(f"cell volumes add to {total}, not {whole}")
 
-    checks["four_cofacets"] = _codim2_rule(c, k.colours, k.coords, g, failures)
+    _, missed = _codim2_rule(c, k.colours, k.coords, g)
+    checks["four_cofacets"] = not missed
+    failures.extend(missed)
 
     ok = all(checks.values())
     return LemmaCertificate(ok, checks, failures)
@@ -364,43 +363,42 @@ def _colour_masks(c, k, colours, full):
     return masks
 
 
-def _codim2_rule(c, colours, coords, g, failures):
+def _codim2_rule(c, colours, coords, g):
     """Codimension-2 cells missing two non-adjacent colours: four top
-    cofacets when interior, two on a boundary facet, nothing deeper."""
+    cofacets when interior, two on a boundary facet, nothing deeper.
+    Without ``coords`` every cell counts as interior.  Returns the number
+    of such cells and the failures."""
     if c.n < 2:
-        return True
+        return 0, []
     nv = g.n_vertices
     full = (1 << nv) - 1
     pairs = _missing_pairs(g)
     masks = _colour_masks(c, c.n - 2, colours, full)
-    ok = True
+    checked = 0
+    failures = []
     for (kk, cid), cnt in _codim2_cofacets(c).items():
         pair = pairs.get(masks[cid])
         if pair is None:
-            ok = False
-            failures.append(f"cell ({kk},{cid}) misses "
-                            f"{list(members(full ^ masks[cid]))} colours")
+            failures.append(f"cell ({kk},{cid}) misses colours "
+                            f"{list(members(full ^ masks[cid]))}")
             continue
         u, w, adjacent = pair
         if adjacent:
             continue
+        checked += 1
+        depth = 0
         if coords is not None:
             support = set()
             for v in c.vertices_of[kk][cid]:
                 support.update(j for j, x in enumerate(coords[v]) if x != 0)
             depth = nv - len(support)
-        else:
-            depth = 0
-        want = {0: 4, 1: 2}.get(depth)
-        if want is None:
-            ok = False
+        if depth > 1:
             failures.append(
                 f"cell ({kk},{cid}) missing {u},{w} sits {depth} levels deep")
-        elif cnt != want:
-            ok = False
+        elif cnt != 4 >> depth:
             failures.append(
-                f"cell ({kk},{cid}) missing {u},{w} has {cnt} cofacets, wants {want}")
-    return ok
+                f"cell ({kk},{cid}) missing {u},{w} has {cnt} top cofacets")
+    return checked, failures
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +548,5 @@ class StarCertificate:
 def condition_star_check(y, g):
     """Every codimension-2 cell missing two non-adjacent colours must lie
     in exactly four top cells."""
-    c = y.complex
-    n = c.n
-    failures = []
-    checked = 0
-    if n >= 2:
-        full = (1 << g.n_vertices) - 1
-        pairs = _missing_pairs(g)
-        masks = _colour_masks(c, n - 2, y.colours, full)
-        for (kk, cid), cnt in _codim2_cofacets(c).items():
-            pair = pairs.get(masks[cid])
-            if pair is None:
-                failures.append(f"cell ({kk},{cid}) misses colours "
-                                f"{list(members(full ^ masks[cid]))}")
-                continue
-            u, w, adjacent = pair
-            if adjacent:
-                continue
-            checked += 1
-            if cnt != 4:
-                failures.append(
-                    f"cell ({kk},{cid}) missing {u},{w} has {cnt} top cofacets")
+    checked, failures = _codim2_rule(y.complex, y.colours, None, g)
     return StarCertificate(not failures, checked, failures)

@@ -2,8 +2,9 @@
 subdivision memo before every test."""
 
 import random
-from itertools import product
-from math import prod
+from fractions import Fraction
+from itertools import chain, product
+from math import lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -15,8 +16,8 @@ from nestotope.cellcomplex import (
 )
 from nestotope import subdivision
 from nestotope.errors import OMEGA_BUDGET, ValidationError
-from nestotope.graphs import bits_of, members
-from nestotope.nestohedron import face_poset
+from nestotope.graphs import bits_of, components_minus_vertex, members
+from nestotope.nestohedron import _int_det, face_poset
 from nestotope.realization import (
     _SAMPLE_SEED,
     _SAMPLE_SIZE,
@@ -846,3 +847,126 @@ def covering_oracle():
                            orbit_check=_orbit_check,
                            substitute=_substitute,
                            codim2_cofacets=_codim2_cofacets)
+
+
+def _lemma_tops(g, a):
+    """Top simplices as tuples of (coords, colour) labels; coordinates are
+    barycentric over the graph's own vertex list."""
+    nv = g.n_vertices
+    if nv == 1:
+        return [(((Fraction(1),), 0),)]
+    blocks = []
+    for sub, labels in components_minus_vertex(g, a):
+        adjacent = g.adjacency[a]
+        b_old = min(v for v in labels if (adjacent >> v) & 1)
+        sub_tops = _lemma_tops(sub, labels.index(b_old))
+        blocks.append((subdivision._reflect_block(sub_tops, len(labels)),
+                       labels))
+
+    ambient = [v for v in range(nv) if v != a]
+    slot_of = {v: j for j, v in enumerate(ambient)}
+    joined = [()]
+    for tops, labels in blocks:
+        positions = [slot_of[v] for v in labels]
+        grown = []
+        for top in tops:
+            emb = tuple((_embed(c, positions, len(ambient)), labels[col])
+                        for c, col in top)
+            for prefix in joined:
+                grown.append(prefix + emb)
+        joined = grown
+
+    origin = (tuple(Fraction(0) for _ in ambient), a)
+    phi = _straightening(g, a)
+    tops = [top + (origin,) for top in joined]
+    image = {(c, col): (phi(c), col)
+             for c, col in set(chain.from_iterable(tops))}
+    if len(set(image.values())) != len(image):
+        raise ValidationError("straightening map collapsed two vertices")
+    return [tuple(map(image.__getitem__, top)) for top in tops]
+
+
+def _embed(coords, positions, width):
+    out = [Fraction(0)] * width
+    for c, j in zip(coords, positions):
+        out[j] = c
+    return tuple(out)
+
+
+def _straightening(g, a):
+    """Affine-per-orthant bijection from the cross-polytope onto the simplex.
+
+    The positive endpoint of every axis stays put; the negative endpoint
+    of the i-th axis (apex first, the rest in increasing order) goes to
+    the barycentre of the first i simplex corners; the origin goes to
+    the overall barycentre.
+    """
+    nv = g.n_vertices
+    order = [a] + [v for v in range(nv) if v != a]
+    whole = tuple(Fraction(1, nv) for _ in range(nv))
+
+    def corner(v):
+        return tuple(Fraction(1) if u == v else Fraction(0) for u in range(nv))
+
+    plus_target = []
+    minus_target = []
+    for i in range(1, nv):
+        plus_target.append(corner(order[i]))
+        head = order[:i]
+        minus_target.append(tuple(
+            Fraction(1, i) if u in head else Fraction(0) for u in range(nv)))
+
+    def phi(x):
+        slack = 1 - sum(abs(c) for c in x)
+        acc = [slack * w for w in whole]
+        for j, c in enumerate(x):
+            if c == 0:
+                continue
+            target = plus_target[j] if c > 0 else minus_target[j]
+            mag = abs(c)
+            for u in range(nv):
+                acc[u] += mag * target[u]
+        return tuple(acc)
+
+    return phi
+
+
+def _fraction_det(rows):
+    denoms = []
+    scaled = []
+    for row in rows:
+        d = lcm(*(f.denominator for f in row))
+        denoms.append(d)
+        scaled.append([int(f * d) for f in row])
+    det = _int_det(scaled)
+    out = Fraction(det)
+    for d in denoms:
+        out /= d
+    return out
+
+
+def _fraction_lemma(g, a):
+    """The simplex subdivision on exact rational points: its complex, its
+    colours and its coordinates, each point summing to 1."""
+    c = SimplicialCellComplex.from_top_simplices(_lemma_tops(g, a))
+    return SimpleNamespace(complex=c,
+                           colours=tuple(lbl[1] for lbl in c.vertex_labels),
+                           coords=tuple(lbl[0] for lbl in c.vertex_labels))
+
+
+def _fraction_volumes(k):
+    """Whether every top cell has a nonzero volume and the volumes add up
+    to the whole simplex, from rational determinants."""
+    total = Fraction(0)
+    for verts in k.complex.vertices_of[k.complex.n]:
+        det = _fraction_det([list(k.coords[v]) for v in verts])
+        if det == 0:
+            return False
+        total += abs(det)
+    return total == 1
+
+
+@pytest.fixture
+def fraction_lemma_oracle():
+    return SimpleNamespace(lemma=_fraction_lemma, volumes=_fraction_volumes,
+                           det=_fraction_det)

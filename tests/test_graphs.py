@@ -149,7 +149,8 @@ def test_representatives_cover_all_labelled_graphs():
 
 def test_graph_json_round_trip():
     g = Graph(4, [(0, 2), (2, 3), (1, 2)])
-    assert graph_from_json_dict(g.to_json_dict()) == g
+    data = {"n_vertices": 4, "edges": [[0, 2], [1, 2], [2, 3]]}
+    assert graph_from_json_dict(data) == g
     assert graph_from_json_dict({"preset": "cycle", "n_vertices": 5}) == cycle_graph(5)
     with pytest.raises(ValidationError, match="preset"):
         graph_from_json_dict({"preset": "wheel", "n_vertices": 5})
@@ -161,7 +162,8 @@ def test_graph_from_spec(tmp_path):
     assert graph_from_spec("path:4") == path_graph(4)
     assert graph_from_spec("complete:3") == complete_graph(3)
     f = tmp_path / "g.json"
-    f.write_text(json.dumps(star_graph(4).to_json_dict()))
+    f.write_text(json.dumps({"n_vertices": 4,
+                             "edges": [[0, 1], [0, 2], [0, 3]]}))
     assert graph_from_spec(str(f)) == star_graph(4)
     with pytest.raises(ValidationError, match="vertex count"):
         graph_from_spec("path:x")

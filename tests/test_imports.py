@@ -1,4 +1,5 @@
-"""Every name a module imports must be used in that module."""
+"""Every name a module imports must be used in that module, and the
+package computes without ``fractions``."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,13 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _referenced(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_fractions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    roots.update(node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module)
+    assert "fractions" not in roots, f"{path.name} imports fractions"

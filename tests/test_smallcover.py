@@ -72,8 +72,6 @@ def test_lambda_can_columns_on_pentagon():
     assert lam.columns == (3, 1, 2, 2, 3)
     assert validate_characteristic(p, lam)
     assert lam.column(b.proper_tubes[1]) == 1
-    # group element with bits 1 and 4 set picks those facets' columns
-    assert lam.apply(0b10010) == lam.columns[1] ^ lam.columns[4]
 
 
 def test_validate_characteristic_rejects_dependent_columns():

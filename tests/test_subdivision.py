@@ -23,6 +23,7 @@ from nestotope.graphs import (
     path_graph,
     star_graph,
 )
+from nestotope.verify import _labeled_connected
 from nestotope.subdivision import (
     ColouredSubdivision,
     _lemma_top_count,
@@ -91,9 +92,53 @@ def test_lemma_single_vertex():
 
 def test_lemma_coordinates_are_barycentric():
     k = lemma_subdivision(path_graph(3), 0)
+    scale = sum(k.coords[0])
+    assert scale > 0
     for point in k.coords:
-        assert sum(point) == 1
-        assert all(isinstance(x, Fraction) and 0 <= x <= 1 for x in point)
+        assert sum(point) == scale
+        assert all(type(x) is int and x >= 0 for x in point)
+
+
+# every labelled connected graph on 1-4 vertices at every apex, and the
+# 5-vertex families at apex 0
+_ORACLE_INPUTS = [(g, a) for k in range(1, 5) for g in _labeled_connected(k)
+                  for a in range(k)] + [
+    (graph_from_spec(f"{name}:5"), 0)
+    for name in ("path", "star", "cycle", "complete")]
+
+
+def test_lemma_matches_the_rational_oracle(fraction_lemma_oracle):
+    # the integer points, scaled back, are the rational ones: same cells,
+    # same colours, and a certificate that passes where the rational
+    # volumes add up to the simplex
+    for g, a in _ORACLE_INPUTS:
+        k = lemma_subdivision(g, a)
+        want = fraction_lemma_oracle.lemma(g, a)
+        assert k.complex.vertices_of == want.complex.vertices_of
+        assert k.complex.faces_of == want.complex.faces_of
+        assert k.colours == want.colours
+        scale = sum(k.coords[0])
+        assert all(sum(p) == scale for p in k.coords)
+        assert [tuple(Fraction(x, scale) for x in p)
+                for p in k.coords] == list(want.coords)
+        cert = verify_lemma_conditions(k, g, a)
+        assert cert.ok, (g, a, cert.failures)
+        assert fraction_lemma_oracle.volumes(want)
+
+
+def test_lemma_needs_every_block_on_the_common_scale(monkeypatch):
+    # path:4 at apex 1 leaves the components {0} and {2, 3}, whose points
+    # sum to the scales 1 and 2; joined without rescaling, the cells no
+    # longer fill the simplex and the certificate fails
+    g = path_graph(4)
+    assert verify_lemma_conditions(lemma_subdivision(g, 1), g, 1).ok
+    subdivision._MEMO.clear()
+    embed = subdivision._embed
+    monkeypatch.setattr(subdivision, "_embed",
+                        lambda c, positions, width, factor:
+                        embed(c, positions, width, 1))
+    cert = verify_lemma_conditions(lemma_subdivision(g, 1), g, 1)
+    assert not cert.ok and not cert.checks["volumes"]
 
 
 def test_lemma_rejects_bad_input():
@@ -107,7 +152,7 @@ def test_lemma_refuses_a_collapsing_straightening(monkeypatch):
     # the two reflected copies of a vertex share its colour, so a constant
     # straightening map sends two vertices to one image
     monkeypatch.setattr(subdivision, "_straightening",
-                        lambda g, a: lambda x: (Fraction(0),) * g.n_vertices)
+                        lambda g, a, scale: lambda x: (0,) * g.n_vertices)
     with pytest.raises(ValidationError, match="collapsed two vertices"):
         lemma_subdivision(path_graph(3), 0)
 
