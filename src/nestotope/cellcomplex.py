@@ -45,9 +45,9 @@ f_d * 2^d cells in degree d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, pairwise, permutations
 from math import factorial, gcd
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt
 
 from .errors import ValidationError, check_budget
 from .graphs import members
@@ -180,9 +180,17 @@ class SimplicialCellComplex:
         return True
 
     def is_vertex_determined(self):
-        """No two distinct cells share the same vertex set."""
-        return all(len(set(map(tuple, map(sorted, vk)))) == len(vk)
-                   for vk in self.vertices_of[1:])
+        """No two distinct cells share the same vertex set.  A level whose
+        vertex columns increase strictly, cell by cell, already stores
+        sorted tuples, so only the other levels are sorted."""
+        for k, vk in enumerate(self.vertices_of[1:], 1):
+            increasing = set(map(len, vk)) == {k + 1} and all(
+                all(map(lt, a, b)) for a, b in pairwise(
+                    list(map(itemgetter(q), vk)) for q in range(k + 1)))
+            keys = vk if increasing else map(tuple, map(sorted, vk))
+            if len(set(keys)) != len(vk):
+                return False
+        return True
 
     # -- constructors -------------------------------------------------------
 

@@ -15,11 +15,14 @@ in full when it fits the budget or is small, else on a seeded sample.
 The fibre histogram and the degree are closed forms in r, m and the
 family sizes; see ``build_covering``.
 
-The checks walk fibre labels as ints sigma + size * u, u the mixed-radix
-index of mu.  Each tube's step on them is filled lazily, once per u
-reached, from ``phi_action``, which stays the one definition of a face
-involution.  A face orbit that passes counts as passed for each of its
-members, whose orbits are the same set shifted in g.
+A fibre label is the int sigma + base, where base = size * u and u is
+the mixed-radix index of mu.  Each tube's step at one u is a whole permutation of sigma, filled
+lazily, once per u reached, from ``phi_action``, which stays the one
+definition of a face involution.  A pool that is walked in full runs
+once per u on a state (permutation, base) that carries every sigma of
+the fibre at once; a sampled pool checks seeded draws of int labels.
+``mode`` reads only r * 2^m against the budget, whichever way a pool
+is walked.
 """
 
 import random
@@ -208,12 +211,16 @@ def build_covering(b, sets, sys, budget=None):
     entries is drawn from it (mode "sampled").
 
     A fibre label is the int x = sigma + size * u below r, where u is the
-    mixed-radix index of mu with mu[0] fastest.  Each tube keeps a dict
-    u -> (sigma permutation, size * u'), filled from ``phi_action`` the
-    first time u is reached, so a step is one lookup and one index; signs
-    still go through ``epsilon``.  The steps permute the labels, so every
-    member of a face orbit has the same orbit, shifted in g: once an orbit
-    passes, each of its fibre labels counts as passed for that face.
+    mixed-radix index of mu with mu[0] fastest; base = size * u.  Each
+    tube keeps a dict base -> (sigma permutation, new base), filled from
+    ``phi_action`` the first time base is reached.  A pool walked in full
+    runs once per mu index on the state (identity, base), and a step
+    composes the whole permutation, so each check covers every sigma of
+    that mu at once: a step taken twice gives back the state, plus differs
+    under each step, the two composites of a compatible pair agree, and a
+    face's walk over its group coordinates reaches one state per g.  A
+    sampled pool keeps its seeded draws and runs the same checks on int
+    labels, a step there being one lookup and one index.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -247,79 +254,98 @@ def build_covering(b, sets, sys, budget=None):
     weights = [size * prod(sizes[:k]) for k in range(m)]
     steps = [{} for _ in tubes]
 
-    def step(j, u):
-        """Tube j's step on the mu index u: ``phi_action`` with a full
-        slice for sigma gives the whole permutation and the new mu."""
+    def fill(j, base):
+        """Tube j's step on the fibre labels base + sigma, stored as (sigma
+        permutation, new base): ``phi_action`` with a full slice for sigma
+        gives the whole permutation and the new mu."""
+        u = base // size
         mu = []
         for n_i in sizes:
             u, i = divmod(u, n_i)
             mu.append(i)
         perm, mu, _ = phi_action(b, sets, tubes[j], (slice(None), tuple(mu), 0))
-        return perm, sum(map(mul, mu, weights))
+        hit = steps[j][base] = perm, sum(map(mul, mu, weights))
+        return hit
+
+    def move(j, state):
+        """Tube j's step on a (sigma permutation, base) state."""
+        cells, base = state
+        perm, nxt = steps[j].get(base) or fill(j, base)
+        return tuple(map(perm.__getitem__, cells)), nxt
 
     def phi(j, x):
         """Tube j's face involution on the fibre label x, g dropped."""
-        u, sigma = divmod(x, size)
-        hit = steps[j].get(u)
-        if hit is None:
-            hit = steps[j][u] = step(j, u)
-        return hit[1] + hit[0][sigma]
+        sigma = x % size
+        perm, nxt = steps[j].get(x - sigma) or fill(j, x - sigma)
+        return nxt + perm[sigma]
+
+    def cell_signs(table, state):
+        return tuple(map(table.__getitem__, state[0]))
+
+    def label_sign(table, x):
+        return table[x % size]
+
+    ident = tuple(range(size))
 
     def pool(items):
-        """Stream (fibre label, item) pairs: all of them, or a sample."""
+        """A pool's (fibre label, item) entries, with the step and the sign
+        that read them.  Walked in full, it yields one (ident, base) state
+        per mu index, which stands for every label base + sigma at once;
+        sampled, it yields _SAMPLE_SIZE seeded draws of int labels."""
         k = len(items)
         if mode == "full" or r * k <= _SAMPLE_SIZE:
-            return ((x, item) for x in range(r) for item in items)
+            return move, cell_signs, (((ident, base), item)
+                                      for base in range(0, r, size)
+                                      for item in items)
         rng = random.Random(_SAMPLE_SEED)
-        return ((x, items[i]) for x, i in
-                (divmod(rng.randrange(r * k), k) for _ in range(_SAMPLE_SIZE)))
+        return phi, label_sign, ((x, items[i]) for x, i in (
+            divmod(rng.randrange(r * k), k) for _ in range(_SAMPLE_SIZE)))
 
+    # epsilon reads sigma and g only: each cell's sign at g = 0, and at
+    # g = e_j, where tube j's step lands
+    at_zero = tuple(epsilon(sys, (c, None, 0)) for c in range(size))
+    landed = [tuple(epsilon(sys, (c, None, 1 << j)) for c in range(size))
+              for j in range(m)]
+    step, sign, entries = pool(range(m))
     involutions = class_constant = True
-    for x, j in pool(range(m)):
-        y = phi(j, x)
-        involutions = involutions and phi(j, y) == x
-        # epsilon reads sigma and g only
+    for w, j in entries:
+        image = step(j, w)
+        involutions = involutions and step(j, image) == w
         class_constant = class_constant and (
-            epsilon(sys, (y % size, None, 1 << j))
-            == epsilon(sys, (x % size, None, 0)))
+            sign(landed[j], image) == sign(at_zero, w))
     checks["phi_involutions"] = involutions
     checks["epsilon_class_constant"] = class_constant
 
     pairs = p.faces_by_size[2] if p.dim >= 2 else ()
-    checks["phi_commutation"] = all(phi(i, phi(j, x)) == phi(j, phi(i, x))
-                                    for x, (i, j) in pool(pairs))
+    step, _, entries = pool(pairs)
+    checks["phi_commutation"] = all(step(i, step(j, w)) == step(j, step(i, w))
+                                    for w, (i, j) in entries)
 
-    faces = [face for level in p.faces_by_size for face in level]
-    passed = {face: set() for face in faces}
-
-    def orbit_passes(x, face):
-        """Face orbit of (x, 0) must have size 2^k and hit each group
-        coordinate of the face's span once; labels are x + r * g."""
-        done = passed[face]
-        if x in done:
-            return True
-        want = 1 << len(face)
-        seen = {x}
-        frontier = [x]
+    def orbit_closes(step, w, face):
+        """Walk the face's group coordinates from w at g = 0.  Each step
+        flips one bit of g, so the walk reaches every g of the face's
+        span; the orbit of each label in w has 2^k members, one per g,
+        exactly when every route to one g reaches the same labels."""
+        at = {0: w}
+        frontier = [0]
         while frontier:
-            g, y = divmod(frontier.pop(), r)
+            g = frontier.pop()
+            here = at[g]
             for j in face:
-                nxt = phi(j, y) + r * (g ^ (1 << j))
-                if nxt not in seen:
-                    if len(seen) >= want:
-                        return False
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        span = {0}
-        for j in face:
-            span |= {g ^ (1 << j) for g in span}
-        if len(seen) != want or {w // r for w in seen} != span:
-            return False
-        done.update(w % r for w in seen)
+                nxt = step(j, here)
+                h = g ^ (1 << j)
+                seen = at.get(h)
+                if seen is None:
+                    at[h] = nxt
+                    frontier.append(h)
+                elif seen != nxt:
+                    return False
         return True
 
-    checks["covering_fibers"] = all(orbit_passes(x, face)
-                                    for x, face in pool(faces))
+    faces = [face for level in p.faces_by_size for face in level]
+    step, _, entries = pool(faces)
+    checks["covering_fibers"] = all(orbit_closes(step, w, face)
+                                    for w, face in entries)
     checks["degree_independent"] = True
 
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}

@@ -172,10 +172,11 @@ def _lemma_tops(g, a):
     joined = [()]
     for tops, labels, s in blocks:
         positions = [slot_of[v] for v in labels]
+        embedded = {c: _embed(c, positions, len(ambient), scale // s)
+                    for c in {c for top in tops for c, _ in top}}
         grown = []
         for top in tops:
-            emb = tuple((_embed(c, positions, len(ambient), scale // s),
-                         labels[col]) for c, col in top)
+            emb = tuple((embedded[c], labels[col]) for c, col in top)
             for prefix in joined:
                 grown.append(prefix + emb)
         joined = grown
@@ -203,10 +204,12 @@ def _embed(coords, positions, width, factor):
 
 def _reflect_block(tops, k):
     """All 2^k sign-reflected copies; they must tile a (k-1)-sphere."""
+    points = {c for top in tops for c, _ in top}
     out = []
     for pattern in range(1 << k):
+        flipped = {c: _flip(c, pattern) for c in points}
         for top in tops:
-            out.append(tuple((_flip(c, pattern), col) for c, col in top))
+            out.append(tuple((flipped[c], col) for c, col in top))
     sphere = SimplicialCellComplex.from_top_simplices(out)
     cert = orient(sphere)
     if not cert.is_pseudo or cert.orientation == "non-orientable":

@@ -286,6 +286,36 @@ def test_column_checks_match_cell_loops(name, cell_checks, gluing):
     assert pseudo_manifold_check(c).failures == cell_checks.pseudo_failures(c)
 
 
+def test_vertex_determined_reaches_sorted_and_unsorted_levels(cell_checks,
+                                                              gluing):
+    # is_vertex_determined sorts only the levels whose columns do not
+    # increase; the checked complexes hold both kinds, with either verdict
+    kinds = set()
+    for build in CHECKED_COMPLEXES.values():
+        c = build(gluing)
+        verdict = c.is_vertex_determined()
+        assert verdict == cell_checks.is_vertex_determined(c)
+        for vk in c.vertices_of[1:]:
+            kinds.add((all(t == tuple(sorted(t)) for t in vk), verdict))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+@pytest.mark.parametrize("edges, verdict", [
+    ([(0, 1), (1, 2)], True),
+    ([(0, 1), (0, 1)], False),
+    ([(1, 0), (2, 1)], True),
+    ([(0, 1), (1, 0)], False),
+    # tuples of the wrong length are sorted too, never read by columns
+    ([(0, 1, 2), (0, 2, 1), (5, 6)], False),
+    ([(0, 1, 2), (3, 4, 5), (5, 6)], True),
+])
+def test_vertex_determined_on_hand_made_edges(edges, verdict, cell_checks):
+    c = SimplicialCellComplex(1, 7, [None, edges], [None, [()] * len(edges)])
+    assert c.is_vertex_determined() is verdict
+    assert cell_checks.is_vertex_determined(c) is verdict
+
+
 def test_repeated_edge_tuples_are_checked_for_double_faces(gluing):
     # the levels the vertex-tuple argument cannot skip
     c = _suspended_two_arc_circle(gluing)

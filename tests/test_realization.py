@@ -264,16 +264,22 @@ def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
     assert cert == covering_oracle.build_covering(b, sets, sys, budget)
 
 
-@pytest.mark.parametrize("k, budget, mode", [(1, None, "full"),
-                                             (2, None, "full"),
-                                             (2, 1000, "sampled")])
-def test_broken_cell_step_matches_tuple_label_oracle(k, budget, mode,
+@pytest.mark.parametrize("k, gspec, budget, mode", [
+    (1, "path:2", None, "full"),
+    (2, "path:3", None, "full"),
+    (2, "path:3", 1000, "sampled"),
+    (2, "complete:3", None, "full"),
+    (2, "complete:3", 1000, "sampled"),
+], ids=["1-None-full", "2-None-full", "2-1000-sampled",
+        "complete:3-None-full", "complete:3-1000-sampled"])
+def test_broken_cell_step_matches_tuple_label_oracle(k, gspec, budget, mode,
                                                      covering_oracle):
     # swapping two unpaired cells in the tube {0}'s only involution leaves
     # it a permutation but no involution, so orbits through those cells
-    # fail while the first labels walked pass: a passed orbit may vouch
-    # for its own labels only
-    sys, b = _system(simplex_sphere(k), path_graph(k + 1))
+    # fail while other labels of the same mu pass.  On complete:3 at
+    # budget 1000 every pool holds more than 10,000 entries, so all three
+    # are sampled, and the draws must still hit the broken cells
+    sys, b = _system(simplex_sphere(k), graph_from_spec(gspec))
     sets = enumerate_involution_sets(sys, b)
     s = mask_of([0])
     (perm,) = sets[s].perms
@@ -285,13 +291,21 @@ def test_broken_cell_step_matches_tuple_label_oracle(k, budget, mode,
     cert = build_covering(b, sets, sys, budget)
     assert cert.mode == mode
     assert cert == covering_oracle.build_covering(b, sets, sys, budget)
-    if mode == "full":
+    if mode == "full" or gspec == "complete:3":
         assert not cert.checks["phi_involutions"]
         assert not cert.checks["covering_fibers"]
+    if gspec == "complete:3":
+        assert not cert.checks["epsilon_class_constant"]
+        assert not cert.checks["phi_commutation"]
+        p = face_poset(b)
+        pools = (cert.m, len(p.faces_by_size[2]),
+                 sum(len(level) for level in p.faces_by_size))
+        assert (cert.r, cert.m) == (2304, 6)
+        assert min(pools) * cert.r > 10_000
 
 
-# the covering benchmark's realize catalogue, the torus in full mode and
-# the sampled 3-sphere
+# the covering benchmark's realize catalogue, the torus and complete:3 in
+# full mode and the sampled 3-sphere
 _REALIZE = [
     ("sphere:1", "path:2", None),
     ("sphere:2", "path:3", 1000),
@@ -299,6 +313,7 @@ _REALIZE = [
     ("torus7", "path:3", 1000),
     ("torus7", "path:3", None),
     ("sphere:2", "complete:3", 1000),
+    ("sphere:2", "complete:3", None),
     ("sphere:3", "path:4", None),
 ]
 
