@@ -293,6 +293,13 @@ def pseudo_manifold_check(c):
     return PseudoManifoldCertificate(c.n, not failures, list(failures))
 
 
+def passed_pseudo_manifold_check(c):
+    """Whether ``pseudo_manifold_check`` has already passed ``c``, read
+    from its memoised verdict; False when the check failed or has not run
+    on ``c``, which this never runs."""
+    return c._pseudo_failures == ()
+
+
 def sign_walk(size, neighbours):
     """Signs +-1 on the cells 0..size-1 with sign[u] = rel * sign[t] for
     every pair (u, rel) in ``neighbours(t)``, or None when no such signs

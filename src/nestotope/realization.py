@@ -21,6 +21,8 @@ lazily, once per u reached, from ``phi_action``, which stays the one
 definition of a face involution.  A pool that is walked in full runs
 once per u on a state (permutation, base) that carries every sigma of
 the fibre at once; a sampled pool checks seeded draws of int labels.
+Faces are walked only in a sampled pool: in full, their check follows
+from the involution and commutation checks by the group's relators.
 ``mode`` reads only r * 2^m against the budget, whichever way a pool
 is walked.
 """
@@ -217,10 +219,33 @@ def build_covering(b, sets, sys, budget=None):
     runs once per mu index on the state (identity, base), and a step
     composes the whole permutation, so each check covers every sigma of
     that mu at once: a step taken twice gives back the state, plus differs
-    under each step, the two composites of a compatible pair agree, and a
-    face's walk over its group coordinates reaches one state per g.  A
+    under each step, and the two composites of a compatible pair agree.  A
     sampled pool keeps its seeded draws and runs the same checks on int
     labels, a step there being one lookup and one index.
+
+    ``covering_fibers`` asks that a face F's walk over its group
+    coordinates, from a label at g = 0, reach one label per g.  It is
+    walked only when the face pool is sampled; a face pool walked in full
+    gives ``covering_fibers = phi_involutions and phi_commutation``, by
+    the relators of (Z/2)^F = <s_j | s_j^2, (s_i s_j)^2>:
+
+    - Every 2-subset of a nested set is a nested set, so every pair of
+      tubes of a face is a 2-face, and every tube a 1-face.
+    - The walk is consistent exactly when s_j^2 and (s_i s_j)^2, for i, j
+      in F, act trivially on every label it reaches: then the steps
+      generate an action of (Z/2)^F there, and each g has one label; a
+      relator that fails at a reached label x = at[g] gives two routes
+      from g that end at different labels.
+    - The walk fails at its start label when either relator fails there:
+      the route j, j back to g = 0 for s_j^2 on the face {j}, and the
+      routes i, j and j, i for (s_i s_j)^2 on the face {i, j}.
+    - A full face pool starts at every fibre label, and its pool is the
+      largest of the three (the 1- and 2-faces are among the faces), so
+      the tube and pair pools are full too: ``phi_involutions`` checks
+      s_j^2 and ``phi_commutation`` checks s_i s_j = s_j s_i at every
+      fibre label, for every tube and every 2-face.  With s_j^2 trivial,
+      the second is (s_i s_j)^2 acting trivially; without it, both sides
+      are false.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -287,13 +312,17 @@ def build_covering(b, sets, sys, budget=None):
 
     ident = tuple(range(size))
 
+    def in_full(k):
+        """Whether a pool of k items per fibre label is walked in full."""
+        return mode == "full" or r * k <= _SAMPLE_SIZE
+
     def pool(items):
         """A pool's (fibre label, item) entries, with the step and the sign
         that read them.  Walked in full, it yields one (ident, base) state
         per mu index, which stands for every label base + sigma at once;
         sampled, it yields _SAMPLE_SIZE seeded draws of int labels."""
         k = len(items)
-        if mode == "full" or r * k <= _SAMPLE_SIZE:
+        if in_full(k):
             return move, cell_signs, (((ident, base), item)
                                       for base in range(0, r, size)
                                       for item in items)
@@ -321,18 +350,18 @@ def build_covering(b, sets, sys, budget=None):
     checks["phi_commutation"] = all(step(i, step(j, w)) == step(j, step(i, w))
                                     for w, (i, j) in entries)
 
-    def orbit_closes(step, w, face):
-        """Walk the face's group coordinates from w at g = 0.  Each step
-        flips one bit of g, so the walk reaches every g of the face's
-        span; the orbit of each label in w has 2^k members, one per g,
-        exactly when every route to one g reaches the same labels."""
+    def orbit_closes(w, face):
+        """Walk the face's group coordinates from the label w at g = 0.
+        Each step flips one bit of g, so the walk reaches every g of the
+        face's span; the orbit of w has 2^k members, one per g, exactly
+        when every route to one g reaches the same label."""
         at = {0: w}
         frontier = [0]
         while frontier:
             g = frontier.pop()
             here = at[g]
             for j in face:
-                nxt = step(j, here)
+                nxt = phi(j, here)
                 h = g ^ (1 << j)
                 seen = at.get(h)
                 if seen is None:
@@ -343,9 +372,14 @@ def build_covering(b, sets, sys, budget=None):
         return True
 
     faces = [face for level in p.faces_by_size for face in level]
-    step, _, entries = pool(faces)
-    checks["covering_fibers"] = all(orbit_closes(step, w, face)
-                                    for w, face in entries)
+    if in_full(len(faces)):
+        # the relator argument in the docstring: no walk is needed
+        checks["covering_fibers"] = (checks["phi_involutions"]
+                                     and checks["phi_commutation"])
+    else:
+        _, _, entries = pool(faces)
+        checks["covering_fibers"] = all(orbit_closes(w, face)
+                                        for w, face in entries)
     checks["degree_independent"] = True
 
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}

@@ -38,9 +38,9 @@ of colours it misses from a table keyed by that mask.
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
 from math import factorial, lcm
-from operator import itemgetter, mul, or_
+from operator import itemgetter, or_
 
 from . import errors
 from .errors import ValidationError, check_budget
@@ -49,6 +49,7 @@ from .cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
     orient,
+    passed_pseudo_manifold_check,
 )
 from .nestohedron import _int_det
 
@@ -333,17 +334,42 @@ def _codim2_cofacets(c):
     over the facets.
 
     A top cell holding a codimension-2 cell C holds exactly two of its
-    facets through C, so tops(C) = (1/2) * sum of tops(F) over the facets
-    F through C.  That holds with or without boundary: a boundary facet
-    simply counts one top cell.  Two passes count it, the facets' top
-    counts and then their faces with each row repeated by that count.
+    facets through C, so twice(C) = 2 * tops(C) is the sum of w_F over the
+    facets F through C, w_F being F's top count.  That holds with or
+    without boundary: a boundary facet simply counts one top cell.  The
+    sum splits by levels, #{F through C : w_F >= j} for j = 1, 2, ..., and
+    folds into
+
+        twice(C) = 2 #{w_F >= 1} - #{w_F = 1} + sum over j >= 3 of #{w_F >= j},
+
+    so tops(C) is #{w_F >= 1} plus half the difference of the other two
+    terms.  Each facet's faces are counted once, and again only on a
+    boundary (w_F = 1) or where more than two top cells meet (w_F >= 3),
+    and only the cells counted again are revisited.  The w_F are counted
+    over the top cells, unless ``pseudo_manifold_check`` has already passed
+    the complex, as ``orient`` has every subdivision: then every w_F is 2,
+    and the whole count is one pass over the facets.
     """
     n = c.n
-    tops = Counter(chain.from_iterable(c.faces_of[n]))
     facets = c.faces_of[n - 1]
-    twice = Counter(chain.from_iterable(
-        map(mul, facets, map(tops.__getitem__, range(len(facets))))))
-    return {(n - 2, cid): cnt >> 1 for cid, cnt in twice.items()}
+    if passed_pseudo_manifold_check(c):
+        weights = [2] * len(facets)
+    else:
+        tops = Counter(chain.from_iterable(c.faces_of[n]))
+        weights = list(map(tops.__getitem__, range(len(facets))))
+
+    def faces(keep):
+        return chain.from_iterable(compress(facets, keep))
+
+    once = Counter(faces(weights))
+    out = dict(zip(zip(repeat(n - 2), once), once.values()))
+    ones = Counter(faces(map((1).__eq__, weights)))
+    deep = Counter()
+    for j in range(3, max(weights, default=0) + 1):
+        deep.update(faces(map((j).__le__, weights)))
+    for cid in ones.keys() | deep.keys():
+        out[n - 2, cid] += (deep[cid] - ones[cid]) // 2
+    return out
 
 
 def _missing_pairs(g):
@@ -370,7 +396,7 @@ def _codim2_rule(c, colours, coords, g):
     """Codimension-2 cells missing two non-adjacent colours: four top
     cofacets when interior, two on a boundary facet, nothing deeper.
     Without ``coords`` every cell counts as interior.  Returns the number
-    of such cells and the failures."""
+    of such cells and the failures, in the order of ``_codim2_cofacets``."""
     if c.n < 2:
         return 0, []
     nv = g.n_vertices

@@ -97,11 +97,16 @@ def test_subcell_tables_match_vertex_sets():
 
 def test_codim2_cofacets_match_vertex_sets():
     # closed complexes, and simplex subdivisions, whose boundary facets lie
-    # in a single top cell
+    # in a single top cell; and fans of three triangles on an edge and of
+    # four tetrahedra on a triangle, whose middle facet lies in three and
+    # four top cells
     lemmas = (lemma_subdivision(g, a).complex
               for g, a in ((path_graph(3), 0), (path_graph(3), 1),
                            (star_graph(4), 2), (cycle_graph(4), 0)))
-    for c in chain(_vertex_determined_complexes(), lemmas):
+    fans = (SimplicialCellComplex.from_top_simplices(tops) for tops in (
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+        [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6)]))
+    for c in chain(_vertex_determined_complexes(), lemmas, fans):
         if c.n < 2:
             continue
         want = Counter(frozenset(sub) for verts in c.vertices_of[c.n]

@@ -1,10 +1,13 @@
 """Covering certificates over subdivided glued manifolds."""
 
 import json
+import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
+from nestotope import realization
 from nestotope.errors import ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
@@ -244,18 +247,48 @@ def test_fibre_certificate_matches_every_label(k, covering_oracle):
     assert all(cert.checks.values())
 
 
+def _break_row(sys, sets):
+    """mu_0 conjugates I_{0,1} by a row that starts (0, 2, 1); swapping its
+    first two entries makes a 3-cycle, so phi of the tube {0} is no
+    involution.  Returns the row before the swap."""
+    s, t = mask_of([0]), mask_of([0, 1])
+    (row,) = sets[s].conj[t]
+    assert row[:3] == (0, 2, 1)
+    sets[s].conj[t] = ((row[1], row[0]) + row[2:],)
+    return row
+
+
+def _unconjugate_row(sys, sets):
+    """mu_0 acting on I_{0,1} by the identity row leaves phi of the tube {0}
+    an involution, but it no longer commutes with phi of the tube {0, 1}:
+    mu_0 conjugates the second and third members of I_{0,1} into each
+    other."""
+    s, t = mask_of([0]), mask_of([0, 1])
+    (row,) = sets[s].conj[t]
+    assert row[:3] == (0, 2, 1)
+    sets[s].conj[t] = (tuple(range(len(row))),)
+
+
+def _break_cell(sys, sets):
+    """Swapping two unpaired cells in the tube {0}'s only involution leaves
+    it a permutation but no involution, so orbits through those cells fail
+    while other labels of the same mu pass."""
+    s = mask_of([0])
+    (perm,) = sets[s].perms
+    a = sys.size - 1
+    c = max(x for x in range(sys.size) if x not in (a, perm[a]))
+    broken = list(perm)
+    broken[a], broken[c] = perm[c], perm[a]
+    sets[s].perms = (tuple(broken),)
+
+
 @pytest.mark.parametrize("k, budget, mode", [(2, None, "full"),
                                              (2, 1000, "sampled"),
                                              (3, None, "sampled")])
 def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
-    # mu_0 conjugates I_{0,1} by the row (0, 2, 1); swapping its first two
-    # entries makes it a 3-cycle, so phi of the tube {0} is no involution
     sys, b = _system(simplex_sphere(k), path_graph(k + 1))
     sets = enumerate_involution_sets(sys, b)
-    s, t = mask_of([0]), mask_of([0, 1])
-    (row,) = sets[s].conj[t]
-    assert row == (0, 2, 1)
-    sets[s].conj[t] = ((row[1], row[0]) + row[2:],)
+    assert _break_row(sys, sets) == (0, 2, 1)
     cert = build_covering(b, sets, sys, budget)
     assert cert.mode == mode
     assert not cert.checks["phi_involutions"]
@@ -274,20 +307,12 @@ def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
         "complete:3-None-full", "complete:3-1000-sampled"])
 def test_broken_cell_step_matches_tuple_label_oracle(k, gspec, budget, mode,
                                                      covering_oracle):
-    # swapping two unpaired cells in the tube {0}'s only involution leaves
-    # it a permutation but no involution, so orbits through those cells
-    # fail while other labels of the same mu pass.  On complete:3 at
-    # budget 1000 every pool holds more than 10,000 entries, so all three
-    # are sampled, and the draws must still hit the broken cells
+    # on complete:3 at budget 1000 every pool holds more than 10,000
+    # entries, so all three are sampled, and the draws must still hit the
+    # broken cells
     sys, b = _system(simplex_sphere(k), graph_from_spec(gspec))
     sets = enumerate_involution_sets(sys, b)
-    s = mask_of([0])
-    (perm,) = sets[s].perms
-    a = sys.size - 1
-    c = max(x for x in range(sys.size) if x not in (a, perm[a]))
-    broken = list(perm)
-    broken[a], broken[c] = perm[c], perm[a]
-    sets[s].perms = (tuple(broken),)
+    _break_cell(sys, sets)
     cert = build_covering(b, sets, sys, budget)
     assert cert.mode == mode
     assert cert == covering_oracle.build_covering(b, sets, sys, budget)
@@ -328,6 +353,70 @@ def test_covering_matches_tuple_label_oracle(covering_oracle, zspec, gspec,
         covering_oracle.build_covering(b, sets, sys, budget))
     assert all(got["checks"].values())
     assert json.dumps(got) == json.dumps(want)
+
+
+_BREAKS = {"intact": lambda sys, sets: None, "broken row": _break_row,
+           "identity row": _unconjugate_row, "broken cell": _break_cell}
+
+
+@pytest.mark.parametrize("zspec,gspec,budget,broken", [
+    (*case, broken) for case in _REALIZE for broken in _BREAKS
+    # path:2 has no tube {0, 1} to conjugate
+    if case[1] != "path:2" or not broken.endswith("row")])
+def test_full_face_pool_follows_from_the_relators(covering_oracle, zspec,
+                                                  gspec, budget, broken):
+    # a face pool walked in full reads covering_fibers off the involution
+    # and commutation checks; the oracle walks every face from every label
+    sys, b = _system(pseudomanifold_from_spec(zspec), graph_from_spec(gspec))
+    sets = enumerate_involution_sets(sys, b)
+    _BREAKS[broken](sys, sets)
+    cert = build_covering(b, sets, sys, budget)
+    assert cert == covering_oracle.build_covering(b, sets, sys, budget)
+    faces = sum(len(level) for level in face_poset(b).faces_by_size)
+    if cert.mode == "full" or cert.r * faces <= realization._SAMPLE_SIZE:
+        checks = cert.checks
+        assert checks["covering_fibers"] == (checks["phi_involutions"]
+                                             and checks["phi_commutation"])
+        assert checks["covering_fibers"] == (broken == "intact")
+    if broken == "identity row":
+        assert cert.checks["phi_involutions"]
+        assert not cert.checks["phi_commutation"]
+
+
+def _bipyramid(n):
+    """The suspension of an n-gon: a 2-sphere of 2n triangles."""
+    return SimplicialCellComplex.from_top_simplices(
+        [tuple(sorted((i, (i + 1) % n, pole)))
+         for i in range(n) for pole in (n, n + 1)])
+
+
+@pytest.mark.parametrize("broken", ["intact", "broken cell"])
+def test_sampled_face_pool_is_still_walked(monkeypatch, covering_oracle,
+                                           broken):
+    # the hexagonal bipyramid along path:3 at budget 1000 has r = 1296:
+    # the tube and pair pools hold r * 5 <= 10,000 entries and are walked
+    # in full, the face pool's r * 11 are not, so only the faces are drawn
+    # and walked, and the walk must catch a broken cell
+    sys, b = _system(_bipyramid(6), path_graph(3))
+    sets = enumerate_involution_sets(sys, b)
+    _BREAKS[broken](sys, sets)
+    seeds = []
+
+    class Seeded(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(realization, "random", SimpleNamespace(Random=Seeded))
+    cert = build_covering(b, sets, sys, 1000)
+    p = face_poset(b)
+    pools = (cert.m, len(p.faces_by_size[2]),
+             sum(len(level) for level in p.faces_by_size))
+    assert (cert.mode, cert.r, pools) == ("sampled", 1296, (5, 5, 11))
+    assert len(seeds) == 1
+    assert cert == covering_oracle.build_covering(b, sets, sys, 1000)
+    assert cert.checks["phi_involutions"] == (broken == "intact")
+    assert cert.checks["covering_fibers"] == (broken == "intact")
 
 
 def test_certificates_are_deterministic():

@@ -1,6 +1,9 @@
 """Graph-coloured subdivisions of simplices and closed complexes."""
 
+import hashlib
+import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -297,12 +300,23 @@ def _recoloured(y, vertex, colour):
 def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
     # a star:4 subdivision checked against the path, and one vertex of it
     # recoloured, reach both failure branches; the library lists the
-    # messages in first-seen order over facets, the oracle over top cells
+    # messages in first-seen order over facets, the oracle over top cells,
+    # so the oracle's list is put in facet order before the two are compared.
+    # The digests pin the library's list, order included.
     y = subdivide_pseudomanifold(simplex_sphere(3), star_graph(4))
     assert y.colours[0] == 1
-    cases = [(y, path_graph(4), 510, 150),
-             (_recoloured(y, 0, 0), star_graph(4), 722, 38)]
-    for yy, g, checked, failed in cases:
+    cases = [(y, path_graph(4), 510, 150,
+              "2e13ad04c593d33eca0085aa0905f1c93af84c120a7cff1d3c5da75ef1ad57ea"),
+             (_recoloured(y, 0, 0), star_graph(4), 722, 38,
+              "4f2280ec523ea54794997f46ed244fbff47ebfa05d98d7b9cf5155d0d328149a")]
+    c = y.complex
+    first_seen = {cid: i for i, cid in enumerate(
+        dict.fromkeys(chain.from_iterable(c.faces_of[c.n - 1])))}
+
+    def cell_of(message):
+        return first_seen[int(re.match(r"cell \(\d+,(\d+)\)", message)[1])]
+
+    for yy, g, checked, failed, digest in cases:
         got = condition_star_check(yy, g)
         with monkeypatch.context() as m:
             m.setattr(subdivision, "_codim2_cofacets",
@@ -311,4 +325,6 @@ def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
         assert got.ok is want.ok is False
         assert got.cells_checked == want.cells_checked == checked
         assert len(got.failures) == len(want.failures) == failed
-        assert sorted(got.failures) == sorted(want.failures)
+        assert got.failures == sorted(want.failures, key=cell_of)
+        text = "\n".join(got.failures).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
