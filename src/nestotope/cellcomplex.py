@@ -49,7 +49,7 @@ from itertools import accumulate, chain, combinations, pairwise, permutations
 from math import factorial, gcd
 from operator import eq, itemgetter, lt
 
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, check_budget, read_json
 from .graphs import members
 
 
@@ -786,8 +786,6 @@ def pseudomanifold_from_spec(text):
     """Parse 'sphere:k', a named preset, or a JSON file path.  A JSON
     "orientation" is checked, then dropped: callers run ``orient``, which
     also makes the pseudomanifold check they need."""
-    import json as _json
-
     if text.startswith("sphere:"):
         try:
             k = int(text.split(":", 1)[1])
@@ -796,12 +794,5 @@ def pseudomanifold_from_spec(text):
         return simplex_sphere(k)
     if text in _PRESET_COMPLEXES:
         return _PRESET_COMPLEXES[text]()
-    try:
-        with open(text) as fh:
-            data = _json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read complex {text!r}: {exc}") from exc
-    except _json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed complex JSON in {text!r}: {exc}") from exc
-    cx, _ = complex_from_json_dict(data)
+    cx, _ = complex_from_json_dict(read_json(text, "complex"))
     return cx

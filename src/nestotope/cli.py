@@ -165,8 +165,7 @@ def _cmd_realize(args):
 
 def _cmd_formulas(args):
     emit = _emit_path(args.emit)
-    table = fm.family_table(args.family, args.n)
-    rows = table.csv_rows()
+    rows = fm.family_table(args.family, args.n)
     if emit is None:
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:

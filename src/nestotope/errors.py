@@ -1,9 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, size budgets and the JSON-file reader.
 
 ValidationError signals malformed or inconsistent input (CLI exit code 2),
 BudgetExceeded signals a refusal to materialize something too large
 (CLI exit code 3).  Both carry a plain human-readable message.
 """
+
+import json
 
 
 class ValidationError(ValueError):
@@ -31,3 +33,16 @@ def check_budget(what, count, unit="top simplices", budget=CELL_BUDGET):
     if count > budget:
         raise BudgetExceeded(
             f"{what} needs {count} {unit}, over the {budget} budget")
+
+
+def read_json(text, what):
+    """Parse the JSON file at path ``text``; ``what`` names its kind in the
+    ValidationError raised for a file that cannot be read, is not UTF-8 or
+    is not JSON."""
+    try:
+        with open(text, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {text!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"malformed {what} JSON in {text!r}: {exc}") from exc

@@ -1,48 +1,13 @@
 """Closed-form Betti and permutation-count formulas with brute oracles.
 
 Everything here is exact integer arithmetic.  Each closed form has a
-matching enumeration oracle over small inputs, and the sequence table
-refuses to hold two disagreeing values for the same index.
+matching enumeration oracle over small inputs.
 """
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb, factorial
 
 from .errors import ValidationError
-
-
-@dataclass
-class SequenceTable:
-    """Named integer table keyed by index tuples.
-
-    Every entry remembers how it was produced; adding a conflicting
-    value for an existing key raises instead of overwriting.
-    """
-    name: str
-    entries: dict = field(default_factory=dict)
-
-    def add(self, key, value, source):
-        if key in self.entries:
-            old, sources = self.entries[key]
-            if old != value:
-                raise ValidationError(
-                    f"{self.name}{key}: {source} gives {value}, "
-                    f"{'/'.join(sources)} gave {old}")
-            sources.append(source)
-        else:
-            self.entries[key] = (value, [source])
-
-    def value(self, key):
-        return self.entries[key][0]
-
-    def csv_rows(self):
-        out = [("index", "value", "sources")]
-        for key in sorted(self.entries):
-            value, sources = self.entries[key]
-            idx = ",".join(str(k) for k in key)
-            out.append((idx, str(value), "+".join(sources)))
-        return out
 
 
 def eulerian(m, k):
@@ -150,7 +115,7 @@ def check_inequality_chain(n):
 
 
 def family_table(family, n):
-    """Per-degree Betti values of one closed-form family."""
+    """Per-degree Betti values of one closed-form family, as CSV rows."""
     values = {
         "tomei": betti_tomei,
         "hessenberg": betti_hessenberg,
@@ -158,7 +123,5 @@ def family_table(family, n):
     }
     if family not in values:
         raise ValidationError(f"unknown family: {family}")
-    table = SequenceTable(family)
-    for i, v in enumerate(values[family](n)):
-        table.add((n, i), v, "formula")
-    return table
+    return [("index", "value", "sources")] + [
+        (f"{n},{i}", str(v), "formula") for i, v in enumerate(values[family](n))]

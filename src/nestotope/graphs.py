@@ -14,10 +14,9 @@ out far earlier in practice; the routines here are meant for the small graphs
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, permutations
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json
 
 MAX_VERTICES = 64
 
@@ -113,16 +112,20 @@ def is_connected_induced(g, subset):
         return False
     if subset & ~g.ground_mask:
         raise ValidationError("subset contains vertices outside the graph")
-    start = subset & -subset
-    seen = start
-    frontier = start
+    return _component(g, subset) == subset
+
+
+def _component(g, subset):
+    """The component of the lowest vertex of the nonempty ``subset`` in the
+    subgraph induced on ``subset``, by a bitmask flood fill."""
+    seen = frontier = subset & -subset
     while frontier:
         grow = 0
         for v in bits_of(frontier):
             grow |= g.adjacency[v] & subset
         frontier = grow & ~seen
         seen |= frontier
-    return seen == subset
+    return seen
 
 
 class BuildingSet:
@@ -144,12 +147,6 @@ class BuildingSet:
         else:
             self.proper_tubes = self.tubes
         self.proper_index = {t: i for i, t in enumerate(self.proper_tubes)}
-
-    def __len__(self):
-        return len(self.tubes)
-
-    def __contains__(self, mask):
-        return mask in self.tube_index
 
     def __repr__(self):
         shown = [members(t) for t in self.tubes]
@@ -201,17 +198,8 @@ def components_minus_vertex(g, v):
     remaining = g.ground_mask & ~(1 << v)
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for u in bits_of(frontier):
-                grow |= g.adjacency[u] & remaining
-            frontier = grow & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
+        comps.append(_component(g, remaining))
+        remaining &= ~comps[-1]
     out = []
     for comp in comps:
         labels = members(comp)
@@ -288,14 +276,7 @@ def graph_from_spec(text):
             except ValueError as exc:
                 raise ValidationError(f"bad vertex count in {text!r}") from exc
             return _PRESETS[name](k)
-    try:
-        with open(text) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read graph {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed graph JSON in {text!r}: {exc}") from exc
-    return graph_from_json_dict(data)
+    return graph_from_json_dict(read_json(text, "graph"))
 
 
 def path_order(g):

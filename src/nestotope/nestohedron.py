@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import comb
 from operator import add
 
 from .errors import ValidationError
@@ -258,11 +259,10 @@ def face_vectors(p):
     f = p.f_counts()
     # expand sum_k f[k] * (x-1)^(n-k)
     coeffs = [0] * (n + 1)  # coeffs[j] multiplies x^(n-j)
-    binom = _binomials(n)
     for k in range(n + 1):
         d = n - k
         for j in range(d + 1):
-            coeffs[n - d + j] += f[k] * binom[d][j] * (-1) ** j
+            coeffs[n - d + j] += f[k] * comb(d, j) * (-1) ** j
     h = tuple(coeffs)
     if h[0] != 1 or any(c < 0 for c in h):
         raise ValidationError(f"h-vector {h} is not of polytope shape")
@@ -275,18 +275,10 @@ def face_vectors(p):
         gamma.append(g)
         # subtract g * t^i (1+t)^(n-2i)
         for j in range(n - 2 * i + 1):
-            work[i + j] -= g * binom[n - 2 * i][j]
+            work[i + j] -= g * comb(n - 2 * i, j)
     if any(work):
         raise ValidationError("gamma expansion left a remainder")
     return FaceVectors(f, h, tuple(gamma))
-
-
-def _binomials(n):
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, i)] + [1])
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,6 @@ def build_sigma_system(y):
 
 @dataclass
 class InvolutionSet:
-    tube: int
     perms: tuple
     words: tuple
     conj: dict   # bigger tube t -> rows[i_s][i_t], the index of mu_s.mu_t.mu_s
@@ -140,7 +139,7 @@ def enumerate_involution_sets(sys, b):
                     raise ValidationError("closure member is not an involution")
                 if sys.plus[mu[x]] == sys.plus[x]:
                     raise ValidationError("closure member keeps a sign fixed")
-        sets[tube] = InvolutionSet(tube, perms, words, {})
+        sets[tube] = InvolutionSet(perms, words, {})
     for t in b.proper_tubes:
         index = {p: i for i, p in enumerate(sets[t].perms)}
         for s in b.proper_tubes:
@@ -330,18 +329,17 @@ def build_covering(b, sets, sys, budget=None):
         return phi, label_sign, ((x, items[i]) for x, i in (
             divmod(rng.randrange(r * k), k) for _ in range(_SAMPLE_SIZE)))
 
-    # epsilon reads sigma and g only: each cell's sign at g = 0, and at
-    # g = e_j, where tube j's step lands
+    # epsilon reads sigma and the parity of g only: each cell's sign at
+    # g = 0, and at the odd g = e_j where every tube's step lands
     at_zero = tuple(epsilon(sys, (c, None, 0)) for c in range(size))
-    landed = [tuple(epsilon(sys, (c, None, 1 << j)) for c in range(size))
-              for j in range(m)]
+    landed = tuple(epsilon(sys, (c, None, 1)) for c in range(size))
     step, sign, entries = pool(range(m))
     involutions = class_constant = True
     for w, j in entries:
         image = step(j, w)
         involutions = involutions and step(j, image) == w
         class_constant = class_constant and (
-            sign(landed[j], image) == sign(at_zero, w))
+            sign(landed, image) == sign(at_zero, w))
     checks["phi_involutions"] = involutions
     checks["epsilon_class_constant"] = class_constant
 

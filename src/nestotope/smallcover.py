@@ -25,7 +25,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter
 
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, check_budget, read_json
 from .graphs import members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
@@ -404,8 +404,10 @@ def lambda_from_json_dict(b, data):
     try:
         rows = int(data["rows"])
         raw = data["columns"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"matrix JSON needs rows and columns: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix JSON needs rows and columns: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError("matrix JSON columns must map facets to bit lists")
     cols = []
     seen = set()
     for t in b.proper_tubes:
@@ -413,7 +415,8 @@ def lambda_from_json_dict(b, data):
         if key not in raw:
             raise ValidationError(f"matrix JSON misses facet {{{key}}}")
         bits = raw[key]
-        if len(bits) != rows or any(x not in (0, 1) for x in bits):
+        if (not isinstance(bits, list) or len(bits) != rows
+                or any(x not in (0, 1) for x in bits)):
             raise ValidationError(f"facet {{{key}}} column is not {rows} bits")
         seen.add(key)
         cols.append(sum(bit << i for i, bit in enumerate(bits)))
@@ -437,9 +440,4 @@ def lambda_from_spec(b, text):
         if lam.b.tubes != b.tubes:
             raise ValidationError("star matrix lives on the 4-vertex path")
         return lam
-    import json
-    from pathlib import Path
-    path = Path(text)
-    if not path.is_file():
-        raise ValidationError(f"no such matrix file: {text}")
-    return lambda_from_json_dict(b, json.loads(path.read_text()))
+    return lambda_from_json_dict(b, read_json(text, "matrix"))

@@ -223,6 +223,29 @@ def test_exit_code_bad_json(tmp_path):
                     "path:3"]) == 2
 
 
+_SPEC_ARGV = {
+    "graph": lambda f: ["poset", "--graph", f],
+    "complex": lambda f: ["subdivide", "--pseudomanifold", f,
+                          "--graph", "path:3"],
+    "matrix": lambda f: ["smallcover", "--graph", "path:3", "--lambda", f],
+}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    (b"{oops", "malformed"),
+    (b"\xff\xfe", "malformed"),
+], ids=["missing", "broken-json", "not-utf8"])
+@pytest.mark.parametrize("kind", sorted(_SPEC_ARGV))
+def test_unreadable_spec_file_exits_two(kind, content, message, tmp_path,
+                                         capsys):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_bytes(content)
+    assert cli.run(_SPEC_ARGV[kind](str(spec))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message} {kind}")
+
+
 def test_exit_code_emit_dir_missing(tmp_path):
     target = tmp_path / "no" / "dir" / "x.json"
     assert cli.run(["poset", "--graph", "path:3", "--emit", str(target)]) == 2

@@ -6,7 +6,6 @@ import pytest
 
 from nestotope.errors import ValidationError
 from nestotope.formulas import (
-    SequenceTable,
     as_cover_total,
     betti_as_can,
     betti_hessenberg,
@@ -82,20 +81,17 @@ def test_inequality_chain():
         assert as_cover_total(n) < factorial(n + 1)
 
 
-def test_sequence_table_conflicts():
-    t = SequenceTable("demo")
-    t.add((1,), 5, "first")
-    t.add((1,), 5, "second")
-    assert t.value((1,)) == 5
-    with pytest.raises(ValidationError, match="demo"):
-        t.add((1,), 6, "third")
-    rows = t.csv_rows()
-    assert rows[0] == ("index", "value", "sources")
-    assert rows[1] == ("1", "5", "first+second")
-
-
 def test_family_table():
-    t = family_table("tomei", 3)
-    assert [t.value((3, i)) for i in range(4)] == [1, 11, 11, 1]
+    closed = {"tomei": betti_tomei, "hessenberg": betti_hessenberg,
+              "as": betti_as_can}
+    for family, betti in closed.items():
+        for n in range(9):
+            rows = family_table(family, n)
+            assert rows[0] == ("index", "value", "sources")
+            assert rows[1:] == [(f"{n},{i}", str(v), "formula")
+                                for i, v in enumerate(betti(n))]
+    assert family_table("tomei", 3)[1:] == [
+        ("3,0", "1", "formula"), ("3,1", "11", "formula"),
+        ("3,2", "11", "formula"), ("3,3", "1", "formula")]
     with pytest.raises(ValidationError, match="unknown family"):
         family_table("nope", 3)

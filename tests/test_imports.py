@@ -1,5 +1,6 @@
-"""Every name a module imports must be used in that module, and the
-package computes without ``fractions``."""
+"""Every name a module imports must be used in that module, every private
+module-level name must be used somewhere in the package, and the package
+computes without ``fractions``."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,45 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _referenced(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _private_definitions(tree):
+    """Module-level private names (``_x``, not dunder) that ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from (n for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def _package_uses():
+    """Every name the package reads, attribute names and names imported
+    from another of its modules included."""
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = sorted(set(_private_definitions(tree)) - _package_uses())
+    assert not unused, f"{path.name} defines but nothing uses {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -417,8 +417,29 @@ def test_lambda_from_spec_named():
         lambda_from_spec(b, "tomei")
     with pytest.raises(ValidationError, match="4-vertex path"):
         lambda_from_spec(b, "star")
-    with pytest.raises(ValidationError, match="no such matrix file"):
+    with pytest.raises(ValidationError, match="cannot read matrix"):
         lambda_from_spec(b, "missing.json")
+
+
+def test_lambda_json_rejects_non_integer_rows():
+    _, b = _pentagon()
+    with pytest.raises(ValidationError, match="needs rows and columns"):
+        lambda_from_json_dict(b, {"rows": "x", "columns": {}})
+
+
+def test_lambda_json_rejects_columns_that_are_not_an_object():
+    _, b = _pentagon()
+    with pytest.raises(ValidationError, match="columns must map facets"):
+        lambda_from_json_dict(b, {"rows": 2, "columns": 5})
+
+
+def test_lambda_json_rejects_a_column_that_is_not_a_bit_list(
+        lambda_to_json_dict):
+    _, b = _pentagon()
+    data = lambda_to_json_dict(lambda_can(b))
+    data["columns"]["0"] = 1
+    with pytest.raises(ValidationError, match=r"facet \{0\} column is not 2 bits"):
+        lambda_from_json_dict(b, data)
 
 
 # Every glued manifold the homology benchmark computes; the simplicial
