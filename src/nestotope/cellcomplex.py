@@ -49,7 +49,7 @@ from itertools import accumulate, chain, combinations, pairwise, permutations
 from math import factorial, gcd
 from operator import eq, itemgetter, lt
 
-from .errors import ValidationError, check_budget, read_json
+from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
 
 
@@ -715,11 +715,7 @@ def complex_from_json_dict(data):
     if (not isinstance(data, dict)
             or "top_cells" not in data or "dim" not in data):
         raise ValidationError("pseudomanifold JSON needs 'dim' and 'top_cells'")
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"pseudomanifold 'dim' must be an integer, got {data['dim']!r}") from exc
+    dim = json_int(data["dim"], "pseudomanifold 'dim'")
     try:
         tops = [tuple(t) for t in data["top_cells"]]
     except TypeError as exc:
@@ -734,11 +730,14 @@ def complex_from_json_dict(data):
         try:
             for t, slots, cid in data["instances"]:
                 k = len(slots) - 1
-                cid = int(cid)
-                if not 0 <= k <= dim or cid < 0:
+                if not 0 <= k <= dim or json_int(cid, "instance cell") < 0:
                     raise ValueError
-                by_key[(int(t), tuple(int(s) for s in slots))] = cid
+                key = json_int(t, "instance top cell"), tuple(
+                    json_int(s, "instance slot") for s in slots)
+                by_key[key] = cid
                 counts[k] = max(counts[k], cid + 1)
+        except ValidationError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ValidationError("each instance must be [top cell, slots, "
                                   "cell] with 1 to dim + 1 slots") from exc
@@ -766,7 +765,8 @@ def complex_from_json_dict(data):
     orientation = data.get("orientation")
     if orientation is not None:
         if (not isinstance(orientation, list)
-                or any(x not in (1, -1) for x in orientation)):
+                or any(json_int(x, "orientation entry") not in (1, -1)
+                       for x in orientation)):
             raise ValidationError("orientation must be a list of 1 and -1")
         if len(orientation) != cx.n_cells(dim):
             raise ValidationError("orientation list length mismatch")

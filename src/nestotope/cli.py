@@ -58,12 +58,14 @@ def _apex(text):
 
 def _budget(text):
     try:
-        budget = int(float(text))
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"budget must be a finite number, got {text!r}") from exc
+        budget = float(text)
+    except ValueError as exc:
+        raise ValidationError(f"budget must be a number, got {text!r}") from exc
+    if not budget.is_integer():
+        raise ValidationError(f"budget must be a whole number, got {text!r}")
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    return budget
+    return int(budget)
 
 
 def _write_json(path, payload):

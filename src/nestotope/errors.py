@@ -1,4 +1,5 @@
-"""Shared exception types, size budgets and the JSON-file reader.
+"""Shared exception types, size budgets, the JSON-file reader and its
+integer check.
 
 ValidationError signals malformed or inconsistent input (CLI exit code 2),
 BudgetExceeded signals a refusal to materialize something too large
@@ -18,10 +19,13 @@ class BudgetExceeded(RuntimeError):
 
 # Default size limits.  Gluings, stock spheres and subdivisions refuse to
 # materialize more cells than CELL_BUDGET, each counted in closed form before
-# anything is built; covering enumerations switch to sampled checks once
-# the configuration space exceeds OMEGA_BUDGET; involution closures and their
-# index tables refuse before they store more than CLOSURE_BUDGET cell indexes
-# (each permutation counts its length, each table entry one).
+# anything is built.  Covering enumerations switch to sampled checks once
+# the configuration space exceeds OMEGA_BUDGET, though a pool of at most
+# realization._SAMPLE_SIZE entries is walked in full at any budget, and the
+# certificate's mode compares only r * 2^m with the budget.  Involution
+# closures and their index tables refuse before they store more than
+# CLOSURE_BUDGET cell indexes (each permutation counts its length, each
+# table entry one).
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000
@@ -46,3 +50,11 @@ def read_json(text, what):
         raise ValidationError(f"cannot read {what} {text!r}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed {what} JSON in {text!r}: {exc}") from exc
+
+
+def json_int(value, what):
+    """``value`` if it is a JSON integer, else a ValidationError naming
+    ``what``: a float or a boolean is refused, not truncated."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -123,5 +123,7 @@ def family_table(family, n):
     }
     if family not in values:
         raise ValidationError(f"unknown family: {family}")
+    if n < 0:
+        raise ValidationError(f"n must be nonnegative, got {n}")
     return [("index", "value", "sources")] + [
         (f"{n},{i}", str(v), "formula") for i, v in enumerate(values[family](n))]

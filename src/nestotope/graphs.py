@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import ValidationError, read_json
+from .errors import ValidationError, json_int, read_json
 
 MAX_VERTICES = 64
 
@@ -249,17 +249,19 @@ _PRESETS = {
 
 def graph_from_json_dict(data):
     try:
+        n = json_int(data["n_vertices"], "malformed graph JSON: 'n_vertices'")
         if "preset" in data:
             name = data["preset"]
             if name not in _PRESETS:
                 raise ValidationError(f"unknown graph preset {name!r}")
-            return _PRESETS[name](int(data["n_vertices"]))
-        edges = [tuple(e) for e in data["edges"]]
+            return _PRESETS[name](n)
+        edges = [tuple(json_int(v, "malformed graph JSON: edge endpoint")
+                       for v in e) for e in data["edges"]]
         for e in edges:
             if len(e) != 2:
                 raise ValidationError(
                     f"malformed graph JSON: edge {list(e)} needs two endpoints")
-        return Graph(int(data["n_vertices"]), edges)
+        return Graph(n, edges)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

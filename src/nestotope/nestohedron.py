@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 from operator import add
 
 from .errors import ValidationError
@@ -459,40 +459,30 @@ def _det_sign(rows):
     return (d > 0) - (d < 0)
 
 
-def _simplex_flags(nv):
-    """Each complete flag of the simplex on range(nv), as the chain of masks
-    a permutation fills one element at a time, mapped to the permutation's
-    sign: the chain's 0/1 rows differ by the permutation matrix's rows."""
-    flags = {}
-    for perm in permutations(range(nv)):
-        m = inversions = 0
-        chain = []
-        for v in perm:
-            inversions += (m >> (v + 1)).bit_count()  # earlier elements above v
-            m |= 1 << v
-            chain.append(m)
-        flags[tuple(chain)] = -1 if inversions & 1 else 1
-    return flags
-
-
 def _signed_flag_counts(p, coords):
     """Signed counts of the nondegenerate complete face chains, per image.
 
-    Returns ``(acc, boundary_keys)``: ``acc`` maps each image flag, the
-    tuple of uncovered masks u(F) of the chain's faces from vertex to the
-    whole polytope, to the sum of the source orientation signs of the
-    chains over it, and ``boundary_keys`` holds those flags without their
-    last mask.  Source points are face barycentres scaled by vertex counts:
-    each vertex's point is added into every face of its tubing.
+    Returns ``acc``, which maps each image flag, the tuple of uncovered
+    masks u(F) of the chain's faces from vertex to the whole polytope, to
+    the sum over the chains above it of the source orientation sign times
+    the image flag's sign.  Source points are face barycentres scaled by
+    vertex counts: each vertex's point is added into every face of its
+    tubing.  The image flag's 0/1 rows differ by the rows of a permutation
+    matrix, so its sign is the permutation's, read off the walk: each step
+    uncovers one element x after the elements u already uncovered, and adds
+    one inversion per element of u above x.
 
     A chain counts only when u grows by one element at each step: its face
     at step i, which has dim - i tubes, must leave i + 1 elements uncovered.
     So a chain is nondegenerate exactly when every face F on it is good,
     |u(F)| = n_vertices - |F|, and the walk down from each vertex, which
     descends only into good faces, reaches exactly the nondegenerate chains
-    of ``_flags``.  A stored tubing that covers the whole ground set (it has
-    no image), a face under a good face that the poset does not store, and
-    a stored face that no vertex contains, raise.
+    of ``_flags``.  Every key is then a nested chain of masks of sizes 1 to
+    n_vertices ending at the ground set, the chain of one ordering of the
+    ground set, so ``acc`` has at most n_vertices! keys.  A stored tubing
+    that covers the whole ground set (it has no image), a face under a good
+    face that the poset does not store, and a stored face that no vertex
+    contains, raise.
     """
     b = p.b
     nv = b.n_vertices
@@ -523,21 +513,22 @@ def _signed_flag_counts(p, coords):
             if u.bit_count() == nv - len(face)}
 
     acc = {}
-    boundary_keys = set()
 
-    def descend(face, key, rows):
+    def descend(face, key, rows, inversions):
         if not face:
-            boundary_keys.add(key[:-1])
             sdom = _det_sign(rows)
             if sdom == 0:
                 raise ValidationError(
                     "degenerate source flag with nondegenerate image")
-            acc[key] = acc.get(key, 0) + sdom
+            acc[key] = acc.get(key, 0) + (-sdom if inversions & 1 else sdom)
             return
+        u = key[-1]
         for drop in range(len(face)):
             child = face[:drop] + face[drop + 1:]
             if child in good:
-                descend(child, key + (uncovered[child],), rows + (bary[child],))
+                grown = uncovered[child]
+                descend(child, key + (grown,), rows + (bary[child],),
+                        inversions + (u >> (grown & ~u).bit_length()).bit_count())
             elif child not in uncovered:
                 raise ValidationError(
                     f"face {child} under face {face} is missing from the "
@@ -545,8 +536,8 @@ def _signed_flag_counts(p, coords):
 
     for v in p.vertices:
         if v in good:
-            descend(v, (uncovered[v],), (bary[v],))
-    return acc, boundary_keys
+            descend(v, (uncovered[v],), (bary[v],), 0)
+    return acc
 
 
 def pi_degree(p):
@@ -559,19 +550,16 @@ def pi_degree(p):
     orientation signs is accumulated per image flag
     (``_signed_flag_counts``, which builds the face barycentres from the
     vertex coordinates, refuses a tubing that covers the whole ground set
-    and prunes the chain walk at the first degenerate face); each image
-    flag's sign is its permutation's (``_simplex_flags``).  The count must
-    come out the same for every image flag, and the image flags must
-    exhaust all orderings of the ground set; any failure raises.
+    and prunes the chain walk at the first degenerate face).  Every image
+    flag is the chain of one ordering of the ground set, so the image flags
+    exhaust all orderings exactly when there are n_vertices! of them; and
+    the count must come out the same for every image flag.  Any failure
+    raises.
     """
-    acc, boundary_keys = _signed_flag_counts(p, all_vertex_coordinates(p))
-    flags = _simplex_flags(p.b.n_vertices)
-    if acc.keys() != flags.keys():
+    acc = _signed_flag_counts(p, all_vertex_coordinates(p))
+    if len(acc) != factorial(p.b.n_vertices):
         raise ValidationError("projection misses some full flags of the simplex")
-    if boundary_keys != {key[:-1] for key in flags}:
-        raise ValidationError("projection misses part of the boundary")
-
-    degs = {total * flags[key] for key, total in acc.items()}
+    degs = set(acc.values())
     if len(degs) != 1:
         raise ValidationError(f"local degrees disagree: {sorted(degs)}")
     return degs.pop()

@@ -21,8 +21,9 @@ lazily, once per u reached, from ``phi_action``, which stays the one
 definition of a face involution.  A pool that is walked in full runs
 once per u on a state (permutation, base) that carries every sigma of
 the fibre at once; a sampled pool checks seeded draws of int labels.
-Faces are walked only in a sampled pool: in full, their check follows
-from the involution and commutation checks by the group's relators.
+Faces are walked only when the tube or the pair pool is sampled: when
+both are walked in full, the face check follows from their involution
+and commutation checks by the group's relators.
 ``mode`` reads only r * 2^m against the budget, whichever way a pool
 is walked.
 """
@@ -224,9 +225,10 @@ def build_covering(b, sets, sys, budget=None):
 
     ``covering_fibers`` asks that a face F's walk over its group
     coordinates, from a label at g = 0, reach one label per g.  It is
-    walked only when the face pool is sampled; a face pool walked in full
-    gives ``covering_fibers = phi_involutions and phi_commutation``, by
-    the relators of (Z/2)^F = <s_j | s_j^2, (s_i s_j)^2>:
+    walked only when the tube or the pair pool is sampled; when both are
+    walked in full, ``covering_fibers = phi_involutions and
+    phi_commutation``, by the relators of (Z/2)^F = <s_j | s_j^2,
+    (s_i s_j)^2>:
 
     - Every 2-subset of a nested set is a nested set, so every pair of
       tubes of a face is a 2-face, and every tube a 1-face.
@@ -238,13 +240,14 @@ def build_covering(b, sets, sys, budget=None):
     - The walk fails at its start label when either relator fails there:
       the route j, j back to g = 0 for s_j^2 on the face {j}, and the
       routes i, j and j, i for (s_i s_j)^2 on the face {i, j}.
-    - A full face pool starts at every fibre label, and its pool is the
-      largest of the three (the 1- and 2-faces are among the faces), so
-      the tube and pair pools are full too: ``phi_involutions`` checks
-      s_j^2 and ``phi_commutation`` checks s_i s_j = s_j s_i at every
-      fibre label, for every tube and every 2-face.  With s_j^2 trivial,
-      the second is (s_i s_j)^2 acting trivially; without it, both sides
-      are false.
+    - Full tube and pair pools start at every fibre label:
+      ``phi_involutions`` checks s_j^2 and ``phi_commutation`` checks
+      s_i s_j = s_j s_i there, for every tube and every 2-face.  With
+      s_j^2 trivial, the second is (s_i s_j)^2 acting trivially; without
+      it, both sides are false.  So every relator holds at every fibre
+      label, the labels any face's walk reaches among them, exactly when
+      both checks hold, and the face pool need not be walked even when it
+      is too large to walk in full.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -370,7 +373,7 @@ def build_covering(b, sets, sys, budget=None):
         return True
 
     faces = [face for level in p.faces_by_size for face in level]
-    if in_full(len(faces)):
+    if in_full(max(m, len(pairs))):
         # the relator argument in the docstring: no walk is needed
         checks["covering_fibers"] = (checks["phi_involutions"]
                                      and checks["phi_commutation"])

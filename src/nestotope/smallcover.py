@@ -25,7 +25,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter
 
-from .errors import ValidationError, check_budget, read_json
+from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
@@ -402,7 +402,7 @@ def enumerate_characteristics(p):
 
 def lambda_from_json_dict(b, data):
     try:
-        rows = int(data["rows"])
+        rows = json_int(data["rows"], "'rows'")
         raw = data["columns"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"matrix JSON needs rows and columns: {exc}") from exc
@@ -416,7 +416,8 @@ def lambda_from_json_dict(b, data):
             raise ValidationError(f"matrix JSON misses facet {{{key}}}")
         bits = raw[key]
         if (not isinstance(bits, list) or len(bits) != rows
-                or any(x not in (0, 1) for x in bits)):
+                or any(json_int(x, f"facet {{{key}}} bit") not in (0, 1)
+                       for x in bits)):
             raise ValidationError(f"facet {{{key}}} column is not {rows} bits")
         seen.add(key)
         cols.append(sum(bit << i for i, bit in enumerate(bits)))

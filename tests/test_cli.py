@@ -246,6 +246,66 @@ def test_unreadable_spec_file_exits_two(kind, content, message, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {message} {kind}")
 
 
+# One valid file of each spec kind, with the command that reads it: the path
+# on three vertices, its canonical matrix, and the circle as two edges with
+# its instance list.
+_PATH3_COLUMNS = {"0": [1, 1], "1": [1, 0], "2": [0, 1], "0,1": [0, 1],
+                  "1,2": [1, 1]}
+_CIRCLE_INSTANCES = [[0, [0], 0], [0, [1], 1], [1, [0], 0], [1, [1], 1],
+                     [0, [0, 1], 0], [1, [0, 1], 1]]
+_SPEC_DOCS = {
+    "graph": (_SPEC_ARGV["graph"], {"n_vertices": 3, "edges": [[0, 1], [1, 2]]}),
+    "matrix": (_SPEC_ARGV["matrix"], {"rows": 2, "columns": _PATH3_COLUMNS}),
+    "complex": (lambda f: ["subdivide", "--pseudomanifold", f, *_CIRCLE[2:]],
+                {**_TWO_EDGES, "instances": _CIRCLE_INSTANCES}),
+}
+
+
+def _spec_file(kind, **edit):
+    """The argv that reads the valid ``kind`` file with ``edit`` applied."""
+    def argv(tmp_path):
+        argv_of, doc = _SPEC_DOCS[kind]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, **edit}))
+        return argv_of(str(path))
+    return argv
+
+
+@pytest.mark.parametrize("kind", sorted(_SPEC_DOCS))
+def test_valid_spec_files_are_read(kind, tmp_path):
+    assert cli.run(_spec_file(kind)(tmp_path) + ["--emit",
+                                                 str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv, field", [
+    (_spec_file("graph", n_vertices=3.9), "'n_vertices'"),
+    (_spec_file("graph", preset="path", n_vertices=True), "'n_vertices'"),
+    (_spec_file("graph", edges=[[False, True], [1, 2]]), "edge endpoint"),
+    (_spec_file("graph", edges=[[0, 1.5], [1, 2]]), "edge endpoint"),
+    (_spec_file("matrix", rows=2.7), "'rows'"),
+    (_spec_file("matrix", columns={**_PATH3_COLUMNS, "0": [True, 1]}),
+     "facet {0} bit"),
+    (_spec_file("matrix", columns={**_PATH3_COLUMNS, "0": [1.0, 1]}),
+     "facet {0} bit"),
+    (_spec_file("complex", dim=1.5), "'dim'"),
+    (_spec_file("complex", dim=True), "'dim'"),
+    (_spec_file("complex", instances=[[0, [0.0], 0]] + _CIRCLE_INSTANCES[1:]),
+     "instance slot"),
+    (_spec_file("complex", orientation=[True, -1]), "orientation entry"),
+    (["formulas", "--family", "tomei", "--n", "-1"], "n must be nonnegative"),
+    (["realize", *_CIRCLE, "--budget", "2.7"], "budget must be a whole number"),
+], ids=["graph-n-float", "graph-n-bool", "graph-edge-bool", "graph-edge-float",
+        "matrix-rows-float", "matrix-bit-bool", "matrix-bit-float",
+        "complex-dim-float", "complex-dim-bool", "complex-instance-float",
+        "complex-orientation-bool", "formulas-negative-n", "budget-fraction"])
+def test_malformed_numbers_exit_two(argv, field, tmp_path, capsys):
+    if callable(argv):
+        argv = argv(tmp_path)
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_exit_code_emit_dir_missing(tmp_path):
     target = tmp_path / "no" / "dir" / "x.json"
     assert cli.run(["poset", "--graph", "path:3", "--emit", str(target)]) == 2

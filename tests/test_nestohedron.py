@@ -1,7 +1,6 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
 from itertools import combinations, permutations, product
-from math import factorial
 
 import pytest
 
@@ -23,9 +22,7 @@ from nestotope.nestohedron import (
     FacePoset,
     _det_sign,
     _flags,
-    _int_det,
     _signed_flag_counts,
-    _simplex_flags,
     all_vertex_coordinates,
     barycentric_complex,
     check_simple_and_flag,
@@ -366,18 +363,6 @@ def test_barycentric_complex_of_pentagon():
     assert bar.validate()
 
 
-def test_simplex_flag_signs_are_determinant_signs():
-    # the sign pi_degree gives an image flag is its permutation's parity;
-    # the determinant of the chain's 0/1 rows is the definition it replaces
-    for nv in range(2, 7):
-        flags = _simplex_flags(nv)
-        assert len(flags) == factorial(nv)
-        for perm in permutations(range(nv)):
-            chain = tuple(sum(1 << v for v in perm[:i + 1]) for i in range(nv))
-            rows = [[(m >> j) & 1 for j in range(nv)] for m in chain]
-            assert flags[chain] == _det_sign(rows), perm
-
-
 def test_projection_degree_is_one():
     for k in range(2, 6):
         for g in connected_graph_representatives(k):
@@ -387,7 +372,8 @@ def test_projection_degree_is_one():
 def _every_chain_flag_counts(p, coords):
     """The signed flag count by brute force: every complete chain of
     ``_flags``, its degenerate ones dropped afterwards, each barycentre
-    summed over all vertices and each sign from a full determinant."""
+    summed over all vertices, and both signs from full determinants: the
+    source chain's of its barycentres, the image flag's of its 0/1 rows."""
     proper = p.b.proper_tubes
     nv = p.b.n_vertices
     bary = {}
@@ -404,15 +390,15 @@ def _every_chain_flag_counts(p, coords):
             covered |= proper[i]
         return p.b.ground_mask & ~covered
 
-    acc, boundary_keys = {}, set()
+    acc = {}
     for flag in _flags(p):
         key = tuple(uncovered(face) for face in flag)
         if any(m.bit_count() != i + 1 for i, m in enumerate(key)):
             continue
-        boundary_keys.add(key[:-1])
-        d = _int_det([barycentre(face) for face in flag])
-        acc[key] = acc.get(key, 0) + (d > 0) - (d < 0)
-    return acc, boundary_keys
+        image = _det_sign([[(m >> j) & 1 for j in range(nv)] for m in key])
+        acc[key] = acc.get(key, 0) + image * _det_sign(
+            [barycentre(face) for face in flag])
+    return acc
 
 
 def test_signed_flag_counts_match_every_chain():
@@ -426,6 +412,19 @@ def test_signed_flag_counts_match_every_chain():
             p, coords), g
 
 
+def test_signed_flag_keys_are_orderings_of_the_ground_set():
+    # pi_degree counts the image flags instead of comparing them with every
+    # ordering of the ground set; the two agree because each key is a
+    # nested chain of masks of sizes 1 to n_vertices ending at the ground set
+    for k in range(2, 6):
+        for g in connected_graph_representatives(k):
+            p = _poset(g)
+            for key in _signed_flag_counts(p, all_vertex_coordinates(p)):
+                assert [m.bit_count() for m in key] == list(range(1, k + 1))
+                assert all(a & ~b == 0 for a, b in zip(key, key[1:]))
+                assert key[-1] == p.b.ground_mask
+
+
 def _drop_vertices(p, drop):
     """``p`` without the vertices at positions ``drop``, and without every
     face that no remaining vertex contains."""
@@ -436,13 +435,11 @@ def _drop_vertices(p, drop):
 
 
 def test_pi_degree_guards():
-    # The boundary check cannot be reached from a FacePoset: every boundary
-    # key is a prefix of a key of acc.  No image needs a guard either: a
-    # face's image is the simplex on its uncovered set, off its tubes by
-    # definition, and an image flag is a chain of nested subsets growing one
-    # element at a time, whose sign is its permutation's.  Every other
-    # refusal is reached below; a tubing that covers the whole ground set
-    # has no image, and _signed_flag_counts refuses it.
+    # No image needs a guard: a face's image is the simplex on its uncovered
+    # set, off its tubes by definition, and an image flag is a chain of
+    # nested subsets growing one element at a time, whose sign is its
+    # permutation's.  Every refusal is reached below; a tubing that covers
+    # the whole ground set has no image, and _signed_flag_counts refuses it.
     p = _poset(path_graph(3))
     f0, f1, f2 = p.faces_by_size
     with pytest.raises(ValidationError, match=r"face \(0,\) under .* missing"):

@@ -391,12 +391,13 @@ def _bipyramid(n):
 
 
 @pytest.mark.parametrize("broken", ["intact", "broken cell"])
-def test_sampled_face_pool_is_still_walked(monkeypatch, covering_oracle,
-                                           broken):
+def test_full_tube_and_pair_pools_settle_a_sampled_face_pool(
+        monkeypatch, covering_oracle, broken):
     # the hexagonal bipyramid along path:3 at budget 1000 has r = 1296:
     # the tube and pair pools hold r * 5 <= 10,000 entries and are walked
-    # in full, the face pool's r * 11 are not, so only the faces are drawn
-    # and walked, and the walk must catch a broken cell
+    # in full, the face pool's r * 11 are not, yet nothing is drawn: the
+    # relators read covering_fibers off the two full pools, which must
+    # catch a broken cell and agree with the oracle's sampled face walk
     sys, b = _system(_bipyramid(6), path_graph(3))
     sets = enumerate_involution_sets(sys, b)
     _BREAKS[broken](sys, sets)
@@ -413,7 +414,7 @@ def test_sampled_face_pool_is_still_walked(monkeypatch, covering_oracle,
     pools = (cert.m, len(p.faces_by_size[2]),
              sum(len(level) for level in p.faces_by_size))
     assert (cert.mode, cert.r, pools) == ("sampled", 1296, (5, 5, 11))
-    assert len(seeds) == 1
+    assert len(seeds) == 0
     assert cert == covering_oracle.build_covering(b, sets, sys, 1000)
     assert cert.checks["phi_involutions"] == (broken == "intact")
     assert cert.checks["covering_fibers"] == (broken == "intact")
