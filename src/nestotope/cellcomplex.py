@@ -32,14 +32,17 @@ Markowitz-style, division by the gcd of the entries when no unit is left,
 and, when that gcd is 1, a remainder step that makes a smaller entry.
 Rational and mod-2 Betti numbers both fall out of the elementary
 divisors.  ``homology_z2`` is an independent GF(2) column reduction with
-clearing, the fast path and a cross-check; it keeps each column as bits
-above its lowest row, so a stored column costs its row span, not its
-highest row.  ``homology`` reads only cell counts and boundary matrices,
-so it also takes a bare ``ChainComplex``: glued manifolds hand it the cell
-structure of Davis and Januszkiewicz ("Convex polytopes, Coxeter orbifolds
-and torus actions", Duke Math. J. 62, 1991), with one d-cell per d-face of
-the polytope and coset of the face's span, which for a small cover is
-f_d * 2^d cells in degree d.
+clearing, the fast path and a cross-check.  Nearly every column meets no
+pivot: the builders number faces in the order their cells first reach
+them, so a cell's highest face is mostly one that no earlier cell has.
+Such a column is stored as its index, whose faces the complex already
+holds; only a column that took a reduction step is stored, as bits above
+its lowest row.  ``homology`` and ``homology_z2`` read only cell counts
+and boundary matrices, so they also take a bare ``ChainComplex``: glued
+manifolds hand them the cell structure of Davis and Januszkiewicz
+("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J.
+62, 1991), with one d-cell per d-face of the polytope and coset of the
+face's span, which for a small cover is f_d * 2^d cells in degree d.
 """
 
 from __future__ import annotations
@@ -589,9 +592,23 @@ def homology(c):
     return prof
 
 
+def _mod2_columns(c, k):
+    """The rows of each column of the boundary of degree k, a repeated
+    row cancelling: a k-cell's faces, or for a ``ChainComplex`` the rows
+    of the odd entries of its column."""
+    if isinstance(c, ChainComplex):
+        columns = [[] for _ in range(c.n_cells(k))]
+        for (row, col), v in c.boundary_entries(k).items():
+            if v & 1:
+                columns[col].append(row)
+        return columns
+    return c.faces_of[k]
+
+
 def homology_z2(c):
     """Mod-2 Betti numbers by direct GF(2) elimination (fast path; also the
-    independent cross-check for the Smith-normal-form route).
+    independent cross-check for the Smith-normal-form route).  ``c`` is a
+    ``SimplicialCellComplex`` or a ``ChainComplex``.
 
     Boundaries are reduced from the top degree down with clearing, the
     "twist" of Chen and Kerber ("Persistent homology computation with a
@@ -600,45 +617,57 @@ def homology_z2(c):
     boundary of degree k is a sum of the other columns and is skipped.
     Only the set of pivot rows is carried from one degree to the next.
 
-    Columns are narrow: a column is a base row ``low``, the cell's lowest
-    face, and an int ``bits`` whose bit i is row low + i.  It is built in
-    one pass over the faces, XOR of 1 << (f - low), shifting the bits up
-    when a lower face turns up; a repeated face cancels.  A pivot is stored
-    under its row h = low + bits.bit_length() - 1 as ``bits`` alone, its
-    base being h + 1 - bits.bit_length().  So a stored column costs its row
-    span, not its highest row; no int as wide as the highest row is ever
-    built.  One reduction step is one shift of the column with the higher
-    base and one XOR.
+    Most columns take no reduction step, since a cell's highest face is
+    mostly one no earlier cell has: the column's highest row (one max
+    over its faces, not repeated) is not yet a pivot row, and the column
+    is stored under it as its own index j, whose rows the complex already
+    holds.  Only a column that meets a pivot is built, narrow: a base row
+    ``low`` and an int ``bits`` whose bit i is row low + i.  A step XORs
+    the pivot in, a pivot stored as an index face by face, and a column
+    that steps and stays nonzero is stored as its (low, bits).  So the
+    stored pivots cost one index each and the row span of the few reduced
+    columns; no int as wide as the highest row is ever built.
     """
     n = c.n
     ranks = [0] * (n + 2)
     cleared = set()
     for k in range(n, 0, -1):
+        columns = _mod2_columns(c, k)
         pivots = {}
-        for j, faces in enumerate(c.faces_of[k]):
-            if j in cleared:
+        for j, faces in enumerate(columns):
+            if j in cleared or not faces:
                 continue
-            low = faces[0]
-            bits = 0
-            for f in faces:
-                if f >= low:
-                    bits ^= 1 << (f - low)
-                else:
-                    bits = (bits << (low - f)) ^ 1
-                    low = f
-            while bits:
-                width = bits.bit_length()
-                h = low + width - 1
+            h = max(faces)
+            if h not in pivots and faces.count(h) == 1:
+                pivots[h] = j
+                continue
+            # each step adds a pivot's rows, its faces when it is stored as
+            # an index, else its narrow bits; the first adds the column's own
+            low, bits, rows = faces[0], 0, faces
+            while True:
+                for f in rows:
+                    if f >= low:
+                        bits ^= 1 << (f - low)
+                    else:
+                        bits = (bits << (low - f)) ^ 1
+                        low = f
+                if not bits:
+                    break
+                h = low + bits.bit_length() - 1
                 p = pivots.get(h)
                 if p is None:
-                    pivots[h] = bits
+                    pivots[h] = low, bits
                     break
-                shift = width - p.bit_length()
-                if shift >= 0:
-                    bits ^= p << shift
+                if isinstance(p, int):
+                    rows = columns[p]
+                    continue
+                rows = ()
+                plow, pbits = p
+                if plow >= low:
+                    bits ^= pbits << (plow - low)
                 else:
-                    bits = (bits << -shift) ^ p
-                    low += shift
+                    bits = (bits << (low - plow)) ^ pbits
+                    low = plow
         ranks[k] = len(pivots)
         cleared = set(pivots)
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(n + 1))

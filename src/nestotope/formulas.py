@@ -7,7 +7,7 @@ matching enumeration oracle over small inputs.
 from itertools import permutations
 from math import comb, factorial
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 
 
 def eulerian(m, k):
@@ -16,6 +16,12 @@ def eulerian(m, k):
         raise ValidationError("need m >= 1")
     if not 0 <= k < m:
         return 0
+    return _eulerian_row(m)[k]
+
+
+def _eulerian_row(m):
+    """The Eulerian numbers A(m, 0), ..., A(m, m - 1), one row from the
+    last."""
     row = [1]
     for size in range(2, m + 1):
         new = []
@@ -24,7 +30,7 @@ def eulerian(m, k):
             down = (size - j) * row[j - 1] if j > 0 else 0
             new.append(up + down)
         row = new
-    return row[k]
+    return row
 
 
 def eulerian_brute(m, k):
@@ -40,6 +46,12 @@ def zigzag(m):
     """Alternating permutations of length m (up-down), by convolution."""
     if m < 0:
         raise ValidationError("need m >= 0")
+    return _zigzags(m)[m]
+
+
+def _zigzags(m):
+    """The zigzag numbers E_0, ..., E_m (at least E_0 and E_1), each by
+    convolution of the ones before it."""
     e = [1, 1]
     while len(e) <= m:
         n = len(e) - 1
@@ -47,7 +59,7 @@ def zigzag(m):
         if total % 2:
             raise ValidationError("zigzag convolution came out odd")
         e.append(total // 2)
-    return e[m]
+    return e
 
 
 def zigzag_brute(m):
@@ -71,30 +83,30 @@ def zigzag_brute(m):
 def betti_tomei(n):
     """Rational Betti numbers of the complete-graph gluing: one ascent
     class of permutations per degree."""
-    return tuple(eulerian(n + 1, i) for i in range(n + 1))
+    return tuple(_eulerian_row(n + 1))
 
 
 def betti_hessenberg(n):
-    """Rational Betti numbers of the canonical complete-graph gluing."""
-    return tuple(comb(n + 1, 2 * i) * zigzag(2 * i) for i in range(n + 1))
+    """Rational Betti numbers of the canonical complete-graph gluing; a
+    degree i with 2i > n + 1 has none."""
+    e = _zigzags(n + 1)
+    return tuple(comb(n + 1, 2 * i) * e[2 * i] if 2 * i <= n + 1 else 0
+                 for i in range(n + 1))
 
 
 def betti_as_can(n):
     """Rational Betti numbers of the canonical path-graph gluing: binomial
     differences up to the middle, zero beyond."""
     half = (n + 1) // 2
-    out = []
-    for i in range(n + 1):
-        if i <= half:
-            out.append(comb(n + 1, i) - (comb(n + 1, i - 1) if i else 0))
-        else:
-            out.append(0)
-    return tuple(out)
+    binomials = [1]   # C(n + 1, i) for i = 0..half, each from the last
+    for i in range(1, half + 1):
+        binomials.append(binomials[-1] * (n + 2 - i) // i)
+    return (tuple(b - a for a, b in zip([0] + binomials, binomials))
+            + (0,) * (n - half))
 
 
 def hessenberg_cover_total(n):
-    return 2 * sum(comb(n + 1, 2 * i) * zigzag(2 * i)
-                   for i in range((n + 1) // 2 + 1))
+    return 2 * sum(betti_hessenberg(n))
 
 
 def as_cover_total(n):
@@ -125,5 +137,9 @@ def family_table(family, n):
         raise ValidationError(f"unknown family: {family}")
     if n < 0:
         raise ValidationError(f"n must be nonnegative, got {n}")
+    # the Eulerian row and the zigzag convolution make about (n + 1)^2
+    # entries, the binomial differences n + 1
+    check_budget(f"{family} table", n + 1 if family == "as" else (n + 1) ** 2,
+                 "entries")
     return [("index", "value", "sources")] + [
         (f"{n},{i}", str(v), "formula") for i, v in enumerate(values[family](n))]

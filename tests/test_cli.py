@@ -14,6 +14,7 @@ import pytest
 import nestotope
 from nestotope.errors import BudgetExceeded
 from nestotope import cli, verify
+from nestotope import formulas as fm
 
 
 def test_poset_report(tmp_path, capsys):
@@ -136,6 +137,20 @@ def test_formulas_csv(tmp_path, capsys):
     assert lines[1] == '"3,0",1,formula'
     assert cli.run(["formulas", "--family", "hessenberg", "--n", "3"]) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("family, n, entries", [
+    ("tomei", 100000, 10000200001), ("hessenberg", 100000, 10000200001),
+    ("as", 200000, 200001)])
+def test_formulas_refuses_an_oversized_table_before_any_work(
+        monkeypatch, capsys, family, n, entries):
+    def must_not_run(*args):
+        raise AssertionError("the table was computed")
+    for name in ("betti_tomei", "betti_hessenberg", "betti_as_can"):
+        monkeypatch.setattr(fm, name, must_not_run)
+    assert cli.run(["formulas", "--family", family, "--n", str(n)]) == 3
+    assert capsys.readouterr().err == (
+        f"budget: {family} table needs {entries} entries, over the 200000 budget\n")
 
 
 def test_verify_suite(capsys):

@@ -124,7 +124,10 @@ def test_pentagon_small_cover_is_dyck_surface():
     assert orient(m.complex).orientation == "non-orientable"
 
 
-def test_z2_betti_equals_h_vector():
+def test_z2_betti_equals_h_vector(monkeypatch):
+    # GF(2) elimination on the cells: no Smith normal form, no gluing
+    monkeypatch.setattr(smallcover, "homology", _must_not_run)
+    monkeypatch.setattr(smallcover, "barycentric_complex", _must_not_run)
     p, b = _pentagon()
     assert betti_z2_matches_h(p, lambda_can(b))
     ph = face_poset(graph_building_set(complete_graph(3)))
@@ -546,6 +549,13 @@ def test_cellular_divisors_match_oracle(make, snf_oracle):
         entries = c.boundary_entries(k)
         assert smith_normal_form(entries) == snf_oracle(
             entries, c.n_cells(k - 1), c.n_cells(k))
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED + FOUR_MANIFOLDS],
+                         ids=[name for name, _ in GLUED + FOUR_MANIFOLDS])
+def test_homology_z2_on_the_cells_matches_the_snf(make):
+    m = make()
+    assert homology_z2(m.cellular()) == m.homology().betti_z2
 
 
 @pytest.mark.parametrize("make", [m for _, m in GLUED],
