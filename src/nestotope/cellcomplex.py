@@ -6,21 +6,31 @@ set: a circle can be built from two arcs on the same two vertices.  What is
 forbidden is identifying two faces of one and the same simplex, so a circle
 made of a single self-glued arc is not allowed.
 
-Each k-cell stores an ordered (k+1)-tuple of vertex ids and a (k+1)-tuple of
+Each k-cell has an ordered (k+1)-tuple of vertex ids and a (k+1)-tuple of
 references to (k-1)-cells.  The convention throughout: the face at slot i
 carries the cell's vertices with slot i deleted, order preserved.  Gluings
-are therefore order-preserving on stored vertex tuples, boundary maps use the
+are therefore order-preserving on vertex tuples, boundary maps use the
 usual alternating slot signs, and the double-face identities are checked by
-``validate`` rather than assumed.  The structural checks (``validate``,
-``is_pure``, ``is_vertex_determined`` and the two-hit facet test of
-``pseudo_manifold_check``) read whole columns of a level at a time, never
-one cell at a time.  Double faces are compared only on levels where two
-(k-2)-cells share a vertex tuple: elsewhere the vertex checks already force
-the identities.  ``subfaces`` lists all subcells of a cell in one table
-indexed by the bitmask of kept slots; a flag of the barycentric subdivision
-is the chain of growing masks of one slot permutation.  Stock
-spheres and barycentric subdivisions count their cells in closed form and
-refuse (``BudgetExceeded``) before building more than CELL_BUDGET.
+``validate`` rather than assumed.
+
+Level k is stored as slot columns, not as tuples: ``vertex_columns[k]`` and
+``face_columns[k]`` are k + 1 lists of ints each, column s holding every
+k-cell's vertex (or face) at slot s, so a cell costs 2(k + 1) list slots
+and no tuple.  ``vertices_of[k]`` and ``faces_of[k]`` are read-only views
+of a level's rows that store nothing: entry ``cid`` is the tuple of the
+columns' entries ``cid``.  Builders write columns (the gluing, the stock
+complexes through ``from_top_simplices``, the substitution subdivision);
+the raw constructor takes rows and transposes them once.  The structural
+checks (``validate``, ``is_pure``, ``is_vertex_determined`` and the two-hit
+facet test of ``pseudo_manifold_check``), orientation and the boundary
+matrices read the columns, never one cell at a time.  Double faces are
+compared only on levels where two (k-2)-cells share a vertex tuple:
+elsewhere the vertex checks already force the identities.  ``subfaces``
+lists all subcells of a cell in one table indexed by the bitmask of kept
+slots; a flag of the barycentric subdivision is the chain of growing masks
+of one slot permutation.  Stock spheres and barycentric subdivisions count
+their cells in closed form and refuse (``BudgetExceeded``) before building
+more than CELL_BUDGET.
 
 Orientation reads ``facet_pairs``, the hits t * (n + 1) + slot sorted by
 facet, and spreads signs with ``sign_walk``, which glued manifolds share;
@@ -37,9 +47,11 @@ pivot: the builders number faces in the order their cells first reach
 them, so a cell's highest face is mostly one that no earlier cell has.
 Such a column is stored as its index, whose faces the complex already
 holds; only a column that took a reduction step is stored, as bits above
-its lowest row.  ``homology`` and ``homology_z2`` read only cell counts
-and boundary matrices, so they also take a bare ``ChainComplex``: glued
-manifolds hand them the cell structure of Davis and Januszkiewicz
+its lowest row.  On a complex that has passed ``pseudo_manifold_check``
+the top columns sum to zero, and the last is skipped.  ``homology`` and
+``homology_z2`` read only cell counts and boundary matrices, so they also
+take a bare ``ChainComplex``: glued manifolds hand them the cell structure
+of Davis and Januszkiewicz
 ("Convex polytopes, Coxeter orbifolds and torus actions", Duke Math. J.
 62, 1991), with one d-cell per d-face of the polytope and coset of the
 face's span, which for a small cover is f_d * 2^d cells in degree d.
@@ -47,28 +59,150 @@ face's span, which for a small cover is f_d * 2^d cells in degree d.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, pairwise, permutations
+from itertools import (accumulate, chain, combinations, islice, pairwise,
+                       permutations, repeat)
 from math import factorial, gcd
-from operator import eq, itemgetter, lt
+from operator import add, eq, itemgetter, lt, mul
 
 from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
 
 
+class _Rows:
+    """The rows of one level, read off its columns: row ``cid`` is the
+    tuple of every column's entry ``cid``, and a slice is the list of its
+    rows.  A view stores nothing of its own and cannot be changed; it has
+    ``len``, indexing, iteration, ``index`` and equality with other
+    rows."""
+
+    __slots__ = ("columns", "count")
+
+    def __init__(self, columns, count):
+        self.columns = columns
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, cid):
+        if isinstance(cid, slice):
+            return [self[i] for i in range(self.count)[cid]]
+        if not self.columns:   # the empty face rows of the vertices
+            range(self.count)[cid]
+            return ()
+        return tuple([col[cid] for col in self.columns])
+
+    def __iter__(self):
+        if not self.columns:
+            return repeat((), self.count)
+        return zip(*self.columns)
+
+    def index(self, row):
+        row = tuple(row)
+        for cid, mine in enumerate(self):
+            if mine == row:
+                return cid
+        raise ValueError(f"{row} is not a row")
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Rows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _transpose(rows, width):
+    """The ``width`` columns of equal-length rows, as lists."""
+    return [list(map(itemgetter(s), rows)) for s in range(width)]
+
+
+def _row_keys(columns, base):
+    """One int per row of ``columns``, its entries read as digits in base
+    ``base``: where every entry lies in one interval of ``base`` ints, two
+    rows get the same key exactly when they are equal.  The keys are
+    made one at a time, as they are read."""
+    keys = iter(columns[0])
+    for col in columns[1:]:
+        keys = map(add, map(mul, keys, repeat(base)), col)
+    return keys
+
+
+def _marked(size, indexes):
+    """``size`` bytes, 1 at each of ``indexes`` and 0 elsewhere, set in
+    one pass that keeps nothing else."""
+    flags = bytearray(size)
+    deque(map(flags.__setitem__, indexes, repeat(1)), maxlen=0)
+    return flags
+
+
+def _all_distinct(keys):
+    """Whether no two keys are equal; sorted, they cost one list slot
+    each beyond themselves, about half of what a set costs."""
+    keys = sorted(keys)
+    return not any(map(eq, keys, islice(keys, 1, None)))
+
+
 class SimplicialCellComplex:
     def __init__(self, dim, vertex_count, cell_vertices, cell_faces, vertex_labels=None):
-        """Raw constructor; prefer the ``from_*`` builders.
+        """Raw constructor from rows; prefer the ``from_*`` builders.
 
         cell_vertices[k] lists, for every k-cell, its ordered vertex ids;
-        cell_faces[k] lists the ids of its facets by slot (empty for k=0).
+        cell_faces[k] lists the ids of its facets by slot (entry 0 of both
+        is unread).  Each level is transposed into columns once.  A level
+        whose rows are not all k + 1 long, or that has fewer or more face
+        rows than cells, has no columns: its rows are kept as given, for
+        ``validate`` to refuse.
         """
-        self.n = dim
-        self.vertices_of = [[(i,) for i in range(vertex_count)]]
-        self.faces_of = [[() for _ in range(vertex_count)]]
+        vertex_columns = [None]
+        face_columns = [None]
+        kept = {}
         for k in range(1, dim + 1):
-            self.vertices_of.append([tuple(v) for v in cell_vertices[k]])
-            self.faces_of.append([tuple(f) for f in cell_faces[k]])
+            verts, faces = list(cell_vertices[k]), list(cell_faces[k])
+            shapes = set(map(len, chain(verts, faces)))
+            if len(faces) == len(verts) and shapes <= {k + 1}:
+                vertex_columns.append(_transpose(verts, k + 1))
+                face_columns.append(_transpose(faces, k + 1))
+            else:
+                vertex_columns.append([])
+                face_columns.append([])
+                kept[k] = tuple(map(tuple, verts)), tuple(map(tuple, faces))
+        self._store(dim, vertex_count, vertex_columns, face_columns,
+                    vertex_labels, kept)
+
+    @classmethod
+    def from_columns(cls, dim, vertex_count, vertex_columns, face_columns,
+                     vertex_labels=None):
+        """The complex whose level k, for k = 1..dim, has the k + 1 vertex
+        columns ``vertex_columns[k]`` and the k + 1 face columns
+        ``face_columns[k]``, all of one length; entry 0 of both is unread.
+        The column lists are kept, not copied."""
+        c = cls.__new__(cls)
+        c._store(dim, vertex_count, vertex_columns, face_columns,
+                 vertex_labels, {})
+        return c
+
+    def _store(self, dim, vertex_count, vertex_columns, face_columns,
+               vertex_labels, kept):
+        self.n = dim
+        self.vertex_columns = [[list(range(vertex_count))]] + [
+            list(vertex_columns[k]) for k in range(1, dim + 1)]
+        self.face_columns = [[]] + [list(face_columns[k]) for k in range(1, dim + 1)]
+        vertices_of, faces_of = [], []
+        for k in range(dim + 1):
+            if k in kept:
+                verts, faces = kept[k]
+            else:
+                count = len(self.vertex_columns[k][0])
+                verts = _Rows(self.vertex_columns[k], count)
+                faces = _Rows(self.face_columns[k], count)
+            vertices_of.append(verts)
+            faces_of.append(faces)
+        self.vertices_of = tuple(vertices_of)
+        self.faces_of = tuple(faces_of)
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
         self._pseudo_failures = None   # memoised by pseudo_manifold_check
 
@@ -104,22 +238,25 @@ class SimplicialCellComplex:
         for mask in range(len(table) - 1, 0, -1):
             d, c = table[mask]
             m = mask
-            for f in self.faces_of[d][c]:
+            for col in self.face_columns[d]:
                 low = m & -m
-                table[mask ^ low] = (d - 1, f)
+                table[mask ^ low] = (d - 1, col[c])
                 m ^= low
         return table
 
     def facet_pairs(self):
         """The hits t * (n + 1) + slot of top cells on their facets, sorted
         by facet; on a pseudomanifold entries 2f and 2f + 1 are facet f's."""
-        hits = list(chain.from_iterable(self.faces_of[self.n]))
+        cols = self.face_columns[self.n]
+        hits = [0] * (len(cols) * self.n_cells(self.n))
+        for slot, col in enumerate(cols):
+            hits[slot::len(cols)] = col
         return sorted(range(len(hits)), key=hits.__getitem__)
 
     def boundary_entries(self, k):
         """Sparse integer boundary matrix of degree k as {(row, col): coef}."""
         entries = {}
-        for c, faces in enumerate(self.faces_of[k]):
+        for c, faces in enumerate(zip(*self.face_columns[k])):
             for slot, f in enumerate(faces):
                 key = (f, c)
                 entries[key] = entries.get(key, 0) + (-1) ** slot
@@ -132,66 +269,87 @@ class SimplicialCellComplex:
         face/vertex bookkeeping, and the double-face identities.  Returns
         True or False.
 
-        Each level is checked on whole columns, never cell by cell: column
-        s of a level holds every cell's face at slot s, and vertex column q
-        every cell's vertex at position q.  The face at slot s carries the
-        cell's vertices with slot s deleted when, for every position q,
+        Each level is checked on its stored columns, never cell by cell:
+        face column s holds every cell's face at slot s, and vertex column
+        q every cell's vertex at position q.  The face at slot s carries
+        the cell's vertices with slot s deleted when, for every position q,
         vertex column q of the faces in column s is the cell's vertex
         column q (q < s) or q + 1 (q >= s).  Distinct vertices are checked
         on edges only: once its faces carry the right vertices, any two
         vertices of a k-cell, k >= 2, lie in a common face.  Both double
         faces of a k-cell then carry the same vertex tuple, the cell's
         vertices with slots i and j dropped.  So on a level whose
-        (k-2)-cells have pairwise distinct vertex tuples the double-face
-        identities hold, and only the other levels check them.  A level
-        with fewer or more face tuples than cells is invalid.
+        (k-2)-cells have pairwise distinct vertex tuples (one int key per
+        cell tells) the double-face identities hold, and only the other
+        levels check them.  A level without k + 1 vertex and face columns
+        of one length, as the raw constructor leaves malformed rows, is
+        invalid.
         """
-        verts, faces = self.vertices_of, self.faces_of
-        vcols = [list(chain.from_iterable(verts[0]))]
+        vcols, fcols = self.vertex_columns, self.face_columns
         for k in range(1, self.n + 1):
-            vk, fk, below = verts[k], faces[k], vcols
-            if len(fk) != len(vk) or not set(map(len, chain(vk, fk))) <= {k + 1}:
+            vk, fk, below = vcols[k], fcols[k], vcols[k - 1]
+            if (len(vk) != k + 1 or len(fk) != k + 1
+                    or len(set(map(len, vk + fk))) != 1):
                 return False
-            vcols = [list(map(itemgetter(q), vk)) for q in range(k + 1)]
-            if k == 1 and any(map(eq, *vcols)):
+            if k == 1 and any(map(eq, *vk)):
                 return False
-            for s in range(k + 1):
-                col = list(map(itemgetter(s), fk))
-                if min(col, default=0) < 0 or max(col, default=-1) >= len(verts[k - 1]):
+            for s, col in enumerate(fk):
+                if min(col, default=0) < 0 or max(col, default=-1) >= len(below[0]):
                     return False
                 for q, face_vcol in enumerate(below):
-                    if list(map(face_vcol.__getitem__, col)) != vcols[q + (q >= s)]:
+                    if list(map(face_vcol.__getitem__, col)) != vk[q + (q >= s)]:
                         return False
             # both double faces carry the same vertex tuple, so where no two
             # (k-2)-cells share one they are the same cell
-            if k < 2 or len(set(verts[k - 2])) == len(verts[k - 2]):
+            if k < 2 or _all_distinct(_row_keys(vcols[k - 2], self.n_cells(0))):
                 continue
-            cols = [list(map(itemgetter(s), fk)) for s in range(k + 1)]
-            below_f = [list(map(itemgetter(s), faces[k - 1])) for s in range(k)]
+            below_f = fcols[k - 1]
             for i, j in combinations(range(k + 1), 2):
-                if (list(map(below_f[i].__getitem__, cols[j]))
-                        != list(map(below_f[j - 1].__getitem__, cols[i]))):
+                if (list(map(below_f[i].__getitem__, fk[j]))
+                        != list(map(below_f[j - 1].__getitem__, fk[i]))):
                     return False
         return True
 
     def is_pure(self):
-        reached = range(self.n_cells(self.n))
-        for k in range(self.n, 0, -1):
-            reached = set(chain.from_iterable(map(self.faces_of[k].__getitem__, reached)))
-            if len(reached) != self.n_cells(k - 1):
-                return False
-        return True
+        """Every cell lies in a top cell.  Level by level from the top, the
+        faces of all k-cells must be every (k-1)-cell, each marked in one
+        byte: a level that passes has shown that all its cells are
+        reached."""
+        return not any(
+            0 in _marked(self.n_cells(k - 1),
+                         chain.from_iterable(self.face_columns[k]))
+            for k in range(self.n, 0, -1))
 
     def is_vertex_determined(self):
-        """No two distinct cells share the same vertex set.  A level whose
-        vertex columns increase strictly, cell by cell, already stores
-        sorted tuples, so only the other levels are sorted."""
-        for k, vk in enumerate(self.vertices_of[1:], 1):
-            increasing = set(map(len, vk)) == {k + 1} and all(
-                all(map(lt, a, b)) for a, b in pairwise(
-                    list(map(itemgetter(q), vk)) for q in range(k + 1)))
-            keys = vk if increasing else map(tuple, map(sorted, vk))
-            if len(set(keys)) != len(vk):
+        """No two distinct cells share the same vertex set, checked level by
+        level upwards.  A level whose vertex columns increase strictly,
+        cell by cell, stores sorted vertex tuples, and each of its cells is
+        keyed by one int read off the columns; only the other levels are
+        sorted cell by cell.
+
+        The key reads the cell's vertices as digits.  Once
+        ``pseudo_manifold_check`` has passed the complex, every face
+        carries its cell's other vertices, so a cell's vertex set is its
+        first vertex with its slot-0 face's set, and that face is the one
+        (k-1)-cell on its set once the level below has passed: the key is
+        then the smaller int first vertex * (k-1)-cells + slot-0 face,
+        made and sorted in about half the time of the digits on the top
+        levels of a 4-dimensional gluing.
+        """
+        checked = passed_pseudo_manifold_check(self)
+        for k in range(1, self.n + 1):
+            cols = self.vertex_columns[k]
+            if not (cols and all(all(map(lt, a, b)) for a, b in pairwise(cols))):
+                keys = map(tuple, map(sorted, self.vertices_of[k]))
+            elif checked:
+                keys = map(add, map(mul, cols[0], repeat(self.n_cells(k - 1))),
+                           self.face_columns[k][0])
+            else:
+                # entries lie between the least of the first column and the
+                # greatest of the last
+                base = max(cols[-1], default=0) - min(cols[0], default=0) + 1
+                keys = _row_keys(cols, base)
+            if not _all_distinct(keys):
                 return False
         return True
 
@@ -227,19 +385,21 @@ class SimplicialCellComplex:
             pairs = sorted(idx.items(), key=lambda kv: kv[1])
             levels[k] = [verts for verts, _ in pairs]
             index[k] = idx
-        cell_vertices = [None] * (dim + 1)
-        cell_faces = [None] * (dim + 1)
+        vertex_columns = [None] * (dim + 1)
+        face_columns = [None] * (dim + 1)
         for k in range(1, dim + 1):
-            cell_vertices[k] = levels[k]
-            faces = []
-            for verts in levels[k]:
-                row = []
-                for slot in range(k + 1):
-                    sub = verts[:slot] + verts[slot + 1:]
-                    row.append(sub[0] if k == 1 else index[k - 1][sub])
-                faces.append(tuple(row))
-            cell_faces[k] = faces
-        return cls(dim, len(vertex_labels), cell_vertices, cell_faces, vertex_labels)
+            rows = levels[k]
+            vertex_columns[k] = _transpose(rows, k + 1)
+            if k == 1:
+                # the face at either slot of an edge is its other vertex
+                face_columns[k] = [list(col) for col in vertex_columns[k][::-1]]
+            else:
+                idx = index[k - 1]
+                face_columns[k] = [
+                    [idx[verts[:slot] + verts[slot + 1:]] for verts in rows]
+                    for slot in range(k + 1)]
+        return cls.from_columns(dim, len(vertex_labels), vertex_columns,
+                                face_columns, vertex_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +417,7 @@ class PseudoManifoldCertificate:
 def _hit_twice(c):
     """Whether the facet ids of all top cells, sorted, read 0, 0, 1, 1, ...
     up to the last (n-1)-cell: every facet lies in exactly two top cells."""
-    hits = sorted(chain.from_iterable(c.faces_of[c.n]))
+    hits = sorted(chain.from_iterable(c.face_columns[c.n]))
     facets = range(c.n_cells(c.n - 1))
     return (len(hits) == 2 * len(facets)
             and all(map(eq, hits, chain.from_iterable(zip(facets, facets)))))
@@ -281,7 +441,7 @@ def pseudo_manifold_check(c):
             failures.append("not pure: some cell lies in no top cell")
         elif not _hit_twice(c):
             counts = [0] * c.n_cells(c.n - 1)
-            for f in chain.from_iterable(c.faces_of[c.n]):
+            for f in chain.from_iterable(c.face_columns[c.n]):
                 counts[f] += 1
             for f, count in enumerate(counts):
                 if count != 2:
@@ -594,15 +754,17 @@ def homology(c):
 
 def _mod2_columns(c, k):
     """The rows of each column of the boundary of degree k, a repeated
-    row cancelling: a k-cell's faces, or for a ``ChainComplex`` the rows
-    of the odd entries of its column."""
+    row cancelling, and a function from a column's index to its rows: a
+    k-cell's faces, read off the face columns, or for a ``ChainComplex``
+    the rows of the odd entries of its column."""
     if isinstance(c, ChainComplex):
         columns = [[] for _ in range(c.n_cells(k))]
         for (row, col), v in c.boundary_entries(k).items():
             if v & 1:
                 columns[col].append(row)
-        return columns
-    return c.faces_of[k]
+        return columns, columns.__getitem__
+    cols = c.face_columns[k]
+    return zip(*cols), lambda j: [col[j] for col in cols]
 
 
 def homology_z2(c):
@@ -615,7 +777,8 @@ def homology_z2(c):
     twist", EuroCG 2011): each pivot row j of the reduced boundary of
     degree k+1 is the highest cell of a k-cycle, so column j of the
     boundary of degree k is a sum of the other columns and is skipped.
-    Only the set of pivot rows is carried from one degree to the next.
+    Only the pivot rows are carried from one degree to the next, one byte
+    per cell.
 
     Most columns take no reduction step, since a cell's highest face is
     mostly one no earlier cell has: the column's highest row (one max
@@ -627,15 +790,23 @@ def homology_z2(c):
     that steps and stays nonzero is stored as its (low, bits).  So the
     stored pivots cost one index each and the row span of the few reduced
     columns; no int as wide as the highest row is ever built.
+
+    On a complex that ``pseudo_manifold_check`` has passed, every facet
+    lies in exactly two top cells, so the top columns sum to zero and the
+    last lies in the span of the others: it is skipped, not chased to
+    zero through the other pivots.
     """
     n = c.n
     ranks = [0] * (n + 2)
-    cleared = set()
+    cleared = bytearray(c.n_cells(n))
+    if (cleared and isinstance(c, SimplicialCellComplex)
+            and passed_pseudo_manifold_check(c)):
+        cleared[-1] = 1
     for k in range(n, 0, -1):
-        columns = _mod2_columns(c, k)
+        columns, rows_of = _mod2_columns(c, k)
         pivots = {}
         for j, faces in enumerate(columns):
-            if j in cleared or not faces:
+            if cleared[j] or not faces:
                 continue
             h = max(faces)
             if h not in pivots and faces.count(h) == 1:
@@ -659,7 +830,7 @@ def homology_z2(c):
                     pivots[h] = low, bits
                     break
                 if isinstance(p, int):
-                    rows = columns[p]
+                    rows = rows_of(p)
                     continue
                 rows = ()
                 plow, pbits = p
@@ -669,7 +840,7 @@ def homology_z2(c):
                     bits = (bits << (low - plow)) ^ pbits
                     low = plow
         ranks[k] = len(pivots)
-        cleared = set(pivots)
+        cleared = _marked(c.n_cells(k - 1), pivots)
     return tuple(c.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(n + 1))
 
 
@@ -726,8 +897,8 @@ def complex_to_json_dict(c, orientation=None):
     out = {"schema": "nestotope/1", "kind": "pseudomanifold", "dim": c.n}
     labels = c.vertex_labels or list(range(c.n_cells(0)))
     str_labels = [str(l) for l in labels]
-    tops = [[str_labels[v] for v in verts] for verts in c.vertices_of[c.n]]
-    out["top_cells"] = tops
+    out["top_cells"] = list(map(list, zip(*(
+        map(str_labels.__getitem__, col) for col in c.vertex_columns[c.n]))))
     if orientation is not None and not isinstance(orientation, str):
         out["orientation"] = list(orientation)
     if not c.is_vertex_determined():

@@ -4,8 +4,9 @@ Everything here is exact integer arithmetic.  Each closed form has a
 matching enumeration oracle over small inputs.
 """
 
+import sys
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, log10
 
 from .errors import ValidationError, check_budget
 
@@ -141,5 +142,11 @@ def family_table(family, n):
     # entries, the binomial differences n + 1
     check_budget(f"{family} table", n + 1 if family == "as" else (n + 1) ** 2,
                  "entries")
+    # every binomial difference is below 2^(n + 1); the interpreter may
+    # refuse to format an int of more digits than its limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if family == "as" and limit:
+        check_budget("as table", int((n + 1) * log10(2)) + 1,
+                     "digits per value", limit)
     return [("index", "value", "sources")] + [
         (f"{n},{i}", str(v), "formula") for i, v in enumerate(values[family](n))]

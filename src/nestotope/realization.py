@@ -67,17 +67,19 @@ def build_sigma_system(y):
         raise ValidationError("need an oriented closed pseudo-manifold")
     size = c.n_cells(n)
     xi = [[None] * size for _ in range(n + 1)]
+    # the colour of every top cell's vertex at each slot
+    slot_colours = [list(map(colours.__getitem__, col))
+                    for col in c.vertex_columns[n]]
     pairs = c.facet_pairs()
     for a, b in zip(pairs[::2], pairs[1::2]):
         (t1, s1), (t2, s2) = divmod(a, n + 1), divmod(b, n + 1)
-        col = colours[c.vertices_of[n][t1][s1]]
-        if colours[c.vertices_of[n][t2][s2]] != col:
+        col = slot_colours[s1][t1]
+        if slot_colours[s2][t2] != col:
             raise ValidationError("facet misses different colours on its sides")
         xi[col][t1] = t2
         xi[col][t2] = t1
     plus = []
-    for t in range(size):
-        seq = [colours[v] for v in c.vertices_of[n][t]]
+    for t, seq in enumerate(zip(*slot_colours)):
         inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                   if seq[i] > seq[j])
         sign = -1 if inv & 1 else 1

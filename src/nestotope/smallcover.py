@@ -22,8 +22,9 @@ orientation too is decided on the cells (``GluedManifold.orientation``).
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from math import factorial
-from operator import itemgetter
+from operator import getitem
 
 from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
@@ -197,49 +198,72 @@ class GluedManifold:
 
     def _glue(self):
         """The glued complex, after refusing more than CELL_BUDGET top
-        simplices."""
+        simplices.
+
+        Cells are numbered in order of (coset minimum g, bar cell): the
+        cell of bar cell b in copy g is new where g is its own minimum,
+        else it is the cell of b in that minimum's copy.  One pass over
+        the copies and bar cells of a level numbers its cells, and lists
+        the bar cell of each new one and how many are new in each copy.
+        The new cells' vertices and faces are then read, one column at a
+        time, off the bar complex's columns and looked up in the cell ids
+        of their copy.
+        """
         p = self.poset
         n = p.dim
         # A vertex of the simple polytope lies on n! complete flags.
         n_tops = len(p.vertices) * factorial(n) << self.rank
         check_budget(self.what, n_tops)
         bar = barycentric_complex(p)
-        cells = []     # per dim, per g: bar cell -> cell id
-        labels = []
-        cell_vertices = [None] * (n + 1)
-        cell_faces = [None] * (n + 1)
+        bar_faces = [label[1] for label in bar.vertex_labels]
+        copies = range(1 << self.rank)
+        ids = [None] * (n + 1)     # per dim, per g: bar cell -> cell id
+        vertex_columns = [None] * (n + 1)
+        face_columns = [None] * (n + 1)
         for k in range(n + 1):
             # Each chain cell is pinned by its largest face (the last vertex of
             # the sorted simplex): that face's span is the smallest along the chain.
-            pins = [self._reduced[bar.vertex_labels[verts[-1]][1]]
-                    for verts in bar.vertices_of[k]]
-            if k:
-                vertex_ids = [itemgetter(*verts) for verts in bar.vertices_of[k]]
-                face_ids = [itemgetter(*faces) for faces in bar.faces_of[k]]
-            rows = []
-            verts_out = []
-            faces_out = []
-            for g in range(1 << self.rank):
-                # Cells are numbered in order of (coset minimum g, bar cell): a
-                # cell is new where g is its own minimum r, else it is r's cell.
+            pins = [self._reduced[bar_faces[v]] for v in bar.vertex_columns[k][-1]]
+            rows = ids[k] = []
+            new_cell, new_counts = [], []
+            for g in copies:
                 row = []
+                before = len(new_cell)
                 for cid, pin in enumerate(pins):
                     r = pin[g]
                     if r != g:
                         row.append(rows[r][cid])
-                    elif k == 0:
-                        row.append(len(labels))
-                        labels.append((bar.vertex_labels[cid][1], g))
                     else:
-                        row.append(len(verts_out))
-                        verts_out.append(vertex_ids[cid](cells[0][g]))
-                        faces_out.append(face_ids[cid](cells[k - 1][g]))
+                        row.append(len(new_cell))
+                        new_cell.append(cid)
                 rows.append(row)
-            cells.append(rows)
-            cell_vertices[k] = verts_out
-            cell_faces[k] = faces_out
-        return SimplicialCellComplex(n, len(labels), cell_vertices,
-                                     cell_faces, vertex_labels=labels)
+                new_counts.append(len(new_cell) - before)
+
+            def new_copies():
+                """The copy of each new cell, in order."""
+                return chain.from_iterable(map(repeat, copies, new_counts))
+
+            if k == 0:
+                labels = list(zip(map(bar_faces.__getitem__, new_cell),
+                                  new_copies()))
+                continue
+
+            def looked_up(col, j):
+                """Column ``col`` of the bar complex at the new cells, as
+                the ids of j-cells in their copies."""
+                out = [0] * len(new_cell)   # sized up front: no spare slots
+                out[:] = map(getitem, map(ids[j].__getitem__, new_copies()),
+                             map(col.__getitem__, new_cell))
+                return out
+
+            vertex_columns[k] = [looked_up(col, 0)
+                                 for col in bar.vertex_columns[k]]
+            face_columns[k] = [looked_up(col, k - 1)
+                               for col in bar.face_columns[k]]
+            if k > 1:
+                ids[k - 1] = None
+        return SimplicialCellComplex.from_columns(
+            n, len(labels), vertex_columns, face_columns, vertex_labels=labels)
 
     def cellular(self):
         """The cellular chain complex, built on first use.

@@ -18,8 +18,8 @@ subdivision into every barycentric cell.
 
 Both builders are memoised on the exact content of their input: the
 graph's vertex count and adjacency masks with the apex for
-``lemma_subdivision``; the complex's dimension, ``vertices_of`` and
-``faces_of``, the graph and the apex exactly as passed for
+``lemma_subdivision``; the complex's dimension, vertex and face
+columns, the graph and the apex exactly as passed for
 ``subdivide_pseudomanifold``.  A key is admitted on its second sight: the
 first call that returns records only the key, counted at its input's cell
 count, and the second stores the result, counted at its complex's cell
@@ -40,7 +40,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
 from math import factorial, lcm
-from operator import itemgetter, or_
+from operator import or_
 
 from . import errors
 from .errors import ValidationError, check_budget
@@ -351,15 +351,16 @@ def _codim2_cofacets(c):
     and the whole count is one pass over the facets.
     """
     n = c.n
-    facets = c.faces_of[n - 1]
+    facets = c.face_columns[n - 1]
     if passed_pseudo_manifold_check(c):
-        weights = [2] * len(facets)
+        weights = [2] * c.n_cells(n - 1)
     else:
-        tops = Counter(chain.from_iterable(c.faces_of[n]))
-        weights = list(map(tops.__getitem__, range(len(facets))))
+        tops = Counter(chain.from_iterable(c.face_columns[n]))
+        weights = list(map(tops.__getitem__, range(c.n_cells(n - 1))))
 
     def faces(keep):
-        return chain.from_iterable(compress(facets, keep))
+        # facet by facet, so that cells are first seen in that order
+        return chain.from_iterable(compress(zip(*facets), keep))
 
     once = Counter(faces(weights))
     out = dict(zip(zip(repeat(n - 2), once), once.values()))
@@ -384,11 +385,9 @@ def _colour_masks(c, k, colours, full):
     """The OR of ``1 << colour`` over the vertices of every k-cell, one
     vertex column at a time, kept to the colours in ``full``."""
     bits = [(1 << col) & full for col in colours]
-    rows = c.vertices_of[k]
-    masks = [0] * len(rows)
-    for j in range(k + 1):
-        masks = list(map(or_, masks, map(bits.__getitem__,
-                                         map(itemgetter(j), rows))))
+    masks = [0] * c.n_cells(k)
+    for col in c.vertex_columns[k]:
+        masks = list(map(or_, masks, map(bits.__getitem__, col)))
     return masks
 
 
@@ -418,8 +417,8 @@ def _codim2_rule(c, colours, coords, g):
         depth = 0
         if coords is not None:
             support = set()
-            for v in c.vertices_of[kk][cid]:
-                support.update(j for j, x in enumerate(coords[v]) if x != 0)
+            for col in c.vertex_columns[kk]:
+                support.update(j for j, x in enumerate(coords[col[cid]]) if x != 0)
             depth = nv - len(support)
         if depth > 1:
             failures.append(
@@ -444,8 +443,9 @@ def subdivide_pseudomanifold(z, g, apex=None):
     result records the apex the substitution used (0 unless given); a
     path subdivision has none.
     """
-    key = (z.n, tuple(map(tuple, z.vertices_of)),
-           tuple(map(tuple, z.faces_of)), g.n_vertices, g.adjacency, apex)
+    key = (z.n, *(tuple(tuple(map(tuple, cols)) for cols in levels)
+                  for levels in (z.vertex_columns, z.face_columns)),
+           g.n_vertices, g.adjacency, apex)
     return _MEMO.fetch(key, z.total_cells(),
                        lambda: _subdivide_pseudomanifold(z, g, apex))
 
@@ -511,7 +511,9 @@ def _substitute(bar, k):
     carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
     for kk in range(1, n + 1):
         below = carrier[-1]
-        carrier.append([below[f[0]] | below[f[1]] for f in kc.faces_of[kk]])
+        slot0, slot1 = kc.face_columns[kk][:2]
+        carrier.append(list(map(or_, map(below.__getitem__, slot0),
+                                map(below.__getitem__, slot1))))
     on_support = {}            # support mask -> piece vertices, ascending
     rank = []                  # each piece vertex's place in its list
     for u, m in enumerate(carrier[0]):
@@ -526,29 +528,26 @@ def _substitute(bar, k):
             dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
             labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
 
-    # per piece cell: its carrier and the getters of its vertex and face
-    # rows, read from the output ids of the cells below it in the host
+    # Every top cell t places the piece cells that are new there, in id
+    # order, and their vertices and faces, read from the output ids of the
+    # cells below them in t, are appended to the output columns at once.
     full = (1 << (n + 1)) - 1
-    pieces = [None] + [
-        list(zip(range(kc.n_cells(kk)), carrier[kk],
-                 [itemgetter(*verts) for verts in kc.vertices_of[kk]],
-                 [itemgetter(*faces) for faces in kc.faces_of[kk]]))
-        for kk in range(1, n + 1)]
     ids = [{} for _ in range(n + 1)]   # host id * piece cells + cid -> id
-    cell_vertices = [[] for _ in range(n + 1)]
-    cell_faces = [[] for _ in range(n + 1)]
+    vertex_columns = [[[] for _ in range(kk + 1)] for kk in range(n + 1)]
+    face_columns = [[[] for _ in range(kk + 1)] for kk in range(n + 1)]
+    count = [0] * (n + 1)
     for t, verts in enumerate(bar.vertices_of[n]):
         if [bar.vertex_labels[v][0] for v in verts] != list(range(n + 1)):
             raise ValidationError("barycentric cell with repeated dims")
         table = bar.subfaces(n, t)
         # here[kk][cid]: the output id of piece cell cid inside top cell t
         here = [[first[table[m]] + r for m, r in zip(carrier[0], rank)]]
-        points = here[0]
         for kk in range(1, n + 1):
-            keyed, width, below = ids[kk], kc.n_cells(kk), here[kk - 1]
-            verts_out, faces_out = cell_vertices[kk], cell_faces[kk]
+            keyed, width = ids[kk], kc.n_cells(kk)
+            next_id = count[kk]
             row = []
-            for cid, m, vertex_row, face_row in pieces[kk]:
+            new = []
+            for cid, m in enumerate(carrier[kk]):
                 if m != full:
                     # a piece on a proper face of t is shared with the top
                     # cells around that face
@@ -557,13 +556,18 @@ def _substitute(bar, k):
                     if got is not None:
                         row.append(got)
                         continue
-                    keyed[key] = len(verts_out)
-                row.append(len(verts_out))
-                verts_out.append(vertex_row(points))
-                faces_out.append(face_row(below))
+                    keyed[key] = next_id
+                row.append(next_id)
+                new.append(cid)
+                next_id += 1
+            count[kk] = next_id
+            for out, col in zip(vertex_columns[kk], kc.vertex_columns[kk]):
+                out.extend(map(here[0].__getitem__, map(col.__getitem__, new)))
+            for out, col in zip(face_columns[kk], kc.face_columns[kk]):
+                out.extend(map(here[kk - 1].__getitem__, map(col.__getitem__, new)))
             here.append(row)
-    out = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
-                                vertex_labels=labels)
+    out = SimplicialCellComplex.from_columns(n, len(labels), vertex_columns,
+                                             face_columns, vertex_labels=labels)
     return out, tuple(k.colours[u] for _, u in labels)
 
 

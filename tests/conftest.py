@@ -3,7 +3,7 @@ subdivision memo before every test."""
 
 import random
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, permutations, product
 from math import lcm, prod
 from types import SimpleNamespace
 
@@ -17,7 +17,7 @@ from nestotope.cellcomplex import (
 from nestotope import subdivision
 from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, components_minus_vertex, members
-from nestotope.nestohedron import _int_det, face_poset
+from nestotope.nestohedron import _flags, _int_det, face_poset
 from nestotope.realization import (
     _SAMPLE_SEED,
     _SAMPLE_SIZE,
@@ -764,8 +764,17 @@ def build_covering(b, sets, sys, budget=None):
 
 
 def _substitute(bar, k):
+    """The complex and colours of ``_substitute_rows``."""
+    rows, colours = _substitute_rows(bar, k)
+    return (SimplicialCellComplex(rows.dim, len(rows.labels), rows.vertices,
+                                  rows.faces, vertex_labels=rows.labels),
+            colours)
+
+
+def _substitute_rows(bar, k):
     """Replace every barycentric cell by the matching piece of the simplex
-    subdivision, matching graph vertices to barycentric dimensions.
+    subdivision, matching graph vertices to barycentric dimensions; the
+    rows of the result, with its colours.
 
     Slot i of every top barycentric cell has dimension i, so a piece whose
     coordinate support is the slot set S sits, inside top cell t, in the
@@ -820,9 +829,11 @@ def _substitute(bar, k):
                         tuple(here[kk - 1][f] for f in kc.faces_of[kk][cid]))
                 row.append(got)
             here.append(row)
-    out = SimplicialCellComplex(n, len(labels), cell_vertices, cell_faces,
-                                vertex_labels=labels)
-    return out, tuple(k.colours[u] for _, u in labels)
+    cell_vertices[0] = [(i,) for i in range(len(labels))]
+    cell_faces[0] = [()] * len(labels)
+    rows = SimpleNamespace(dim=n, vertices=cell_vertices, faces=cell_faces,
+                           labels=labels)
+    return rows, tuple(k.colours[u] for _, u in labels)
 
 
 def _codim2_cofacets(c):
@@ -847,6 +858,149 @@ def covering_oracle():
                            orbit_check=_orbit_check,
                            substitute=_substitute,
                            codim2_cofacets=_codim2_cofacets)
+
+
+# The rows that the row-by-row constructions make: every cell's vertex
+# tuple and face tuple, built as tuples and kept in per-level lists, as the
+# complexes stored them before they stored each level as slot columns.
+# The rows a complex reads out through ``vertices_of`` and ``faces_of`` must
+# be these.  A reference is a namespace of ``dim``, ``vertices``, ``faces``
+# (per level, with the vertices' rows (i,) and ()) and ``labels``.
+
+
+def _rows_from_top_simplices(tops, vertex_labels=None):
+    """The rows of ``SimplicialCellComplex.from_top_simplices``: lower cells
+    numbered in the order the cells above first reach them, slot by slot."""
+    tops = [tuple(t) for t in tops]
+    dim = len(tops[0]) - 1
+    if vertex_labels is None:
+        vertex_labels = sorted({v for t in tops for v in t})
+    vid = {lab: i for i, lab in enumerate(vertex_labels)}
+    levels = [None] * (dim + 1)
+    levels[dim] = [tuple(sorted(vid[v] for v in t)) for t in tops]
+    index = [None] * (dim + 1)
+    for k in range(dim - 1, 0, -1):
+        idx = {}
+        for verts in levels[k + 1]:
+            for slot in range(k + 2):
+                idx.setdefault(verts[:slot] + verts[slot + 1:], len(idx))
+        levels[k] = list(idx)
+        index[k] = idx
+    faces = [[()] * len(vertex_labels)]
+    for k in range(1, dim + 1):
+        level = []
+        for verts in levels[k]:
+            row = []
+            for slot in range(k + 1):
+                sub = verts[:slot] + verts[slot + 1:]
+                row.append(sub[0] if k == 1 else index[k - 1][sub])
+            level.append(tuple(row))
+        faces.append(level)
+    levels[0] = [(i,) for i in range(len(vertex_labels))]
+    return SimpleNamespace(dim=dim, vertices=levels, faces=faces,
+                           labels=list(vertex_labels))
+
+
+def _subfaces_of_rows(ref, k, cid):
+    """``SimplicialCellComplex.subfaces`` read off reference rows."""
+    table = [None] * (2 << k)
+    table[-1] = (k, cid)
+    for mask in range(len(table) - 1, 0, -1):
+        d, c = table[mask]
+        m = mask
+        for f in ref.faces[d][c]:
+            low = m & -m
+            table[mask ^ low] = (d - 1, f)
+            m ^= low
+    return table
+
+
+def _barycentric_rows(ref):
+    """The rows of ``barycentric_subdivide``: one flag per top cell and
+    permutation of its slots, read off the reference rows."""
+    n = ref.dim
+    tops = []
+    for t in range(len(ref.vertices[n])):
+        table = _subfaces_of_rows(ref, n, t)
+        for perm in permutations(range(n + 1)):
+            tops.append(tuple(table[m] for m in accumulate(1 << s for s in perm)))
+    return _rows_from_top_simplices(tops)
+
+
+def _glued_rows(m):
+    """The rows of a glued manifold's complex, level by level: yields k,
+    the vertex rows and face rows of level k, and the vertex labels.
+
+    Every copy g walks the bar cells, and a cell is new where g is the
+    coset minimum of the span of its largest face, else it is the cell of
+    that minimum's copy; new cells take their vertices and faces from the
+    copy's id tables.  The bar complex's rows come from
+    ``_rows_from_top_simplices`` on the polytope's flags.
+    """
+    p = m.poset
+    n = p.dim
+    bar = _rows_from_top_simplices(
+        [tuple((n - len(face), face) for face in flag) for flag in _flags(p)])
+    cells = []
+    labels = []
+    for k in range(n + 1):
+        pins = [m._reduced[bar.labels[verts[-1]][1]] for verts in bar.vertices[k]]
+        rows = []
+        verts_out = []
+        faces_out = []
+        for g in range(1 << m.rank):
+            row = []
+            for cid, pin in enumerate(pins):
+                r = pin[g]
+                if r != g:
+                    row.append(rows[r][cid])
+                elif k == 0:
+                    row.append(len(labels))
+                    labels.append((bar.labels[cid][1], g))
+                else:
+                    row.append(len(verts_out))
+                    verts_out.append(
+                        tuple(cells[0][g][v] for v in bar.vertices[k][cid]))
+                    faces_out.append(
+                        tuple(cells[k - 1][g][f] for f in bar.faces[k][cid]))
+            rows.append(row)
+        cells.append(rows)
+        if k == 0:
+            verts_out = [(i,) for i in range(len(labels))]
+            faces_out = [()] * len(labels)
+        yield k, verts_out, faces_out, labels
+
+
+def _rows_from_instances(doc):
+    """The rows that the JSON reader builds from a document's instance
+    list: cell cid of dimension len(slots) - 1 has the vertices of its
+    one-slot instances and the faces of its instances one slot short."""
+    by_key = {(t, tuple(slots)): cid for t, slots, cid in doc["instances"]}
+    dim = doc["dim"]
+    counts = [0] * (dim + 1)
+    for (t, slots), cid in by_key.items():
+        counts[len(slots) - 1] = max(counts[len(slots) - 1], cid + 1)
+    vertices = [[(i,) for i in range(counts[0])]]
+    faces = [[()] * counts[0]]
+    for k in range(1, dim + 1):
+        vertices.append([None] * counts[k])
+        faces.append([None] * counts[k])
+    for (t, slots), cid in by_key.items():
+        k = len(slots) - 1
+        if k:
+            vertices[k][cid] = tuple(by_key[t, (s,)] for s in slots)
+            faces[k][cid] = tuple(by_key[t, slots[:i] + slots[i + 1:]]
+                                  for i in range(k + 1))
+    return SimpleNamespace(dim=dim, vertices=vertices, faces=faces, labels=None)
+
+
+@pytest.fixture
+def layout_oracle():
+    return SimpleNamespace(from_top_simplices=_rows_from_top_simplices,
+                           barycentric=_barycentric_rows,
+                           glued=_glued_rows,
+                           substitute=_substitute_rows,
+                           from_instances=_rows_from_instances)
 
 
 def _lemma_tops(g, a):

@@ -289,6 +289,8 @@ def test_column_checks_match_cell_loops(name, cell_checks, gluing):
     assert c.is_pure() == cell_checks.is_pure(c)
     assert c.is_vertex_determined() == cell_checks.is_vertex_determined(c)
     assert pseudo_manifold_check(c).failures == cell_checks.pseudo_failures(c)
+    # a complex the check has passed keys its cells by their slot-0 faces
+    assert c.is_vertex_determined() == cell_checks.is_vertex_determined(c)
 
 
 def test_vertex_determined_reaches_sorted_and_unsorted_levels(cell_checks,
@@ -330,39 +332,49 @@ def test_repeated_edge_tuples_are_checked_for_double_faces(gluing):
     assert homology(c).betti_q == (1, 0, 0, 1)
 
 
+def _rebuilt(c, edit):
+    """``c`` built again through the raw constructor from its rows, after
+    ``edit`` has changed the per-level lists of vertex and face rows."""
+    verts = [list(level) for level in c.vertices_of]
+    faces = [list(level) for level in c.faces_of]
+    edit(verts, faces)
+    return SimplicialCellComplex(c.n, c.n_cells(0), verts, faces)
+
+
 def _sphere2_with_top_faces(edit):
     """sphere:2 with the face tuple of its first triangle edited; ``edit``
     also gets the number of edges."""
-    c = simplex_sphere(2)
-    c.faces_of[2][0] = edit(c.faces_of[2][0], c.n_cells(1))
-    return c
+    def change(verts, faces):
+        faces[2][0] = edit(faces[2][0], len(faces[1]))
+    return _rebuilt(simplex_sphere(2), change)
 
 
 def _one_double_face_fails():
     # a tetrahedron whose triangle (0, 1, 2) takes a copy of the edge (0, 1):
     # the vertex checks hold, but the tetrahedron's double face on slots 2
     # and 3 is the copy through one facet and the edge through the other
-    c = SimplicialCellComplex.from_top_simplices([(0, 1, 2, 3)])
-    e = c.vertices_of[1].index((0, 1))
-    c.vertices_of[1].append(c.vertices_of[1][e])
-    c.faces_of[1].append(c.faces_of[1][e])
-    t = c.vertices_of[2].index((0, 1, 2))
-    c.faces_of[2][t] = c.faces_of[2][t][:2] + (c.n_cells(1) - 1,)
-    return c
+    def change(verts, faces):
+        e = verts[1].index((0, 1))
+        verts[1].append(verts[1][e])
+        faces[1].append(faces[1][e])
+        t = verts[2].index((0, 1, 2))
+        faces[2][t] = faces[2][t][:2] + (len(faces[1]) - 1,)
+    return _rebuilt(SimplicialCellComplex.from_top_simplices([(0, 1, 2, 3)]),
+                    change)
 
 
 def _unused_edge():
-    c = simplex_sphere(2)
-    c.vertices_of[1].append(c.vertices_of[1][0])
-    c.faces_of[1].append(c.faces_of[1][0])
-    return c
+    def change(verts, faces):
+        verts[1].append(verts[1][0])
+        faces[1].append(faces[1][0])
+    return _rebuilt(simplex_sphere(2), change)
 
 
 def _repeated_top_vertex():
-    c = simplex_sphere(3)
-    v = c.vertices_of[3][0]
-    c.vertices_of[3][0] = (v[0], v[0]) + v[2:]
-    return c
+    def change(verts, faces):
+        v = verts[3][0]
+        verts[3][0] = (v[0], v[0]) + v[2:]
+    return _rebuilt(simplex_sphere(3), change)
 
 
 CORRUPTED = {
@@ -406,8 +418,7 @@ def test_corrupted_complexes_get_the_loop_verdict(name, cell_checks):
 
 
 def test_short_face_list_is_invalid(cell_checks):
-    c = simplex_sphere(2)
-    c.faces_of[2].pop()
+    c = _rebuilt(simplex_sphere(2), lambda verts, faces: faces[2].pop())
     with pytest.raises(IndexError):
         cell_checks.validate(c)
     assert c.validate() is False
@@ -719,7 +730,7 @@ def test_homology_z2_on_a_4_dim_gluing(betti_z2_without_clearing):
 def _marshal_size(c):
     """The complex's traced size, read off a copy that costs less to trace
     than the gluing: marshal keeps the ints that cells share shared."""
-    data = marshal.dumps((c.vertices_of, c.faces_of, c.vertex_labels))
+    data = marshal.dumps((c.vertex_columns, c.face_columns, c.vertex_labels))
     return _traced(lambda: marshal.loads(data))[1]
 
 
@@ -727,10 +738,11 @@ def test_homology_z2_working_set_is_within_half_the_complex():
     c, h = _path5_gluing()
     betti, _, peak = _traced(lambda: homology_z2(c))
     assert betti == h
-    # Nearly every column takes no step and is stored as its index; it
-    # reads 0.23 times the complex here.  Stored as narrow ints spanning
-    # their rows, the pivots cost 1.19 times the complex, and as ints as
-    # wide as their highest rows 3.3 times.
+    # Nearly every column takes no step and is stored as its index, and
+    # the pivot rows carried down are one byte per cell; it reads 0.35
+    # times the complex here (0.48 with the pivot rows kept as a set).
+    # Stored as narrow ints spanning their rows, the pivots cost about 2.4
+    # times the complex, and as ints as wide as their highest rows 6.6.
     assert peak <= _marshal_size(c) // 2
 
 
@@ -738,10 +750,200 @@ def test_gluing_build_peak_is_within_1_4_times_the_complex():
     b = graph_building_set(path_graph(5))
     m = small_cover(face_poset(b), lambda_can(b))
     c, _, peak = _traced(lambda: m.complex)
-    # The build's tables are freed before the pseudomanifold check: the
-    # first read peaks at 1.29 times the complex here, and 1.53 times with
-    # the tables held through the check.
+    # The build's tables are freed before the pseudomanifold check, the
+    # columns are sized before they are filled, and purity marks reached
+    # cells in bytes: the first read peaks at 1.28 times the complex here.
+    # With the tables held through the check it read 1.53 times the row
+    # layout, and with the columns grown by appending, 1.38 times.
     assert peak <= 1.4 * _marshal_size(c)
+
+
+def test_gluing_stores_under_100_bytes_a_cell():
+    # k + 1 vertex and k + 1 face columns of ints per level, the ints
+    # shared between them: 85 bytes a cell here, against about 180 for a
+    # vertex tuple and a face tuple per cell
+    c, _ = _path5_gluing()
+    assert _marshal_size(c) <= 100 * c.total_cells()
+
+
+def _two_spheres():
+    """Two boundaries of tetrahedra, on disjoint vertices."""
+    return SimplicialCellComplex.from_top_simplices(
+        list(combinations(range(4), 3)) + list(combinations(range(4, 8), 3)))
+
+
+def _handed_over(monkeypatch, build):
+    """``build()``, and the last top simplices and labels that it handed
+    to ``from_top_simplices``."""
+    calls = []
+    real = SimplicialCellComplex.from_top_simplices.__func__
+
+    def spy(cls, tops, vertex_labels=None):
+        calls.append((list(tops), vertex_labels))
+        return real(cls, *calls[-1])
+
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialCellComplex, "from_top_simplices", classmethod(spy))
+        c = build()
+    return c, calls[-1]
+
+
+def _from_tops(build):
+    """A layout case whose reference is the row construction on the top
+    simplices that ``build`` hands over."""
+    def case(monkeypatch, oracle, gluing):
+        c, (tops, labels) = _handed_over(monkeypatch, build)
+        return c, oracle.from_top_simplices(tops, labels)
+    return case
+
+
+def _barycentric_of(build):
+    """A layout case: the barycentric subdivision of ``build()``, against
+    the reference subdivision of the reference rows."""
+    def case(monkeypatch, oracle, gluing):
+        z, (tops, labels) = _handed_over(monkeypatch, build)
+        return (barycentric_subdivide(z),
+                oracle.barycentric(oracle.from_top_simplices(tops, labels)))
+    return case
+
+
+def _path_subdivision(monkeypatch, oracle, gluing):
+    z, (tops, labels) = _handed_over(monkeypatch, torus7)
+    return (subdivide_pseudomanifold(z, path_graph(3)).complex,
+            oracle.barycentric(oracle.from_top_simplices(tops, labels)))
+
+
+def _substitution(build, graph):
+    """A layout case: the substitution subdivision of ``build()`` through
+    ``graph``, against the row-by-row substitution of the same pieces."""
+    def case(monkeypatch, oracle, gluing):
+        z = build()
+        got = subdivide_pseudomanifold(z, graph).complex
+        want, _ = oracle.substitute(barycentric_subdivide(z),
+                                    lemma_subdivision(graph, 0))
+        return got, want
+    return case
+
+
+def _json_instances(build):
+    """A layout case: the JSON round trip of a complex that is not vertex
+    determined, against the rows rebuilt from its instance list."""
+    def case(monkeypatch, oracle, gluing):
+        doc = complex_to_json_dict(build(gluing))
+        return complex_from_json_dict(doc)[0], oracle.from_instances(doc)
+    return case
+
+
+LAYOUT_CASES = {
+    **{f"sphere:{k}": _from_tops(lambda k=k: simplex_sphere(k))
+       for k in range(1, 5)},
+    "torus7": _from_tops(torus7),
+    "klein": _from_tops(klein_bottle),
+    "rp2": _from_tops(projective_plane),
+    "two spheres": _from_tops(_two_spheres),
+    "bar torus7": _barycentric_of(torus7),
+    "bar klein": _barycentric_of(klein_bottle),
+    "bar sphere:3": _barycentric_of(lambda: simplex_sphere(3)),
+    "torus7/path:3": _path_subdivision,
+    "sphere:3/star:4": _substitution(lambda: simplex_sphere(3), star_graph(4)),
+    "sphere:2/cycle:3": _substitution(lambda: simplex_sphere(2), cycle_graph(3)),
+    **{f"lemma {name}@{a}": _from_tops(
+        lambda g=g, a=a: lemma_subdivision(g, a).complex)
+       for name, g, a in (("path:3", path_graph(3), 1),
+                          ("star:4", star_graph(4), 2),
+                          ("cycle:4", cycle_graph(4), 0))},
+    "json torus7": _from_tops(
+        lambda: complex_from_json_dict(complex_to_json_dict(torus7()))[0]),
+    "json two-arc circle": _json_instances(lambda gl: gl.complex_from_gluings(
+        1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])[0]),
+    "json suspended two-arc circle": _json_instances(_suspended_two_arc_circle),
+    "json two triangles": _json_instances(lambda gl: gl.complex_from_gluings(
+        2, 2, [((0, i), (1, i)) for i in range(3)])[0]),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_rows_read_through_the_views_match_the_row_construction(
+        name, monkeypatch, layout_oracle, gluing):
+    c, want = LAYOUT_CASES[name](monkeypatch, layout_oracle, gluing)
+    assert c.n == want.dim
+    for k in range(c.n + 1):
+        assert list(c.vertices_of[k]) == want.vertices[k]
+        assert list(c.faces_of[k]) == want.faces[k]
+    if want.labels is not None:
+        assert c.vertex_labels == want.labels
+
+
+def test_row_views_read_like_lists_of_tuples():
+    c = torus7()
+    for rows, cols in ((c.vertices_of[2], c.vertex_columns[2]),
+                       (c.faces_of[2], c.face_columns[2])):
+        listed = list(rows)
+        assert len(rows) == len(listed) == 14
+        assert [rows[i] for i in range(-14, 14)] == listed + listed
+        for part in (slice(3, 9), slice(None, None, -2), slice(20, 30)):
+            assert rows[part] == listed[part]
+        assert listed == list(zip(*cols))
+        assert rows == listed and rows != listed[:-1] and rows != listed[::-1]
+        assert all(rows.index(list(row)) == listed.index(row) for row in listed)
+        with pytest.raises(IndexError):
+            rows[14]
+        with pytest.raises(TypeError):
+            rows[0] = listed[0]
+    assert c.vertices_of[0][6] == (6,) and c.faces_of[0][6] == ()
+    assert list(c.faces_of[0]) == [()] * 7 and c.faces_of[0][5:] == [()] * 2
+    with pytest.raises(IndexError):
+        c.faces_of[0][7]
+    with pytest.raises(ValueError):
+        c.vertices_of[1].index((6, 0))
+    assert c.vertices_of == torus7().vertices_of
+    assert c.faces_of != klein_bottle().faces_of
+
+
+# Closed complexes on which ``homology_z2`` skips the last top column, with
+# their mod-2 Betti numbers.
+CLOSED_COMPLEXES = {
+    **{f"sphere:{k}": (lambda k=k: simplex_sphere(k),
+                       tuple(int(i in (0, k)) for i in range(k + 1)))
+       for k in range(1, 5)},
+    "torus7": (torus7, (1, 2, 1)),
+    "klein": (klein_bottle, (1, 2, 1)),
+    "rp2": (projective_plane, (1, 1, 1)),
+    "bar klein": (lambda: barycentric_subdivide(klein_bottle()), (1, 2, 1)),
+    "two spheres": (_two_spheres, (2, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_COMPLEXES)
+def test_homology_z2_skips_the_last_top_column_once_checked(
+        name, betti_z2_without_clearing):
+    build, want = CLOSED_COMPLEXES[name]
+    c = build()
+    assert homology_z2(c) == want   # not checked yet: the column is reduced
+    assert pseudo_manifold_check(c).is_pseudo
+    assert homology_z2(c) == want == betti_z2_without_clearing(c)
+    assert homology(c).betti_z2 == want
+    # Overwritten after the check with faces past the last facet, the last
+    # top column changes nothing, since it is never reduced.  On a complex
+    # that has not been checked the same column is reduced: it becomes a
+    # pivot on a row that the level below does not have.
+    fresh = build()
+    for d in (c, fresh):
+        below = d.n_cells(d.n - 1)
+        for slot, col in enumerate(d.face_columns[d.n]):
+            col[-1] = below + slot
+    assert homology_z2(c) == want
+    with pytest.raises(IndexError):
+        homology_z2(fresh)
+
+
+def test_homology_z2_reduces_every_top_column_of_a_disc():
+    # a disc has boundary, so its top columns need not sum to zero: its
+    # one triangle is the last top column, and skipping it would leave a
+    # second Betti number of 1
+    disc = SimplicialCellComplex.from_top_simplices([(0, 1, 2)])
+    assert not pseudo_manifold_check(disc).is_pseudo
+    assert homology_z2(disc) == (1, 0, 0) == homology(disc).betti_z2
 
 
 def test_json_round_trip_vertex_determined():

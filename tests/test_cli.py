@@ -153,6 +153,31 @@ def test_formulas_refuses_an_oversized_table_before_any_work(
         f"budget: {family} table needs {entries} entries, over the 200000 budget\n")
 
 
+def test_formulas_as_refuses_values_past_the_int_digit_limit(monkeypatch,
+                                                             capsys):
+    # betti_as_can(n) is below 2^(n + 1), so at n = 15000 a value may have
+    # 4516 digits, past a limit of 4300
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
+                        raising=False)
+    monkeypatch.setattr(fm, "betti_as_can", lambda n: 1 / 0)
+    assert cli.run(["formulas", "--family", "as", "--n", "15000"]) == 3
+    assert capsys.readouterr().err == ("budget: as table needs 4516 digits "
+                                       "per value, over the 4300 budget\n")
+    monkeypatch.undo()
+    # 4215 digits at most: printed under the interpreter's own limit
+    assert cli.run(["formulas", "--family", "as", "--n", "14000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14002 and lines[-1] == "\"14000,14000\",0,formula"
+
+
+def test_formulas_as_without_an_int_digit_limit(monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert fm.family_table("as", 4)[1:] == [
+        ("4,0", "1", "formula"), ("4,1", "4", "formula"),
+        ("4,2", "5", "formula"), ("4,3", "0", "formula"),
+        ("4,4", "0", "formula")]
+
+
 def test_verify_suite(capsys):
     assert cli.run(["verify", "--suite", "h-vs-z2betti", "--max-n", "2"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from operator import eq
 
 import pytest
 
@@ -15,6 +16,7 @@ from nestotope.cellcomplex import (
     homology,
     homology_z2,
     orient,
+    passed_pseudo_manifold_check,
     smith_normal_form,
 )
 from nestotope.graphs import (
@@ -556,6 +558,33 @@ def test_cellular_divisors_match_oracle(make, snf_oracle):
 def test_homology_z2_on_the_cells_matches_the_snf(make):
     m = make()
     assert homology_z2(m.cellular()) == m.homology().betti_z2
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED + FOUR_MANIFOLDS],
+                         ids=[name for name, _ in GLUED + FOUR_MANIFOLDS])
+def test_glued_rows_match_the_row_construction(make, layout_oracle):
+    # level by level, so that the reference holds one level's rows at once
+    m = make()
+    c = m.complex
+    for k, verts, faces, labels in layout_oracle.glued(m):
+        assert len(c.vertices_of[k]) == len(verts)
+        assert all(map(eq, c.vertices_of[k], verts))
+        assert all(map(eq, c.faces_of[k], faces))
+    assert c.vertex_labels == labels
+
+
+@pytest.mark.parametrize("make", [m for _, m in FOUR_MANIFOLDS],
+                         ids=[name for name, _ in FOUR_MANIFOLDS])
+def test_homology_z2_on_four_manifold_complexes(make):
+    # The gluing has passed the pseudomanifold check, so the last top
+    # column is skipped.  The cells' Betti numbers are checked against the
+    # Smith normal form in test_homology_z2_on_the_cells_matches_the_snf;
+    # the plain-rank oracle runs on path:5 alone
+    # (test_homology_z2_on_a_4_dim_gluing), as it takes 0.4 to 0.8 GB on
+    # the others.
+    m = make()
+    assert passed_pseudo_manifold_check(m.complex)
+    assert homology_z2(m.complex) == homology_z2(m.cellular())
 
 
 @pytest.mark.parametrize("make", [m for _, m in GLUED],
