@@ -16,21 +16,21 @@ usual alternating slot signs, and the double-face identities are checked by
 Level k is stored as slot columns, not as tuples: ``vertex_columns[k]`` and
 ``face_columns[k]`` are k + 1 lists of ints each, column s holding every
 k-cell's vertex (or face) at slot s, so a cell costs 2(k + 1) list slots
-and no tuple.  ``vertices_of[k]`` and ``faces_of[k]`` are read-only views
-of a level's rows that store nothing: entry ``cid`` is the tuple of the
-columns' entries ``cid``.  Builders write columns (the gluing, the stock
-complexes through ``from_top_simplices``, the substitution subdivision);
-the raw constructor takes rows and transposes them once.  The structural
-checks (``validate``, ``is_pure``, ``is_vertex_determined`` and the two-hit
-facet test of ``pseudo_manifold_check``), orientation and the boundary
-matrices read the columns, never one cell at a time.  Double faces are
-compared only on levels where two (k-2)-cells share a vertex tuple:
-elsewhere the vertex checks already force the identities.  ``subfaces``
-lists all subcells of a cell in one table indexed by the bitmask of kept
-slots; a flag of the barycentric subdivision is the chain of growing masks
-of one slot permutation.  Stock spheres and barycentric subdivisions count
-their cells in closed form and refuse (``BudgetExceeded``) before building
-more than CELL_BUDGET.
+and no tuple; a reader that wants a level's rows zips its columns.
+Builders write columns (the gluing, the stock complexes through
+``from_top_simplices``, the substitution subdivision); the raw constructor
+takes rows, refuses (``ValidationError``) a level whose rows are not all
+k + 1 long or not one face row per cell, and transposes them once.  The
+structural checks (``validate``, ``is_pure``, ``is_vertex_determined`` and
+the two-hit facet test of ``pseudo_manifold_check``), orientation and the
+boundary matrices read the columns, never one cell at a time.  Double
+faces are compared only on levels where two (k-2)-cells share a vertex
+tuple: elsewhere the vertex checks already force the identities.
+``subfaces`` lists all subcells of a cell in one table indexed by the
+bitmask of kept slots; a flag of the barycentric subdivision is the chain
+of growing masks of one slot permutation.  Stock spheres and barycentric
+subdivisions count their cells in closed form and refuse
+(``BudgetExceeded``) before building more than CELL_BUDGET.
 
 Orientation reads ``facet_pairs``, the hits t * (n + 1) + slot sorted by
 facet, and spreads signs with ``sign_walk``, which glued manifolds share;
@@ -68,51 +68,6 @@ from operator import add, eq, itemgetter, lt, mul
 
 from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
-
-
-class _Rows:
-    """The rows of one level, read off its columns: row ``cid`` is the
-    tuple of every column's entry ``cid``, and a slice is the list of its
-    rows.  A view stores nothing of its own and cannot be changed; it has
-    ``len``, indexing, iteration, ``index`` and equality with other
-    rows."""
-
-    __slots__ = ("columns", "count")
-
-    def __init__(self, columns, count):
-        self.columns = columns
-        self.count = count
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, cid):
-        if isinstance(cid, slice):
-            return [self[i] for i in range(self.count)[cid]]
-        if not self.columns:   # the empty face rows of the vertices
-            range(self.count)[cid]
-            return ()
-        return tuple([col[cid] for col in self.columns])
-
-    def __iter__(self):
-        if not self.columns:
-            return repeat((), self.count)
-        return zip(*self.columns)
-
-    def index(self, row):
-        row = tuple(row)
-        for cid, mine in enumerate(self):
-            if mine == row:
-                return cid
-        raise ValueError(f"{row} is not a row")
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Rows, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self):
-        return repr(list(self))
 
 
 def _transpose(rows, width):
@@ -153,25 +108,23 @@ class SimplicialCellComplex:
         cell_vertices[k] lists, for every k-cell, its ordered vertex ids;
         cell_faces[k] lists the ids of its facets by slot (entry 0 of both
         is unread).  Each level is transposed into columns once.  A level
-        whose rows are not all k + 1 long, or that has fewer or more face
-        rows than cells, has no columns: its rows are kept as given, for
-        ``validate`` to refuse.
+        with fewer or more face rows than cells, or with a row that is not
+        k + 1 long, raises ``ValidationError``.
         """
         vertex_columns = [None]
         face_columns = [None]
-        kept = {}
         for k in range(1, dim + 1):
             verts, faces = list(cell_vertices[k]), list(cell_faces[k])
-            shapes = set(map(len, chain(verts, faces)))
-            if len(faces) == len(verts) and shapes <= {k + 1}:
-                vertex_columns.append(_transpose(verts, k + 1))
-                face_columns.append(_transpose(faces, k + 1))
-            else:
-                vertex_columns.append([])
-                face_columns.append([])
-                kept[k] = tuple(map(tuple, verts)), tuple(map(tuple, faces))
-        self._store(dim, vertex_count, vertex_columns, face_columns,
-                    vertex_labels, kept)
+            if len(faces) != len(verts):
+                raise ValidationError(
+                    f"level {k} has {len(faces)} face rows for {len(verts)} cells")
+            for row in chain(verts, faces):
+                if len(row) != k + 1:
+                    raise ValidationError(
+                        f"a row of level {k} has {len(row)} entries, not {k + 1}")
+            vertex_columns.append(_transpose(verts, k + 1))
+            face_columns.append(_transpose(faces, k + 1))
+        self._store(dim, vertex_count, vertex_columns, face_columns, vertex_labels)
 
     @classmethod
     def from_columns(cls, dim, vertex_count, vertex_columns, face_columns,
@@ -179,30 +132,18 @@ class SimplicialCellComplex:
         """The complex whose level k, for k = 1..dim, has the k + 1 vertex
         columns ``vertex_columns[k]`` and the k + 1 face columns
         ``face_columns[k]``, all of one length; entry 0 of both is unread.
-        The column lists are kept, not copied."""
+        The column lists are kept, not copied, and their shape is not
+        checked."""
         c = cls.__new__(cls)
-        c._store(dim, vertex_count, vertex_columns, face_columns,
-                 vertex_labels, {})
+        c._store(dim, vertex_count, vertex_columns, face_columns, vertex_labels)
         return c
 
     def _store(self, dim, vertex_count, vertex_columns, face_columns,
-               vertex_labels, kept):
+               vertex_labels):
         self.n = dim
         self.vertex_columns = [[list(range(vertex_count))]] + [
             list(vertex_columns[k]) for k in range(1, dim + 1)]
         self.face_columns = [[]] + [list(face_columns[k]) for k in range(1, dim + 1)]
-        vertices_of, faces_of = [], []
-        for k in range(dim + 1):
-            if k in kept:
-                verts, faces = kept[k]
-            else:
-                count = len(self.vertex_columns[k][0])
-                verts = _Rows(self.vertex_columns[k], count)
-                faces = _Rows(self.face_columns[k], count)
-            vertices_of.append(verts)
-            faces_of.append(faces)
-        self.vertices_of = tuple(vertices_of)
-        self.faces_of = tuple(faces_of)
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
         self._pseudo_failures = None   # memoised by pseudo_manifold_check
 
@@ -211,7 +152,7 @@ class SimplicialCellComplex:
     def n_cells(self, k):
         if k < 0 or k > self.n:
             return 0
-        return len(self.vertices_of[k])
+        return len(self.vertex_columns[k][0])
 
     def cell_counts(self):
         return tuple(self.n_cells(k) for k in range(self.n + 1))
@@ -281,16 +222,11 @@ class SimplicialCellComplex:
         vertices with slots i and j dropped.  So on a level whose
         (k-2)-cells have pairwise distinct vertex tuples (one int key per
         cell tells) the double-face identities hold, and only the other
-        levels check them.  A level without k + 1 vertex and face columns
-        of one length, as the raw constructor leaves malformed rows, is
-        invalid.
+        levels check them.
         """
         vcols, fcols = self.vertex_columns, self.face_columns
         for k in range(1, self.n + 1):
             vk, fk, below = vcols[k], fcols[k], vcols[k - 1]
-            if (len(vk) != k + 1 or len(fk) != k + 1
-                    or len(set(map(len, vk + fk))) != 1):
-                return False
             if k == 1 and any(map(eq, *vk)):
                 return False
             for s, col in enumerate(fk):
@@ -339,8 +275,8 @@ class SimplicialCellComplex:
         checked = passed_pseudo_manifold_check(self)
         for k in range(1, self.n + 1):
             cols = self.vertex_columns[k]
-            if not (cols and all(all(map(lt, a, b)) for a, b in pairwise(cols))):
-                keys = map(tuple, map(sorted, self.vertices_of[k]))
+            if not all(all(map(lt, a, b)) for a, b in pairwise(cols)):
+                keys = map(sorted, zip(*cols))
             elif checked:
                 keys = map(add, map(mul, cols[0], repeat(self.n_cells(k - 1))),
                            self.face_columns[k][0])

@@ -397,20 +397,20 @@ def minkowski_vertex_oracle(b):
 
 def _flags(p):
     """All complete chains of faces, listed from vertex up to the whole
-    polytope, as tuples of face tuples."""
-    n = p.dim
+    polytope, as tuples of face tuples: one chain per vertex and order of
+    dropping its tubes.  The cell numbering of the barycentric complex
+    follows this list: per vertex, chains sorted by the position of each
+    dropped tube among the tubes left (the order's Lehmer code), which is
+    the order ``permutations`` makes."""
     out = []
-
-    def rec(chain):
-        face = chain[-1]
-        if not face:
-            out.append(tuple(chain))
-            return
-        for drop in range(len(face)):
-            rec(chain + [face[:drop] + face[drop + 1:]])
-
     for v in p.vertices:
-        rec([v])
+        for order in permutations(v):
+            flag = [v]
+            for tube in order:
+                face = flag[-1]
+                drop = face.index(tube)
+                flag.append(face[:drop] + face[drop + 1:])
+            out.append(tuple(flag))
     return out
 
 

@@ -289,7 +289,7 @@ def verify_lemma_conditions(k, g, a):
         failures.append("complex fails validation")
 
     rainbow = True
-    for verts in c.vertices_of[n]:
+    for verts in zip(*c.vertex_columns[n]):
         if sorted(k.colours[v] for v in verts) != list(range(nv)):
             rainbow = False
             failures.append(f"top cell {verts} is not rainbow")
@@ -310,7 +310,7 @@ def verify_lemma_conditions(k, g, a):
     whole = sum(k.coords[0]) ** nv
     total = 0
     volumes_ok = True
-    for verts in c.vertices_of[n]:
+    for verts in zip(*c.vertex_columns[n]):
         det = _int_det([k.coords[v] for v in verts])
         if det == 0:
             volumes_ok = False
@@ -523,7 +523,7 @@ def _substitute(bar, k):
     first = {}                 # barycentric cell -> its first hosted vertex
     labels = []
     for bk in range(n + 1):
-        for bid, verts in enumerate(bar.vertices_of[bk]):
+        for bid, verts in enumerate(zip(*bar.vertex_columns[bk])):
             first[bk, bid] = len(labels)
             dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
             labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
@@ -536,7 +536,7 @@ def _substitute(bar, k):
     vertex_columns = [[[] for _ in range(kk + 1)] for kk in range(n + 1)]
     face_columns = [[[] for _ in range(kk + 1)] for kk in range(n + 1)]
     count = [0] * (n + 1)
-    for t, verts in enumerate(bar.vertices_of[n]):
+    for t, verts in enumerate(zip(*bar.vertex_columns[n])):
         if [bar.vertex_labels[v][0] for v in verts] != list(range(n + 1)):
             raise ValidationError("barycentric cell with repeated dims")
         table = bar.subfaces(n, t)

@@ -265,7 +265,8 @@ def _suite_lemma(max_n):
     tops = k.complex.n_cells(2)
     apexv = [v for v in range(k.complex.n_cells(0))
              if k.colours[v] == 1 and all(x != 0 for x in k.coords[v])]
-    cof = sum(1 for verts in k.complex.vertices_of[2] if apexv[0] in verts)
+    cof = sum(1 for verts in zip(*k.complex.vertex_columns[2])
+              if apexv[0] in verts)
     out.append(("3-path, middle apex: four triangles around the centre",
                 tops == 4 and len(apexv) == 1 and cof == 4,
                 f"{tops} triangles, {cof} cofacets"))

@@ -3,7 +3,7 @@ subdivision memo before every test."""
 
 import random
 from fractions import Fraction
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain, permutations, product, repeat
 from math import lcm, prod
 from types import SimpleNamespace
 
@@ -35,13 +35,20 @@ def empty_subdivision_memo():
     subdivision._MEMO.clear()
 
 
+def _cell_rows(c, k):
+    """The vertex rows and the face rows of the k-cells of ``c``, lists of
+    tuples read off its columns; a vertex's face row is ()."""
+    faces = zip(*c.face_columns[k]) if k else repeat((), c.n_cells(0))
+    return list(zip(*c.vertex_columns[k])), list(faces)
+
+
 def _betti_z2_without_clearing(c):
     """Mod-2 Betti numbers from the plain GF(2) rank of every boundary,
     its columns built here, with nothing carried between degrees."""
     ranks = [0] * (c.n + 2)
     for k in range(1, c.n + 1):
         columns = []
-        for faces in c.faces_of[k]:
+        for faces in zip(*c.face_columns[k]):
             col = 0
             for f in faces:
                 col ^= 1 << f
@@ -335,26 +342,24 @@ def vertex_coordinates_oracle():
 
 
 def _validate_by_cells(c):
+    vertex_rows, face_rows = zip(*(_cell_rows(c, k) for k in range(c.n + 1)))
     for k in range(1, c.n + 1):
         n_below = c.n_cells(k - 1)
-        for cid, verts in enumerate(c.vertices_of[k]):
+        for verts, faces in zip(vertex_rows[k], face_rows[k]):
             if len(set(verts)) != k + 1:
-                return False
-            faces = c.faces_of[k][cid]
-            if len(faces) != k + 1:
                 return False
             for slot, f in enumerate(faces):
                 if not 0 <= f < n_below:
                     return False
                 expect = verts[:slot] + verts[slot + 1:]
-                if c.vertices_of[k - 1][f] != expect:
+                if vertex_rows[k - 1][f] != expect:
                     return False
     for k in range(2, c.n + 1):
-        for cid, faces in enumerate(c.faces_of[k]):
+        for faces in face_rows[k]:
             for i in range(k + 1):
                 for j in range(i + 1, k + 1):
-                    a = c.faces_of[k - 1][faces[j]][i]
-                    b = c.faces_of[k - 1][faces[i]][j - 1]
+                    a = face_rows[k - 1][faces[j]][i]
+                    b = face_rows[k - 1][faces[i]][j - 1]
                     if a != b:
                         return False
     return True
@@ -364,15 +369,16 @@ def _is_pure_by_cells(c):
     reachable = [set() for _ in range(c.n + 1)]
     reachable[c.n] = set(range(c.n_cells(c.n)))
     for k in range(c.n, 0, -1):
+        face_rows = list(zip(*c.face_columns[k]))
         for cid in reachable[k]:
-            reachable[k - 1].update(c.faces_of[k][cid])
+            reachable[k - 1].update(face_rows[cid])
     return all(len(reachable[k]) == c.n_cells(k) for k in range(c.n + 1))
 
 
 def _is_vertex_determined_by_cells(c):
     for k in range(1, c.n + 1):
         seen = set()
-        for verts in c.vertices_of[k]:
+        for verts in zip(*c.vertex_columns[k]):
             key = tuple(sorted(verts))
             if key in seen:
                 return False
@@ -383,7 +389,7 @@ def _is_vertex_determined_by_cells(c):
 def _facet_incidences(c):
     """For every (n-1)-cell, the list of (top cell, slot) hits."""
     inc = [[] for _ in range(c.n_cells(c.n - 1))]
-    for t, faces in enumerate(c.faces_of[c.n]):
+    for t, faces in enumerate(zip(*c.face_columns[c.n])):
         for slot, f in enumerate(faces):
             inc[f].append((t, slot))
     return inc
@@ -448,7 +454,7 @@ def _orient_by_adjacency(c):
         return cert
     # The fundamental cycle must vanish under the integer boundary map.
     acc = {}
-    for t, faces in enumerate(c.faces_of[c.n]):
+    for t, faces in enumerate(zip(*c.face_columns[c.n])):
         for slot, f in enumerate(faces):
             acc[f] = acc.get(f, 0) + sign[t] * (-1) ** slot
     if any(v != 0 for v in acc.values()):
@@ -792,7 +798,8 @@ def _substitute_rows(bar, k):
     carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
     for kk in range(1, n + 1):
         below = carrier[-1]
-        carrier.append([below[f[0]] | below[f[1]] for f in kc.faces_of[kk]])
+        carrier.append([below[f[0]] | below[f[1]]
+                        for f in zip(*kc.face_columns[kk])])
     on_support = {}            # support mask -> piece vertices, ascending
     rank = []                  # each piece vertex's place in its list
     for u, m in enumerate(carrier[0]):
@@ -802,15 +809,16 @@ def _substitute_rows(bar, k):
     first = {}                 # barycentric cell -> its first hosted vertex
     labels = []
     for bk in range(n + 1):
-        for bid, verts in enumerate(bar.vertices_of[bk]):
+        for bid, verts in enumerate(zip(*bar.vertex_columns[bk])):
             first[bk, bid] = len(labels)
             dims = sum(1 << bar.vertex_labels[v][0] for v in verts)
             labels.extend(((bk, bid), u) for u in on_support.get(dims, ()))
 
     ids = [{} for _ in range(n + 1)]   # (host dim, host id, piece cell) -> id
+    piece_rows = [_cell_rows(kc, kk) for kk in range(n + 1)]
     cell_vertices = [[] for _ in range(n + 1)]
     cell_faces = [[] for _ in range(n + 1)]
-    for t, verts in enumerate(bar.vertices_of[n]):
+    for t, verts in enumerate(zip(*bar.vertex_columns[n])):
         if [bar.vertex_labels[v][0] for v in verts] != list(range(n + 1)):
             raise ValidationError("barycentric cell with repeated dims")
         table = bar.subfaces(n, t)
@@ -823,10 +831,9 @@ def _substitute_rows(bar, k):
                 got = ids[kk].get(key)
                 if got is None:
                     got = ids[kk][key] = len(cell_vertices[kk])
-                    cell_vertices[kk].append(
-                        tuple(here[0][u] for u in kc.vertices_of[kk][cid]))
-                    cell_faces[kk].append(
-                        tuple(here[kk - 1][f] for f in kc.faces_of[kk][cid]))
+                    verts, faces = (rows[cid] for rows in piece_rows[kk])
+                    cell_vertices[kk].append(tuple(here[0][u] for u in verts))
+                    cell_faces[kk].append(tuple(here[kk - 1][f] for f in faces))
                 row.append(got)
             here.append(row)
     cell_vertices[0] = [(i,) for i in range(len(labels))]
@@ -840,8 +847,8 @@ def _codim2_cofacets(c):
     """Top-cell count of every codimension-2 cell, in first-seen order."""
     n = c.n
     counts = {}
-    below = c.faces_of[n - 1]
-    for faces in c.faces_of[n]:
+    below = list(zip(*c.face_columns[n - 1]))
+    for faces in zip(*c.face_columns[n]):
         hits = set()
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
@@ -863,9 +870,9 @@ def covering_oracle():
 # The rows that the row-by-row constructions make: every cell's vertex
 # tuple and face tuple, built as tuples and kept in per-level lists, as the
 # complexes stored them before they stored each level as slot columns.
-# The rows a complex reads out through ``vertices_of`` and ``faces_of`` must
-# be these.  A reference is a namespace of ``dim``, ``vertices``, ``faces``
-# (per level, with the vertices' rows (i,) and ()) and ``labels``.
+# The rows a complex's columns zip to (``rows``) must be these.  A
+# reference is a namespace of ``dim``, ``vertices``, ``faces`` (per level,
+# with the vertices' rows (i,) and ()) and ``labels``.
 
 
 def _rows_from_top_simplices(tops, vertex_labels=None):
@@ -996,7 +1003,8 @@ def _rows_from_instances(doc):
 
 @pytest.fixture
 def layout_oracle():
-    return SimpleNamespace(from_top_simplices=_rows_from_top_simplices,
+    return SimpleNamespace(rows=_cell_rows,
+                           from_top_simplices=_rows_from_top_simplices,
                            barycentric=_barycentric_rows,
                            glued=_glued_rows,
                            substitute=_substitute_rows,
@@ -1112,7 +1120,7 @@ def _fraction_volumes(k):
     """Whether every top cell has a nonzero volume and the volumes add up
     to the whole simplex, from rational determinants."""
     total = Fraction(0)
-    for verts in k.complex.vertices_of[k.complex.n]:
+    for verts in zip(*k.complex.vertex_columns[k.complex.n]):
         det = _fraction_det([list(k.coords[v]) for v in verts])
         if det == 0:
             return False

@@ -69,11 +69,10 @@ def test_subface_navigation():
         table = c.subfaces(2, t)
         assert len(table) == 8 and table[0] is None
         assert table[0b111] == (2, t)
-        verts = c.vertices_of[2][t]
         for slot in range(3):
             k, cid = table[1 << slot]
-            assert k == 0 and c.vertices_of[0][cid] == (verts[slot],)
-            assert table[0b111 ^ (1 << slot)] == (1, c.faces_of[2][t][slot])
+            assert k == 0 and cid == c.vertex_columns[2][slot][t]
+            assert table[0b111 ^ (1 << slot)] == (1, c.face_columns[2][slot][t])
 
 
 def _vertex_determined_complexes():
@@ -88,11 +87,12 @@ def test_subcell_tables_match_vertex_sets():
     # whose vertices are the top cell's vertices at those slots
     for c in _vertex_determined_complexes():
         assert c.is_vertex_determined()
-        for t, verts in enumerate(c.vertices_of[c.n]):
+        for t, verts in enumerate(zip(*c.vertex_columns[c.n])):
             table = c.subfaces(c.n, t)
             for mask in range(1, len(table)):
                 k, cid = table[mask]
-                assert c.vertices_of[k][cid] == tuple(verts[s] for s in members(mask))
+                assert ([col[cid] for col in c.vertex_columns[k]]
+                        == [verts[s] for s in members(mask)])
 
 
 def test_codim2_cofacets_match_vertex_sets():
@@ -109,9 +109,9 @@ def test_codim2_cofacets_match_vertex_sets():
     for c in chain(_vertex_determined_complexes(), lemmas, fans):
         if c.n < 2:
             continue
-        want = Counter(frozenset(sub) for verts in c.vertices_of[c.n]
+        want = Counter(frozenset(sub) for verts in zip(*c.vertex_columns[c.n])
                        for sub in combinations(verts, c.n - 1))
-        got = {frozenset(c.vertices_of[k][cid]): cnt
+        got = {frozenset(col[cid] for col in c.vertex_columns[k]): cnt
                for (k, cid), cnt in _codim2_cofacets(c).items()}
         assert got == dict(want)
 
@@ -146,7 +146,8 @@ def test_self_glued_arc_is_rejected(gluing):
     cx, _ = gluing.complex_from_gluings(1, 1, [((0, 0), (0, 1))])
     assert not cx.validate()
     arc = _self_glued_arc()
-    assert (cx.vertices_of, cx.faces_of) == (arc.vertices_of, arc.faces_of)
+    assert ((cx.vertex_columns, cx.face_columns)
+            == (arc.vertex_columns, arc.face_columns))
 
 
 def test_spheres():
@@ -302,8 +303,8 @@ def test_vertex_determined_reaches_sorted_and_unsorted_levels(cell_checks,
         c = build(gluing)
         verdict = c.is_vertex_determined()
         assert verdict == cell_checks.is_vertex_determined(c)
-        for vk in c.vertices_of[1:]:
-            kinds.add((all(t == tuple(sorted(t)) for t in vk), verdict))
+        for vk in c.vertex_columns[1:]:
+            kinds.add((all(t == tuple(sorted(t)) for t in zip(*vk)), verdict))
     assert kinds == {(True, True), (True, False), (False, True),
                      (False, False)}
 
@@ -313,12 +314,12 @@ def test_vertex_determined_reaches_sorted_and_unsorted_levels(cell_checks,
     ([(0, 1), (0, 1)], False),
     ([(1, 0), (2, 1)], True),
     ([(0, 1), (1, 0)], False),
-    # tuples of the wrong length are sorted too, never read by columns
-    ([(0, 1, 2), (0, 2, 1), (5, 6)], False),
-    ([(0, 1, 2), (3, 4, 5), (5, 6)], True),
+    # sorted and unsorted rows in one level, which is then sorted row by row
+    ([(0, 1), (2, 0), (5, 6), (0, 2)], False),
+    ([(0, 1), (2, 0), (5, 6), (6, 3)], True),
 ])
 def test_vertex_determined_on_hand_made_edges(edges, verdict, cell_checks):
-    c = SimplicialCellComplex(1, 7, [None, edges], [None, [()] * len(edges)])
+    c = _graph(7, edges)
     assert c.is_vertex_determined() is verdict
     assert cell_checks.is_vertex_determined(c) is verdict
 
@@ -327,7 +328,7 @@ def test_repeated_edge_tuples_are_checked_for_double_faces(gluing):
     # the levels the vertex-tuple argument cannot skip
     c = _suspended_two_arc_circle(gluing)
     assert not c.is_vertex_determined()
-    assert len(set(c.vertices_of[1])) < c.n_cells(1)
+    assert len(set(zip(*c.vertex_columns[1]))) < c.n_cells(1)
     assert pseudo_manifold_check(c).is_pseudo
     assert homology(c).betti_q == (1, 0, 0, 1)
 
@@ -335,8 +336,8 @@ def test_repeated_edge_tuples_are_checked_for_double_faces(gluing):
 def _rebuilt(c, edit):
     """``c`` built again through the raw constructor from its rows, after
     ``edit`` has changed the per-level lists of vertex and face rows."""
-    verts = [list(level) for level in c.vertices_of]
-    faces = [list(level) for level in c.faces_of]
+    verts = [list(zip(*cols)) for cols in c.vertex_columns]
+    faces = [list(zip(*cols)) for cols in c.face_columns]
     edit(verts, faces)
     return SimplicialCellComplex(c.n, c.n_cells(0), verts, faces)
 
@@ -390,10 +391,9 @@ CORRUPTED = {
     # slots 1 and 2 both take the edge (v0, v2): only its last vertex is wrong
     "face with wrong last vertex": (lambda: _sphere2_with_top_faces(
         lambda f, m: f[:2] + f[1:2]), False, None),
-    "short face tuple": (lambda: _sphere2_with_top_faces(
-        lambda f, m: f[:2]), False, None),
     "isolated vertex": (lambda: SimplicialCellComplex.from_top_simplices(
-        simplex_sphere(2).vertices_of[2], vertex_labels=range(5)), True, False),
+        zip(*simplex_sphere(2).vertex_columns[2]), vertex_labels=range(5)),
+        True, False),
     "unused edge": (_unused_edge, True, False),
     "facet hit once": (lambda: SimplicialCellComplex.from_top_simplices(
         [(0, 1, 2)]), True, True),
@@ -417,12 +417,55 @@ def test_corrupted_complexes_get_the_loop_verdict(name, cell_checks):
     assert failures and failures == cell_checks.pseudo_failures(c)
 
 
-def test_short_face_list_is_invalid(cell_checks):
-    c = _rebuilt(simplex_sphere(2), lambda verts, faces: faces[2].pop())
-    with pytest.raises(IndexError):
-        cell_checks.validate(c)
-    assert c.validate() is False
-    assert pseudo_manifold_check(c).failures == ["not a valid simplicial cell complex"]
+# Rows the raw constructor refuses, each with its message: a level must
+# have one face row per cell, and every row of level k must be k + 1 long.
+# A level with fewer face rows than cells is refused in
+# ``test_short_face_list_is_invalid``.
+RAGGED = {
+    "short row": (lambda: _sphere2_with_top_faces(lambda f, m: f[:2]),
+                  "a row of level 2 has 2 entries, not 3"),
+    "long row": (lambda: _sphere2_with_top_faces(lambda f, m: f + f[:1]),
+                 "a row of level 2 has 4 entries, not 3"),
+    "more face rows than cells": (
+        lambda: _rebuilt(simplex_sphere(2),
+                         lambda verts, faces: faces[1].append(faces[1][0])),
+        "level 1 has 7 face rows for 6 cells"),
+    "edges without faces": (lambda: SimplicialCellComplex(
+        1, 7, [None, [(0, 1), (1, 2)]], [None, [(), ()]]),
+        "a row of level 1 has 0 entries, not 2"),
+    "edges of three vertices": (lambda: SimplicialCellComplex(
+        1, 7, [None, [(0, 1, 2), (5, 6)]], [None, [(2, 1, 0), (6, 5)]]),
+        "a row of level 1 has 3 entries, not 2"),
+}
+
+
+@pytest.mark.parametrize("shape", RAGGED)
+def test_ragged_rows_are_refused(shape):
+    build, message = RAGGED[shape]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
+def test_short_face_list_is_invalid():
+    # fewer face rows than cells
+    with pytest.raises(ValidationError,
+                       match="^level 2 has 3 face rows for 4 cells$"):
+        _rebuilt(simplex_sphere(2), lambda verts, faces: faces[2].pop())
+
+
+def test_well_shaped_instance_list_rebuilds_the_complex(gluing):
+    # the instance list of a complex that is not vertex-determined goes
+    # through the raw constructor and gives back the same columns
+    for c in (gluing.complex_from_gluings(
+                  1, 2, [((0, 0), (1, 0)), ((0, 1), (1, 1))])[0],
+              _suspended_two_arc_circle(gluing),
+              gluing.complex_from_gluings(
+                  2, 2, [((0, i), (1, i)) for i in range(3)])[0]):
+        doc = complex_to_json_dict(c)
+        assert "instances" in doc
+        back, _ = complex_from_json_dict(doc)
+        assert back.vertex_columns == c.vertex_columns
+        assert back.face_columns == c.face_columns
 
 
 @pytest.mark.parametrize("build", [torus7, klein_bottle])
@@ -701,8 +744,8 @@ def _renumbered(c, rng):
         verts = [None] * c.n_cells(k)
         faces = [None] * c.n_cells(k)
         for j, new in enumerate(perm[k]):
-            verts[new] = tuple(perm[0][v] for v in c.vertices_of[k][j])
-            faces[new] = tuple(perm[k - 1][f] for f in c.faces_of[k][j])
+            verts[new] = tuple(perm[0][col[j]] for col in c.vertex_columns[k])
+            faces[new] = tuple(perm[k - 1][col[j]] for col in c.face_columns[k])
         cell_vertices.append(verts)
         cell_faces.append(faces)
     return SimplicialCellComplex(c.n, c.n_cells(0), cell_vertices, cell_faces)
@@ -868,36 +911,9 @@ def test_rows_read_through_the_views_match_the_row_construction(
     c, want = LAYOUT_CASES[name](monkeypatch, layout_oracle, gluing)
     assert c.n == want.dim
     for k in range(c.n + 1):
-        assert list(c.vertices_of[k]) == want.vertices[k]
-        assert list(c.faces_of[k]) == want.faces[k]
+        assert layout_oracle.rows(c, k) == (want.vertices[k], want.faces[k])
     if want.labels is not None:
         assert c.vertex_labels == want.labels
-
-
-def test_row_views_read_like_lists_of_tuples():
-    c = torus7()
-    for rows, cols in ((c.vertices_of[2], c.vertex_columns[2]),
-                       (c.faces_of[2], c.face_columns[2])):
-        listed = list(rows)
-        assert len(rows) == len(listed) == 14
-        assert [rows[i] for i in range(-14, 14)] == listed + listed
-        for part in (slice(3, 9), slice(None, None, -2), slice(20, 30)):
-            assert rows[part] == listed[part]
-        assert listed == list(zip(*cols))
-        assert rows == listed and rows != listed[:-1] and rows != listed[::-1]
-        assert all(rows.index(list(row)) == listed.index(row) for row in listed)
-        with pytest.raises(IndexError):
-            rows[14]
-        with pytest.raises(TypeError):
-            rows[0] = listed[0]
-    assert c.vertices_of[0][6] == (6,) and c.faces_of[0][6] == ()
-    assert list(c.faces_of[0]) == [()] * 7 and c.faces_of[0][5:] == [()] * 2
-    with pytest.raises(IndexError):
-        c.faces_of[0][7]
-    with pytest.raises(ValueError):
-        c.vertices_of[1].index((6, 0))
-    assert c.vertices_of == torus7().vertices_of
-    assert c.faces_of != klein_bottle().faces_of
 
 
 # Closed complexes on which ``homology_z2`` skips the last top column, with

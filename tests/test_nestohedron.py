@@ -1,5 +1,6 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
+import gc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -361,6 +362,21 @@ def test_barycentric_complex_of_pentagon():
     assert bar.cell_counts() == (11, 20, 10)
     assert bar.euler_characteristic() == 1
     assert bar.validate()
+
+
+@pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5)],
+                         ids=["path:5", "cycle:5"])
+def test_barycentric_complex_leaves_no_garbage_cycles(g):
+    # every object the build makes is freed by its reference count: with
+    # the cycle collector off, a collection right after finds nothing
+    p = _poset(g)
+    gc.collect()
+    gc.disable()
+    try:
+        barycentric_complex(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_projection_degree_is_one():

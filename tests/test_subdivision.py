@@ -117,8 +117,8 @@ def test_lemma_matches_the_rational_oracle(fraction_lemma_oracle):
     for g, a in _ORACLE_INPUTS:
         k = lemma_subdivision(g, a)
         want = fraction_lemma_oracle.lemma(g, a)
-        assert k.complex.vertices_of == want.complex.vertices_of
-        assert k.complex.faces_of == want.complex.faces_of
+        assert k.complex.vertex_columns == want.complex.vertex_columns
+        assert k.complex.face_columns == want.complex.face_columns
         assert k.colours == want.colours
         scale = sum(k.coords[0])
         assert all(sum(p) == scale for p in k.coords)
@@ -167,7 +167,7 @@ def test_middle_apex_triangle_geometry():
     centre = [v for v in range(c.n_cells(0))
               if k.colours[v] == 1 and all(x != 0 for x in k.coords[v])]
     assert len(centre) == 1
-    cofacets = sum(1 for verts in c.vertices_of[2] if centre[0] in verts)
+    cofacets = sum(1 for verts in zip(*c.vertex_columns[2]) if centre[0] in verts)
     assert cofacets == 4
 
 
@@ -283,8 +283,8 @@ def test_substitution_matches_keyed_oracle(monkeypatch, covering_oracle,
     monkeypatch.setattr(subdivision, "_substitute", covering_oracle.substitute)
     want = subdivide_pseudomanifold(z, g, apex=apex)
     assert y.mode == want.mode == "substitution"
-    assert y.complex.vertices_of == want.complex.vertices_of
-    assert y.complex.faces_of == want.complex.faces_of
+    assert y.complex.vertex_columns == want.complex.vertex_columns
+    assert y.complex.face_columns == want.complex.face_columns
     assert y.complex.vertex_labels == want.complex.vertex_labels
     assert y.colours == want.colours
     assert y.orientation == want.orientation
@@ -311,7 +311,7 @@ def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
               "4f2280ec523ea54794997f46ed244fbff47ebfa05d98d7b9cf5155d0d328149a")]
     c = y.complex
     first_seen = {cid: i for i, cid in enumerate(
-        dict.fromkeys(chain.from_iterable(c.faces_of[c.n - 1])))}
+        dict.fromkeys(chain.from_iterable(zip(*c.face_columns[c.n - 1]))))}
 
     def cell_of(message):
         return first_seen[int(re.match(r"cell \(\d+,(\d+)\)", message)[1])]

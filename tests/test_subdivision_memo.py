@@ -75,7 +75,7 @@ def test_built_twice_then_served(monkeypatch):
     assert len(substitutions) == 2
     assert third is second and second is not first
     assert third.colours == first.colours
-    assert third.complex.vertices_of == first.complex.vertices_of
+    assert third.complex.vertex_columns == first.complex.vertex_columns
 
 
 def test_apex_is_keyed_as_passed(monkeypatch):
