@@ -19,13 +19,12 @@ class BudgetExceeded(RuntimeError):
 
 # Default size limits.  Gluings, stock spheres and subdivisions refuse to
 # materialize more cells than CELL_BUDGET, each counted in closed form before
-# anything is built.  Covering enumerations switch to sampled checks once
-# the configuration space exceeds OMEGA_BUDGET, though a pool of at most
-# realization._SAMPLE_SIZE entries is walked in full at any budget, and the
-# certificate's mode compares only r * 2^m with the budget.  Involution
-# closures and their index tables refuse before they store more than
-# CLOSURE_BUDGET cell indexes (each permutation counts its length, each
-# table entry one).
+# anything is built.  A covering certificate's mode is "full" when its label
+# space r * 2^m fits in OMEGA_BUDGET and "sampled" otherwise; that is all it
+# says, since the covering checks run on the per-tube tables and are exact
+# at any r.  Involution closures and their index tables refuse before they
+# store more than CLOSURE_BUDGET cell indexes (each permutation counts its
+# length, each table entry one).
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000

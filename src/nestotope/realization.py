@@ -10,37 +10,26 @@ commute where the graph says they must, and faces act with full orbits.
 
 A sheet label is (sigma, mu, g): a top cell, one involution index per
 tube, and a group coordinate g < 2^m.  The face involutions move g by
-one bit and never read it, so every check is made on the fibre g = 0:
-in full when it fits the budget or is small, else on a seeded sample.
-The fibre histogram and the degree are closed forms in r, m and the
-family sizes; see ``build_covering``.
-
-A fibre label is the int sigma + base, where base = size * u and u is
-the mixed-radix index of mu.  Each tube's step at one u is a whole permutation of sigma, filled
-lazily, once per u reached, from ``phi_action``, which stays the one
-definition of a face involution.  A pool that is walked in full runs
-once per u on a state (permutation, base) that carries every sigma of
-the fibre at once; a sampled pool checks seeded draws of int labels.
-Faces are walked only when the tube or the pair pool is sampled: when
-both are walked in full, the face check follows from their involution
-and commutation checks by the group's relators.
-``mode`` reads only r * 2^m against the budget, whichever way a pool
-is walked.
+one bit and never read it, so every check is made on the fibre g = 0.
+There a tube's face involution (``phi_action``) reads only that tube's
+permutations and conjugation tables, and each output coordinate reads
+only its own input and the tube's index, so every check over all labels
+splits into checks on those per-tube tables: exact at any r, at a cost
+that does not depend on r; see ``build_covering``.  The fibre histogram
+and the degree are closed forms in r, m and the family sizes.  ``mode``
+reads only r * 2^m against the budget and does not say how a check ran.
 """
 
-import random
 from dataclasses import dataclass
+from itertools import product
 from math import prod
-from operator import mul
+from operator import itemgetter
 
 from .cellcomplex import pseudo_manifold_check
 from .errors import CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError, check_budget
 from .graphs import graph_building_set, members
 from .nestohedron import face_poset
 from .subdivision import subdivide_pseudomanifold
-
-_SAMPLE_SEED = 29
-_SAMPLE_SIZE = 10_000
 
 
 def compose(p, q):
@@ -208,29 +197,36 @@ def build_covering(b, sets, sys, budget=None):
     The checks run on the fibre g = 0 only.  ``phi_action`` sends
     (sigma, mu, g) to (f_s(sigma, mu), g ^ e_s) with f_s blind to g, and
     ``epsilon`` flips with the parity of g, so each check on (sigma, mu, g)
-    is the same check as on (sigma, mu, 0).  Each pool of (fibre label,
-    tube, compatible pair or face) is walked in full when the whole label
-    space r * 2^m fits in the budget (mode "full") or when the pool has at
-    most _SAMPLE_SIZE entries; otherwise a seeded sample of _SAMPLE_SIZE
-    entries is drawn from it (mode "sampled").
+    is the same check as on (sigma, mu, 0).
 
-    A fibre label is the int x = sigma + size * u below r, where u is the
-    mixed-radix index of mu with mu[0] fastest; base = size * u.  Each
-    tube keeps a dict base -> (sigma permutation, new base), filled from
-    ``phi_action`` the first time base is reached.  A pool walked in full
-    runs once per mu index on the state (identity, base), and a step
-    composes the whole permutation, so each check covers every sigma of
-    that mu at once: a step taken twice gives back the state, plus differs
-    under each step, and the two composites of a compatible pair agree.  A
-    sampled pool keeps its seeded draws and runs the same checks on int
-    labels, a step there being one lookup and one index.
+    On that fibre f_s moves sigma by the permutation pi^s_a, where
+    a = mu_s, and moves mu_t by the row ``sets[s].conj[t][a]`` for each
+    tube t strictly containing s; every other coordinate, mu_s included,
+    stays.  The fibre labels are all of {sigma} x prod I_t, so a check
+    over every label splits into one check per output coordinate, over
+    the inputs that coordinate reads:
+
+    - ``phi_involutions``: every pi^s_a and every conjugation row is an
+      involution;
+    - ``epsilon_class_constant``: every pi^s_a moves each cell to one of
+      the other sign;
+    - ``phi_commutation``: on each 2-face {i, j}, for every (a, c) in
+      I_i x I_j, both orders give the same sigma permutation and the
+      same (mu_i, mu_j), and the same mu_t for every index of every tube
+      t strictly containing i or j.
+
+    Each check runs on states of rows: the cells, one row per tube it
+    steps holding that tube's index, and one row per tube above them
+    holding every index of that tube's family.  A step maps whole rows,
+    so one state stands for every label with those indexes.  The cost is
+    a sum over tubes and 2-faces of their index choices times
+    (size + sum |I_t|) table reads, whatever r is, and nothing is stored
+    beyond the tables that ``enumerate_involution_sets`` bounds.
 
     ``covering_fibers`` asks that a face F's walk over its group
-    coordinates, from a label at g = 0, reach one label per g.  It is
-    walked only when the tube or the pair pool is sampled; when both are
-    walked in full, ``covering_fibers = phi_involutions and
-    phi_commutation``, by the relators of (Z/2)^F = <s_j | s_j^2,
-    (s_i s_j)^2>:
+    coordinates, from any label at g = 0, reach one label per g.  It is
+    ``phi_involutions and phi_commutation``, by the relators of
+    (Z/2)^F = <s_j | s_j^2, (s_i s_j)^2>:
 
     - Every 2-subset of a nested set is a nested set, so every pair of
       tubes of a face is a 2-face, and every tube a 1-face.
@@ -242,21 +238,20 @@ def build_covering(b, sets, sys, budget=None):
     - The walk fails at its start label when either relator fails there:
       the route j, j back to g = 0 for s_j^2 on the face {j}, and the
       routes i, j and j, i for (s_i s_j)^2 on the face {i, j}.
-    - Full tube and pair pools start at every fibre label:
-      ``phi_involutions`` checks s_j^2 and ``phi_commutation`` checks
-      s_i s_j = s_j s_i there, for every tube and every 2-face.  With
-      s_j^2 trivial, the second is (s_i s_j)^2 acting trivially; without
-      it, both sides are false.  So every relator holds at every fibre
-      label, the labels any face's walk reaches among them, exactly when
-      both checks hold, and the face pool need not be walked even when it
-      is too large to walk in full.
+    - ``phi_involutions`` checks s_j^2 and ``phi_commutation`` checks
+      s_i s_j = s_j s_i at every fibre label, for every tube and every
+      2-face.  With s_j^2 trivial, the second is (s_i s_j)^2 acting
+      trivially; without it, both sides are false.  So every relator
+      holds at every fibre label, the labels any face's walk reaches
+      among them, exactly when both checks hold.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
     {r: sum over faces of 2^(m - |F|)}; and half of the 2^m group
     coordinates have each parity, so every probe cell carries
     s = 2^(m-1) * prod |I_t| positive labels and ``degree_independent``
-    holds.
+    holds.  ``mode`` is "full" when the whole label space r * 2^m fits in
+    the budget and "sampled" otherwise; every check is exact either way.
     """
     if budget is None:
         budget = OMEGA_BUDGET
@@ -264,14 +259,14 @@ def build_covering(b, sets, sys, budget=None):
     tubes = b.proper_tubes
     m = len(tubes)
     size = sys.size
-    sizes = [len(sets[t]) for t in tubes]
-    prod_i = prod(sizes)
+    prod_i = prod(len(sets[t]) for t in tubes)
     r = size * prod_i
     mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
+    ident = tuple(range(size))
     checks["xi_involutions"] = all(
-        compose(x, x) == tuple(range(size))
+        compose(x, x) == ident
         and all(sys.plus[x[t]] != sys.plus[t] for t in range(size))
         for x in sys.xi)
     graph = sys.y.graph
@@ -280,111 +275,55 @@ def build_covering(b, sets, sys, budget=None):
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
 
-    weights = [size * prod(sizes[:k]) for k in range(m)]
-    steps = [{} for _ in tubes]
+    def states(own):
+        """Row positions, by tube, and the start states for the steps of
+        the ``own`` tubes: one state per choice of their indexes, holding
+        every cell and every index of each tube strictly above them."""
+        above = {t for s in own for t in sets[s].conj}.difference(own)
+        at = {t: q for q, t in enumerate((*own, *above), 1)}
+        rows = [tuple(range(len(sets[t]))) for t in above]
+        return at, ([ident, *((k,) for k in ks), *rows]
+                    for ks in product(*(range(len(sets[s])) for s in own)))
 
-    def fill(j, base):
-        """Tube j's step on the fibre labels base + sigma, stored as (sigma
-        permutation, new base): ``phi_action`` with a full slice for sigma
-        gives the whole permutation and the new mu."""
-        u = base // size
-        mu = []
-        for n_i in sizes:
-            u, i = divmod(u, n_i)
-            mu.append(i)
-        perm, mu, _ = phi_action(b, sets, tubes[j], (slice(None), tuple(mu), 0))
-        hit = steps[j][base] = perm, sum(map(mul, mu, weights))
-        return hit
-
-    def move(j, state):
-        """Tube j's step on a (sigma permutation, base) state."""
-        cells, base = state
-        perm, nxt = steps[j].get(base) or fill(j, base)
-        return tuple(map(perm.__getitem__, cells)), nxt
-
-    def phi(j, x):
-        """Tube j's face involution on the fibre label x, g dropped."""
-        sigma = x % size
-        perm, nxt = steps[j].get(x - sigma) or fill(j, x - sigma)
-        return nxt + perm[sigma]
-
-    def cell_signs(table, state):
-        return tuple(map(table.__getitem__, state[0]))
-
-    def label_sign(table, x):
-        return table[x % size]
-
-    ident = tuple(range(size))
-
-    def in_full(k):
-        """Whether a pool of k items per fibre label is walked in full."""
-        return mode == "full" or r * k <= _SAMPLE_SIZE
-
-    def pool(items):
-        """A pool's (fibre label, item) entries, with the step and the sign
-        that read them.  Walked in full, it yields one (ident, base) state
-        per mu index, which stands for every label base + sigma at once;
-        sampled, it yields _SAMPLE_SIZE seeded draws of int labels."""
-        k = len(items)
-        if in_full(k):
-            return move, cell_signs, (((ident, base), item)
-                                      for base in range(0, r, size)
-                                      for item in items)
-        rng = random.Random(_SAMPLE_SEED)
-        return phi, label_sign, ((x, items[i]) for x, i in (
-            divmod(rng.randrange(r * k), k) for _ in range(_SAMPLE_SIZE)))
+    def step(s, state, at):
+        """Tube s's face involution on every label a state stands for.  The
+        cells are two or more (half of them plus), so the item getter
+        gives a tuple."""
+        a = state[at[s]][0]
+        new = list(state)
+        new[0] = itemgetter(*state[0])(sets[s].perms[a])
+        for t, rows in sets[s].conj.items():
+            new[at[t]] = tuple(map(rows[a].__getitem__, state[at[t]]))
+        return new
 
     # epsilon reads sigma and the parity of g only: each cell's sign at
-    # g = 0, and at the odd g = e_j where every tube's step lands
+    # g = 0, and at the odd g = e_s where every tube's step lands
     at_zero = tuple(epsilon(sys, (c, None, 0)) for c in range(size))
     landed = tuple(epsilon(sys, (c, None, 1)) for c in range(size))
-    step, sign, entries = pool(range(m))
     involutions = class_constant = True
-    for w, j in entries:
-        image = step(j, w)
-        involutions = involutions and step(j, image) == w
-        class_constant = class_constant and (
-            sign(landed, image) == sign(at_zero, w))
+    for s in tubes:
+        at, starts = states((s,))
+        for w in starts:
+            image = step(s, w, at)
+            involutions = involutions and step(s, image, at) == w
+            class_constant = class_constant and (
+                tuple(map(landed.__getitem__, image[0])) == at_zero)
     checks["phi_involutions"] = involutions
     checks["epsilon_class_constant"] = class_constant
 
     pairs = p.faces_by_size[2] if p.dim >= 2 else ()
-    step, _, entries = pool(pairs)
-    checks["phi_commutation"] = all(step(i, step(j, w)) == step(j, step(i, w))
-                                    for w, (i, j) in entries)
-
-    def orbit_closes(w, face):
-        """Walk the face's group coordinates from the label w at g = 0.
-        Each step flips one bit of g, so the walk reaches every g of the
-        face's span; the orbit of w has 2^k members, one per g, exactly
-        when every route to one g reaches the same label."""
-        at = {0: w}
-        frontier = [0]
-        while frontier:
-            g = frontier.pop()
-            here = at[g]
-            for j in face:
-                nxt = phi(j, here)
-                h = g ^ (1 << j)
-                seen = at.get(h)
-                if seen is None:
-                    at[h] = nxt
-                    frontier.append(h)
-                elif seen != nxt:
-                    return False
-        return True
-
-    faces = [face for level in p.faces_by_size for face in level]
-    if in_full(max(m, len(pairs))):
-        # the relator argument in the docstring: no walk is needed
-        checks["covering_fibers"] = (checks["phi_involutions"]
-                                     and checks["phi_commutation"])
-    else:
-        _, _, entries = pool(faces)
-        checks["covering_fibers"] = all(orbit_closes(w, face)
-                                        for w, face in entries)
+    commutation = True
+    for i, j in pairs:
+        at, starts = states((tubes[i], tubes[j]))
+        commutation = commutation and all(
+            step(tubes[i], step(tubes[j], w, at), at)
+            == step(tubes[j], step(tubes[i], w, at), at) for w in starts)
+    checks["phi_commutation"] = commutation
+    # the relator argument in the docstring
+    checks["covering_fibers"] = involutions and commutation
     checks["degree_independent"] = True
 
+    faces = [face for level in p.faces_by_size for face in level]
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}
     i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
                for t in tubes}

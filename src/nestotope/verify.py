@@ -302,6 +302,12 @@ def _suite_realization(max_n):
                and cert2.s == 2 ** (cert2.m - 1) * prod(cert2.i_sizes.values()))
         out.append(("3-sphere with the 4-path: certificate within budget",
                     ok2, f"r={cert2.r} s={cert2.s} mode={cert2.mode}"))
+    if max_n >= 4:
+        cert3 = realize(simplex_sphere(4), path_graph(5))
+        ok3 = (all(cert3.checks.values())
+               and cert3.s == 2 ** (cert3.m - 1) * prod(cert3.i_sizes.values()))
+        out.append(("4-sphere with the 5-path: exact certificate",
+                    ok3, f"r={cert3.r} s={cert3.s} m={cert3.m}"))
     return out
 
 

@@ -1,10 +1,10 @@
 """Oracles shared between test modules, and a fixture that empties the
 subdivision memo before every test."""
 
-import random
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
 from math import lcm, prod
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -19,8 +19,6 @@ from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, components_minus_vertex, members
 from nestotope.nestohedron import _flags, _int_det, face_poset
 from nestotope.realization import (
-    _SAMPLE_SEED,
-    _SAMPLE_SIZE,
     CoveringCertificate,
     compose,
     epsilon,
@@ -649,13 +647,19 @@ def lambda_to_json_dict():
     return _lambda_to_json_dict
 
 
-# The covering chain on tuple labels and per-top walks: the sheet labels
-# as (sigma, mu, g) tuples, one ``phi_action`` call per step, and every
-# face orbit walked from every pooled label; the barycentric substitution
-# with one dict lookup per piece cell; and the codimension-2 cofacet count
-# from the pairs of facet slots of every top cell.  The library's integer
-# labels, keyed substitution and half-sum count must give the same
-# certificates and complexes.
+# The covering chain walked label by label, and per-top walks: the tube and
+# pair pools walked over every fibre label, one whole permutation of the
+# cells per mu index and step, each step filled from ``phi_action``; every
+# face orbit walked from every label where that is small; the barycentric
+# substitution with one dict lookup per piece cell; and the codimension-2
+# cofacet count from the pairs of facet slots of every top cell.  The
+# library's table checks, keyed substitution and half-sum count must give
+# the same certificates and complexes.
+
+# The oracle walks every face from every fibre label when r times the face
+# count is at most this: every 2-dimensional input of the tests, not the
+# 3-sphere (116,640 labels times 45 faces).
+_FACE_WALK_LABELS = 30_000
 
 
 def _orbit_check(b, sets, sys, omega, face):
@@ -683,16 +687,19 @@ def _orbit_check(b, sets, sys, omega, face):
 
 
 def build_covering(b, sets, sys, budget=None):
-    """Certify that the sheet labels assemble into a covering.
+    """Certify that the sheet labels assemble into a covering, by walking
+    the fibre g = 0.
 
-    The checks run on the fibre g = 0 only.  ``phi_action`` sends
-    (sigma, mu, g) to (f_s(sigma, mu), g ^ e_s) with f_s blind to g, and
-    ``epsilon`` flips with the parity of g, so each check on (sigma, mu, g)
-    is the same check as on (sigma, mu, 0).  Each pool of (fibre label,
-    tube, compatible pair or face) is walked in full when the whole label
-    space r * 2^m fits in the budget (mode "full") or when the pool has at
-    most _SAMPLE_SIZE entries; otherwise a seeded sample of _SAMPLE_SIZE
-    entries is drawn from it (mode "sampled").
+    The tube and the pair pools are walked over every fibre label x =
+    sigma + size * u, u the mixed-radix index of mu with mu[0] fastest.
+    The walk runs once per mu index on a state (permutation, base) that
+    carries every sigma of that mu at once; each tube's step at a base is
+    ``phi_action`` with a full slice for sigma, stored the first time the
+    base is reached.  Every face is walked from every fibre label with
+    ``_orbit_check`` when r * faces is at most _FACE_WALK_LABELS; above
+    that, ``covering_fibers`` is ``phi_involutions and phi_commutation``,
+    by the relator argument of the library's ``build_covering``, which
+    the smaller inputs cross-check.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -704,16 +711,18 @@ def build_covering(b, sets, sys, budget=None):
     if budget is None:
         budget = OMEGA_BUDGET
     p = face_poset(b)
-    m = len(b.proper_tubes)
-    sizes = [len(sets[t]) for t in b.proper_tubes]
+    tubes = b.proper_tubes
+    m = len(tubes)
+    size = sys.size
+    sizes = [len(sets[t]) for t in tubes]
     prod_i = prod(sizes)
-    r = sys.size * prod_i
+    r = size * prod_i
     mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
     checks["xi_involutions"] = all(
-        compose(x, x) == tuple(range(sys.size))
-        and all(sys.plus[x[t]] != sys.plus[t] for t in range(sys.size))
+        compose(x, x) == tuple(range(size))
+        and all(sys.plus[x[t]] != sys.plus[t] for t in range(size))
         for x in sys.xi)
     graph = sys.y.graph
     checks["xi_commutation"] = all(
@@ -721,51 +730,60 @@ def build_covering(b, sets, sys, budget=None):
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
 
-    def fibre_label(index):
-        """The fibre label at a mixed-radix index below r, sigma fastest."""
-        index, sigma = divmod(index, sys.size)
-        mu = []
-        for size in sizes:
-            index, i = divmod(index, size)
-            mu.append(i)
-        return sigma, tuple(mu), 0
+    weights = [size * prod(sizes[:k]) for k in range(m)]
+    steps = [{} for _ in tubes]
 
-    def pool(items):
-        """Stream (fibre label, item) pairs: all of them, or a sample."""
-        k = len(items)
-        if mode == "full" or r * k <= _SAMPLE_SIZE:
-            labels = ((sigma, mu, 0) for mu in product(*map(range, sizes))
-                      for sigma in range(sys.size))
-            return ((w, x) for w in labels for x in items)
-        rng = random.Random(_SAMPLE_SEED)
-        return ((fibre_label(i // k), items[i % k])
-                for i in (rng.randrange(r * k) for _ in range(_SAMPLE_SIZE)))
+    def move(j, state):
+        """Tube j's step on a (sigma permutation, base) state."""
+        cells, base = state
+        if base not in steps[j]:
+            u = base // size
+            mu = []
+            for n_i in sizes:
+                u, i = divmod(u, n_i)
+                mu.append(i)
+            perm, mu, _ = phi_action(b, sets, tubes[j],
+                                     (slice(None), tuple(mu), 0))
+            steps[j][base] = perm, sum(map(mul, mu, weights))
+        perm, nxt = steps[j][base]
+        return tuple(perm[c] for c in cells), nxt
 
-    tubes = b.proper_tubes
+    ident = tuple(range(size))
+    states = [(ident, base) for base in range(0, r, size)]
+    # each cell's sign at g = 0, and at the odd g = e_j where a step lands
+    at_zero = [epsilon(sys, (c, None, 0)) for c in range(size)]
+    landed = [epsilon(sys, (c, None, 1)) for c in range(size)]
     involutions = class_constant = True
-    for w, s in pool(tubes):
-        image = phi_action(b, sets, s, w)
-        involutions = involutions and phi_action(b, sets, s, image) == w
-        class_constant = class_constant and epsilon(sys, image) == epsilon(sys, w)
+    for w in states:
+        for j in range(m):
+            image = move(j, w)
+            involutions = involutions and move(j, image) == w
+            class_constant = class_constant and all(
+                landed[c] == at_zero[x] for c, x in zip(image[0], ident))
     checks["phi_involutions"] = involutions
     checks["epsilon_class_constant"] = class_constant
 
-    compat_pairs = [(tubes[i], tubes[j])
-                    for i, j in (p.faces_by_size[2] if p.dim >= 2 else ())]
+    pairs = p.faces_by_size[2] if p.dim >= 2 else ()
     checks["phi_commutation"] = all(
-        phi_action(b, sets, s, phi_action(b, sets, t, w))
-        == phi_action(b, sets, t, phi_action(b, sets, s, w))
-        for w, (s, t) in pool(compat_pairs))
+        move(i, move(j, w)) == move(j, move(i, w))
+        for w in states for i, j in pairs)
 
     faces = [face for level in p.faces_by_size for face in level]
-    checks["covering_fibers"] = all(
-        _orbit_check(b, sets, sys, w, face) for w, face in pool(faces))
+    if r * len(faces) <= _FACE_WALK_LABELS:
+        labels = [(sigma, mu, 0) for mu in product(*map(range, sizes))
+                  for sigma in range(size)]
+        checks["covering_fibers"] = all(
+            _orbit_check(b, sets, sys, w, face)
+            for w in labels for face in faces)
+    else:
+        checks["covering_fibers"] = (checks["phi_involutions"]
+                                     and checks["phi_commutation"])
     checks["degree_independent"] = True
 
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}
     i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
                for t in tubes}
-    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, sys.size,
+    return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, size,
                                i_sizes, histogram, checks, mode)
 
 

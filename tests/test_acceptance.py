@@ -102,7 +102,9 @@ def test_criterion_13_realization_pipeline():
     _criterion(13, ["realization"], {
         "circle with the 2-path: full certificate": "r=6 s=2 mode=full",
         "3-sphere with the 4-path: certificate within budget":
-            "r=116640 s=248832 mode=sampled"})
+            "r=116640 s=248832 mode=sampled",
+        "4-sphere with the 5-path: exact certificate":
+            "r=1259712000 s=14332723200 m=14"})
 
 
 def test_criterion_14_closed_forms():

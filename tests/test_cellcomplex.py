@@ -906,7 +906,7 @@ LAYOUT_CASES = {
 
 
 @pytest.mark.parametrize("name", LAYOUT_CASES)
-def test_rows_read_through_the_views_match_the_row_construction(
+def test_columns_zip_to_the_row_construction(
         name, monkeypatch, layout_oracle, gluing):
     c, want = LAYOUT_CASES[name](monkeypatch, layout_oracle, gluing)
     assert c.n == want.dim

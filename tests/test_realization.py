@@ -1,13 +1,10 @@
 """Covering certificates over subdivided glued manifolds."""
 
 import json
-import random
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
-from nestotope import realization
 from nestotope.errors import ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
@@ -286,6 +283,8 @@ def _break_cell(sys, sets):
                                              (2, 1000, "sampled"),
                                              (3, None, "sampled")])
 def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
+    # mode reads only r * 2^m against the budget; the checks are exact in
+    # both, and the oracle walks the tube and pair pools over every label
     sys, b = _system(simplex_sphere(k), path_graph(k + 1))
     sets = enumerate_involution_sets(sys, b)
     assert _break_row(sys, sets) == (0, 2, 1)
@@ -307,30 +306,50 @@ def test_broken_conjugation_row_is_caught(k, budget, mode, covering_oracle):
         "complete:3-None-full", "complete:3-1000-sampled"])
 def test_broken_cell_step_matches_tuple_label_oracle(k, gspec, budget, mode,
                                                      covering_oracle):
-    # on complete:3 at budget 1000 every pool holds more than 10,000
-    # entries, so all three are sampled, and the draws must still hit the
-    # broken cells
+    # the oracle walks every pool, faces included, over every fibre label,
+    # at either budget
     sys, b = _system(simplex_sphere(k), graph_from_spec(gspec))
     sets = enumerate_involution_sets(sys, b)
     _break_cell(sys, sets)
     cert = build_covering(b, sets, sys, budget)
     assert cert.mode == mode
     assert cert == covering_oracle.build_covering(b, sets, sys, budget)
-    if mode == "full" or gspec == "complete:3":
-        assert not cert.checks["phi_involutions"]
-        assert not cert.checks["covering_fibers"]
+    assert not cert.checks["phi_involutions"]
+    assert not cert.checks["covering_fibers"]
     if gspec == "complete:3":
+        assert (cert.r, cert.m) == (2304, 6)
         assert not cert.checks["epsilon_class_constant"]
         assert not cert.checks["phi_commutation"]
-        p = face_poset(b)
-        pools = (cert.m, len(p.faces_by_size[2]),
-                 sum(len(level) for level in p.faces_by_size))
-        assert (cert.r, cert.m) == (2304, 6)
-        assert min(pools) * cert.r > 10_000
 
 
-# the covering benchmark's realize catalogue, the torus and complete:3 in
-# full mode and the sampled 3-sphere
+def test_broken_cell_among_a_billion_labels_is_caught():
+    # sphere:4 with path:5 has r = 1,259,712,000 fibre labels.  Swapping
+    # the images of cells 12 and 26 under the last permutation of the tube
+    # {1, 2, 3, 4} breaks phi only where mu picks that permutation and
+    # sigma is one of four cells, one label in 1,800: a check on samples
+    # can miss it (10,000 seeded draws, with a face walk from each, did),
+    # and the table checks must not.  phi_action twice at one label shows
+    # the break.
+    sys, b = _system(simplex_sphere(4), path_graph(5))
+    sets = enumerate_involution_sets(sys, b)
+    s = mask_of([1, 2, 3, 4])
+    *kept, perm = sets[s].perms
+    assert len(kept) == 9 and (perm[12], perm[26]) == (13, 27)
+    broken = list(perm)
+    broken[12], broken[26] = perm[26], perm[12]
+    sets[s].perms = (*kept, tuple(broken))
+    cert = build_covering(b, sets, sys)
+    assert (cert.mode, cert.r) == ("sampled", 1_259_712_000)
+    assert not cert.checks["phi_involutions"]
+    assert not cert.checks["phi_commutation"]
+    assert not cert.checks["covering_fibers"]
+    assert cert.checks["epsilon_class_constant"]
+    w = (12, tuple(9 if t == s else 0 for t in b.proper_tubes), 0)
+    assert phi_action(b, sets, s, phi_action(b, sets, s, w)) != w
+
+
+# the covering benchmark's realize catalogue, the torus and complete:3 at
+# both budgets, and the 3-sphere
 _REALIZE = [
     ("sphere:1", "path:2", None),
     ("sphere:2", "path:3", 1000),
@@ -365,22 +384,21 @@ _BREAKS = {"intact": lambda sys, sets: None, "broken row": _break_row,
     if case[1] != "path:2" or not broken.endswith("row")])
 def test_full_face_pool_follows_from_the_relators(covering_oracle, zspec,
                                                   gspec, budget, broken):
-    # a face pool walked in full reads covering_fibers off the involution
-    # and commutation checks; the oracle walks every face from every label
+    # covering_fibers is read off the involution and commutation checks;
+    # the oracle walks every face from every fibre label on each of these
+    # inputs but the 3-sphere, and must agree
     sys, b = _system(pseudomanifold_from_spec(zspec), graph_from_spec(gspec))
     sets = enumerate_involution_sets(sys, b)
     _BREAKS[broken](sys, sets)
     cert = build_covering(b, sets, sys, budget)
     assert cert == covering_oracle.build_covering(b, sets, sys, budget)
-    faces = sum(len(level) for level in face_poset(b).faces_by_size)
-    if cert.mode == "full" or cert.r * faces <= realization._SAMPLE_SIZE:
-        checks = cert.checks
-        assert checks["covering_fibers"] == (checks["phi_involutions"]
-                                             and checks["phi_commutation"])
-        assert checks["covering_fibers"] == (broken == "intact")
+    checks = cert.checks
+    assert checks["covering_fibers"] == (checks["phi_involutions"]
+                                         and checks["phi_commutation"])
+    assert checks["covering_fibers"] == (broken == "intact")
     if broken == "identity row":
-        assert cert.checks["phi_involutions"]
-        assert not cert.checks["phi_commutation"]
+        assert checks["phi_involutions"]
+        assert not checks["phi_commutation"]
 
 
 def _bipyramid(n):
@@ -391,30 +409,20 @@ def _bipyramid(n):
 
 
 @pytest.mark.parametrize("broken", ["intact", "broken cell"])
-def test_full_tube_and_pair_pools_settle_a_sampled_face_pool(
-        monkeypatch, covering_oracle, broken):
-    # the hexagonal bipyramid along path:3 at budget 1000 has r = 1296:
-    # the tube and pair pools hold r * 5 <= 10,000 entries and are walked
-    # in full, the face pool's r * 11 are not, yet nothing is drawn: the
-    # relators read covering_fibers off the two full pools, which must
-    # catch a broken cell and agree with the oracle's sampled face walk
+def test_table_checks_settle_the_face_pool_on_a_bipyramid(covering_oracle,
+                                                           broken):
+    # the hexagonal bipyramid along path:3 at budget 1000 has r = 1296 and
+    # 11 faces, in mode "sampled": the certificate reads covering_fibers
+    # off the table checks, the oracle walks all 11 faces from every label,
+    # and a broken cell must fail both
     sys, b = _system(_bipyramid(6), path_graph(3))
     sets = enumerate_involution_sets(sys, b)
     _BREAKS[broken](sys, sets)
-    seeds = []
-
-    class Seeded(random.Random):
-        def __init__(self, seed):
-            seeds.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(realization, "random", SimpleNamespace(Random=Seeded))
     cert = build_covering(b, sets, sys, 1000)
     p = face_poset(b)
     pools = (cert.m, len(p.faces_by_size[2]),
              sum(len(level) for level in p.faces_by_size))
     assert (cert.mode, cert.r, pools) == ("sampled", 1296, (5, 5, 11))
-    assert len(seeds) == 0
     assert cert == covering_oracle.build_covering(b, sets, sys, 1000)
     assert cert.checks["phi_involutions"] == (broken == "intact")
     assert cert.checks["covering_fibers"] == (broken == "intact")

@@ -14,7 +14,6 @@ from nestotope.cellcomplex import (
     homology,
     homology_z2,
     klein_bottle,
-    orient,
     pseudomanifold_from_spec,
     simplex_sphere,
     torus7,
