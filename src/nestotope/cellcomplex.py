@@ -23,7 +23,12 @@ takes rows, refuses (``ValidationError``) a level whose rows are not all
 k + 1 long or not one face row per cell, and transposes them once.  The
 structural checks (``validate``, ``is_pure``, ``is_vertex_determined`` and
 the two-hit facet test of ``pseudo_manifold_check``), orientation and the
-boundary matrices read the columns, never one cell at a time.  Double
+boundary matrices read the columns, never one cell at a time.  The
+verdicts of ``pseudo_manifold_check`` and ``is_vertex_determined`` are
+memoised on the complex.  Stock spheres, subdivisions and JSON input run
+the checks themselves; a gluing of mirror copies is certified on bar(P)
+and its coset tables instead, and ``record_passed_checks`` hands the
+verdicts to the glued complex, so the checks never run on it.  Double
 faces are compared only on levels where two (k-2)-cells share a vertex
 tuple: elsewhere the vertex checks already force the identities.
 ``subfaces`` lists all subcells of a cell in one table indexed by the
@@ -146,6 +151,7 @@ class SimplicialCellComplex:
         self.face_columns = [[]] + [list(face_columns[k]) for k in range(1, dim + 1)]
         self.vertex_labels = list(vertex_labels) if vertex_labels is not None else None
         self._pseudo_failures = None   # memoised by pseudo_manifold_check
+        self._vertex_determined = None  # memoised by is_vertex_determined
 
     # -- basic queries ------------------------------------------------------
 
@@ -260,26 +266,20 @@ class SimplicialCellComplex:
         """No two distinct cells share the same vertex set, checked level by
         level upwards.  A level whose vertex columns increase strictly,
         cell by cell, stores sorted vertex tuples, and each of its cells is
-        keyed by one int read off the columns; only the other levels are
-        sorted cell by cell.
-
-        The key reads the cell's vertices as digits.  Once
-        ``pseudo_manifold_check`` has passed the complex, every face
-        carries its cell's other vertices, so a cell's vertex set is its
-        first vertex with its slot-0 face's set, and that face is the one
-        (k-1)-cell on its set once the level below has passed: the key is
-        then the smaller int first vertex * (k-1)-cells + slot-0 face,
-        made and sorted in about half the time of the digits on the top
-        levels of a 4-dimensional gluing.
+        keyed by one int, its vertices read as digits off the columns;
+        only the other levels are sorted cell by cell.  A complex is never
+        changed after its constructor, so the verdict is memoised on it,
+        as ``pseudo_manifold_check`` memoises its own.
         """
-        checked = passed_pseudo_manifold_check(self)
+        if self._vertex_determined is None:
+            self._vertex_determined = self._distinct_vertex_sets()
+        return self._vertex_determined
+
+    def _distinct_vertex_sets(self):
         for k in range(1, self.n + 1):
             cols = self.vertex_columns[k]
             if not all(all(map(lt, a, b)) for a, b in pairwise(cols)):
                 keys = map(sorted, zip(*cols))
-            elif checked:
-                keys = map(add, map(mul, cols[0], repeat(self.n_cells(k - 1))),
-                           self.face_columns[k][0])
             else:
                 # entries lie between the least of the first column and the
                 # greatest of the last
@@ -397,6 +397,15 @@ def passed_pseudo_manifold_check(c):
     from its memoised verdict; False when the check failed or has not run
     on ``c``, which this never runs."""
     return c._pseudo_failures == ()
+
+
+def record_passed_checks(c):
+    """Memoise on ``c`` that ``pseudo_manifold_check`` and
+    ``is_vertex_determined`` pass, without running them: for a builder
+    that has proved both on smaller data (a gluing, certified on bar(P)
+    and its coset tables)."""
+    c._pseudo_failures = ()
+    c._vertex_determined = True
 
 
 def sign_walk(size, neighbours):

@@ -3,7 +3,8 @@ integer check.
 
 ValidationError signals malformed or inconsistent input (CLI exit code 2),
 BudgetExceeded signals a refusal to materialize something too large
-(CLI exit code 3).  Both carry a plain human-readable message.
+(CLI exit code 3).  Both carry a plain human-readable message, and a
+refusal also carries its numbers as attributes.
 """
 
 import json
@@ -14,7 +15,15 @@ class ValidationError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """A job refused because it needs ``count`` of ``unit`` (a string such
+    as "top simplices") for ``what``, over ``budget``."""
+
+    def __init__(self, what, count, unit, budget):
+        super().__init__(f"{what} needs {count} {unit}, over the {budget} budget")
+        self.what = what
+        self.count = count
+        self.unit = unit
+        self.budget = budget
 
 
 # Default size limits.  Gluings, stock spheres and subdivisions refuse to
@@ -34,8 +43,7 @@ def check_budget(what, count, unit="top simplices", budget=CELL_BUDGET):
     """Refuse a job that needs more than ``budget`` of the named unit, with
     both numbers; ``count`` comes before the job stores that many."""
     if count > budget:
-        raise BudgetExceeded(
-            f"{what} needs {count} {unit}, over the {budget} budget")
+        raise BudgetExceeded(what, count, unit, budget)
 
 
 def read_json(text, what):

@@ -18,13 +18,22 @@ facet taken in the coset of its copy.  The simplicial complex, the
 barycentric subdivision of each copy glued simplex by simplex, is built
 on the first read of ``complex``, and nothing in this module reads it:
 orientation too is decided on the cells (``GluedManifold.orientation``).
+Before any copy is assembled, the gluing is certified on bar(P) and the
+coset tables (``GluedManifold._certify``): that bar(P) is a
+vertex-determined pure complex with the diamond property, and that the
+tables retract, compose along facets, fix every copy on P and pair the
+copies on each facet, implies that the glued complex is a
+vertex-determined pseudomanifold.  The complex carries those verdicts,
+so the generic checks of ``cellcomplex``, whose cost grows with
+2^rank * |bar(P)|, never run on it.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from math import factorial
-from operator import getitem
+from operator import getitem, le
 
 from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
@@ -36,7 +45,7 @@ from .cellcomplex import (
     homology,
     homology_z2,
     is_top_cycle,
-    pseudo_manifold_check,
+    record_passed_checks,
     sign_walk,
 )
 
@@ -169,9 +178,10 @@ class GluedManifold:
 
     Construction builds only the coset table of every face
     (``_reduced``), from which ``cellular()``, ``homology()`` and
-    ``orientation()`` work.  The simplicial gluing is built,
-    budget-checked and checked to be a pseudomanifold on the first read
-    of ``complex``.
+    ``orientation()`` work.  The simplicial gluing is built and
+    budget-checked on the first read of ``complex``, after ``_certify``
+    has shown on bar(P) and the coset tables that it is a
+    vertex-determined pseudomanifold.
     """
     poset: object
     rank: int
@@ -186,19 +196,97 @@ class GluedManifold:
     @cached_property
     def complex(self):
         """The barycentric subdivision of every copy, glued simplex by
-        simplex; built on first read and checked to be a pseudomanifold.
-        The build's tables (the barycentric complex and the cell ids of
-        every copy) are freed before the check runs."""
-        complex_ = self._glue()
-        cert = pseudo_manifold_check(complex_)
-        if not cert.is_pseudo:
-            raise ValidationError(f"{self.what} gluing failed: "
-                                  + "; ".join(cert.failures))
+        simplex; built on first read, after the gluing is certified on
+        bar(P) and the coset tables.  The complex carries the verdicts
+        of ``pseudo_manifold_check`` and ``is_vertex_determined`` that
+        the certificate implies, so neither runs on it."""
+        p = self.poset
+        # A vertex of the simple polytope lies on p.dim! complete flags.
+        check_budget(self.what,
+                     len(p.vertices) * factorial(p.dim) << self.rank)
+        bar = barycentric_complex(p)
+        self._certify(bar)
+        complex_ = self._glue(bar)
+        record_passed_checks(complex_)
         return complex_
 
-    def _glue(self):
-        """The glued complex, after refusing more than CELL_BUDGET top
-        simplices.
+    def _certify(self, bar):
+        """Raise ``ValidationError`` unless the gluing of copies of
+        ``bar`` = bar(P) through the coset tables is a vertex-determined
+        pseudomanifold, shown on bar(P) and the tables alone:
+
+        1. bar(P) passes ``validate``, ``is_pure`` and
+           ``is_vertex_determined``, every top cell ends in P, and each
+           facet lies in two top cells when its chain contains P and in
+           one otherwise (the diamond property of a face lattice);
+        2. every face F's table r_F sends each copy g to a copy r_F(g) <= g
+           that it fixes, and composes with the table of each facet F+t
+           of F: r_{F+t}(r_F(g)) = r_{F+t}(g);
+        3. the whole polytope's table is the identity;
+        4. every facet's table takes each of its values exactly twice.
+
+        Glued cell (g, b) is (r_F(g), b), F = F(b) the largest face of
+        chain b, and its vertex at slot s is (r_{F_s}(g), v_s) for the
+        face F_s at vertex v_s of b.  By 2, and by induction along a
+        chain of facets, r_G(r_F(g)) = r_G(g) for every face G of F, so
+        the face of (g, b) at slot s is (r_{F(b_s)}(g), b_s), whose
+        vertices are those of (g, b) with slot s dropped exactly when
+        b's are: ``validate`` on the gluing reduces to ``validate`` on
+        bar(P), and a (k-1)-cell (r, c) with c a face of b is the face
+        of (r, b), so purity carries over too.  Every top cell of bar(P)
+        ends in P, so by 3 the glued top cells are the pairs (g, b), one
+        per copy and top cell.  An (n-1)-cell (r, c) whose chain contains
+        P has r_P = identity and lies in (r, b) for the two top cells b
+        over c; one whose chain misses P has F(c) a facet, and lies in
+        (g, c + P) for the two copies g with r_F(c)(g) = r, by 4: every
+        glued facet is hit twice.  Two glued cells on one vertex set have
+        one bar cell b, and the vertex on F(b) carries r_F(b)(g) itself,
+        so the gluing is vertex-determined as bar(P) is.  Cost:
+        O(|bar(P)| + sum over faces F of facets(F) * 2^rank), against
+        O(2^rank * |bar(P)|) for the generic checks on the glued complex.
+        """
+        p, n, reduced = self.poset, self.poset.dim, self._reduced
+
+        def fail(why):
+            raise ValidationError(f"{self.what} gluing failed: {why}")
+
+        if not (bar.validate() and bar.is_pure() and bar.is_vertex_determined()):
+            fail("bar(P) is not a vertex-determined pure complex")
+        faces = [label[1] for label in bar.vertex_labels]
+        whole = faces.index(p.faces_by_size[0][0])
+        # a chain's last vertex is its largest face
+        if any(v != whole for v in bar.vertex_columns[n][-1]):
+            fail("a top cell of bar(P) misses the whole polytope")
+        hits = [0] * bar.n_cells(n - 1)
+        for f in chain.from_iterable(bar.face_columns[n]):
+            hits[f] += 1
+        for f, (v, count) in enumerate(zip(bar.vertex_columns[n - 1][-1],
+                                           hits)):
+            if count != 1 + (v == whole):
+                fail(f"facet {f} of bar(P) lies in {count} top cells")
+        copies = range(1 << self.rank)
+        for face in faces:
+            table = reduced.get(face)
+            if (table is None or not all(map(le, table, copies))
+                    or list(map(table.__getitem__, table)) != table):
+                fail(f"the coset table of face {face} does not send each "
+                     "copy g to a fixed point r <= g")
+        for face in faces:
+            table = reduced[face]
+            for i in range(len(face)):
+                parent = face[:i] + face[i + 1:]
+                if list(map(table.__getitem__, reduced[parent])) != table:
+                    fail(f"the coset table of face {face} does not compose "
+                         f"with that of face {parent}")
+        if reduced[faces[whole]] != list(copies):
+            fail("the whole polytope's coset table is not the identity")
+        for face in faces:
+            if len(face) == 1 and set(Counter(reduced[face]).values()) != {2}:
+                fail(f"the coset table of facet {face} does not take "
+                     "each value twice")
+
+    def _glue(self, bar):
+        """The glued complex of copies of ``bar`` = bar(P).
 
         Cells are numbered in order of (coset minimum g, bar cell): the
         cell of bar cell b in copy g is new where g is its own minimum,
@@ -209,12 +297,7 @@ class GluedManifold:
         time, off the bar complex's columns and looked up in the cell ids
         of their copy.
         """
-        p = self.poset
-        n = p.dim
-        # A vertex of the simple polytope lies on n! complete flags.
-        n_tops = len(p.vertices) * factorial(n) << self.rank
-        check_budget(self.what, n_tops)
-        bar = barycentric_complex(p)
+        n = self.poset.dim
         bar_faces = [label[1] for label in bar.vertex_labels]
         copies = range(1 << self.rank)
         ids = [None] * (n + 1)     # per dim, per g: bar cell -> cell id

@@ -149,7 +149,7 @@ def _suite_degree(max_n):
 
 def _suite_h_vs_z2(max_n):
     out = []
-    for k in range(2, min(max_n, 3) + 2):
+    for k in range(2, min(max_n, 4) + 2):
         sets = ((g, graph_building_set(g))
                 for g in connected_graph_representatives(k))
         bad = next((g for g, b in sets

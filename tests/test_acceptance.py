@@ -55,6 +55,7 @@ def test_criterion_05_projection_degree():
 def test_criterion_06_z2_betti_equals_h():
     _criterion(6, ["h-vs-z2betti"], {
         "mod-2 homology equals h, 4 vertices": "",
+        "mod-2 homology equals h, 5 vertices": "",
         "mod-2 homology equals h, complete 4-vertex gluing": "",
         "mod-2 homology equals h, orientable path gluing": ""})
 

@@ -353,7 +353,7 @@ def test_exit_code_emit_dir_missing(tmp_path):
 
 def test_exit_code_budget(monkeypatch):
     def refuse(*args, **kwargs):
-        raise BudgetExceeded("too big")
+        raise BudgetExceeded("realization", 2, "cells", 1)
     monkeypatch.setattr(cli, "realize", refuse)
     assert cli.run(["realize", "--pseudomanifold", "sphere:1", "--graph",
                     "path:2"]) == 3

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import re
+from functools import cache
 
 import pytest
 
@@ -16,6 +18,7 @@ from nestotope.cellcomplex import (
     homology_z2,
     orient,
     passed_pseudo_manifold_check,
+    pseudo_manifold_check,
     smith_normal_form,
 )
 from nestotope.graphs import (
@@ -32,7 +35,12 @@ from nestotope.formulas import (
     betti_tomei,
     hessenberg_cover_total,
 )
-from nestotope.nestohedron import barycentric_complex, face_poset, face_vectors
+from nestotope.nestohedron import (
+    FacePoset,
+    barycentric_complex,
+    face_poset,
+    face_vectors,
+)
 from nestotope.smallcover import (
     CharacteristicFunction,
     _coset_minima,
@@ -195,18 +203,40 @@ def test_cell_numbering_is_pinned(name):
 
 
 def test_glued_complex_is_checked_once(monkeypatch):
-    calls = []
+    # The gluing is certified on bar(P) and the coset tables: reading
+    # ``.complex`` checks bar(P) alone, and the readers of the glued complex
+    # take the verdicts it carries, so no generic check runs on it.
+    checked, bars = [], []
     validate = SimplicialCellComplex.validate
+    distinct = SimplicialCellComplex._distinct_vertex_sets
+    build_bar = smallcover.barycentric_complex
 
-    def counting(self):
-        calls.append(self)
-        return validate(self)
+    def counting(check):
+        def counted(self):
+            checked.append((check.__name__, self))
+            return check(self)
+        return counted
 
-    monkeypatch.setattr(SimplicialCellComplex, "validate", counting)
-    p, b = _pentagon()
-    m = small_cover(p, lambda_can(b))
-    assert orient(m.complex).orientation == "non-orientable"
-    assert calls == [m.complex]
+    def spied_bar(p):
+        bars.append(build_bar(p))
+        return bars[-1]
+
+    monkeypatch.setattr(SimplicialCellComplex, "validate", counting(validate))
+    monkeypatch.setattr(SimplicialCellComplex, "_distinct_vertex_sets",
+                        counting(distinct))
+    monkeypatch.setattr(smallcover, "barycentric_complex", spied_bar)
+    for entry in ("path:3/can", "path:5/can"):
+        m = _cover(entry)
+        c = m.complex
+        bar = bars.pop()
+        want = [("validate", bar), ("_distinct_vertex_sets", bar)]
+        assert checked == want and not bars
+        assert ((orient(c).orientation == "non-orientable")
+                == (m.orientation() == "non-orientable"))
+        assert homology_z2(c) == face_vectors(m.poset).h
+        assert "instances" not in complex_to_json_dict(c)
+        assert checked == want
+        checked.clear()
 
 
 def test_coset_minima_table():
@@ -392,8 +422,12 @@ def test_enumerate_characteristics_budget():
     # 14 facets, each with 2^3 - 1 candidate columns
     with pytest.raises(BudgetExceeded, match=r"^characteristic enumeration "
                        r"needs 678223072849 candidate matrices, over the "
-                       r"1000000 budget$"):
+                       r"1000000 budget$") as refusal:
         enumerate_characteristics(p)
+    got = refusal.value
+    assert (got.what, got.count, got.unit, got.budget) == (
+        "characteristic enumeration", 678223072849, "candidate matrices",
+        1_000_000)
 
 
 def test_cover_betti_match_relation():
@@ -494,14 +528,18 @@ def _rma(spec):
     return real_moment_angle(face_poset(graph_building_set(graph_from_spec(spec))))
 
 
-GLUED = ([(entry, lambda e=entry: _cover(e)) for entry in COVERS]
-         + [(f"{entry}@A{seed}", lambda e=entry, s=seed: _cover(e, s))
+# The factories of GLUED and FOUR_MANIFOLDS build each manifold once per
+# session and hand every later caller the same one, its complex and cell
+# structure built on first use: tests that read these manifolds share them,
+# and a test that tampers with a manifold builds its own.
+GLUED = ([(entry, cache(lambda e=entry: _cover(e))) for entry in COVERS]
+         + [(f"{entry}@A{seed}", cache(lambda e=entry, s=seed: _cover(e, s)))
             for entry in COVERS[:4] for seed in (1, 2)]
-         + [(f"{spec}/can@A1", lambda s=spec: _cover(f"{s}/can", 1))
+         + [(f"{spec}/can@A1", cache(lambda s=spec: _cover(f"{s}/can", 1)))
             for spec in EXTRA_GRAPHS]
-         + [(f"eta:{spec}", lambda s=spec: _eta(s))
+         + [(f"eta:{spec}", cache(lambda s=spec: _eta(s)))
             for spec in ("path:3", "complete:3", "path:4")]
-         + [(f"rma:{spec}", lambda s=spec: _rma(s))
+         + [(f"rma:{spec}", cache(lambda s=spec: _rma(s)))
             for spec in ("path:3", "complete:3")])
 
 
@@ -537,10 +575,18 @@ def test_cellular_homology_matches_simplicial(make, betti_z2_without_clearing):
 # The cellular-vs-simplicial comparison runs both sides through the same
 # SNF; the oracle's dense core checks the SNF itself, on every boundary of
 # every glued manifold built here, the n = 4 ones included.
-FOUR_MANIFOLDS = ([(entry, lambda e=entry: _cover(e)) for entry in
+FOUR_MANIFOLDS = ([(entry, cache(lambda e=entry: _cover(e))) for entry in
                    ("path:5/can", "complete:5/can", "complete:5/tomei")]
-                  + [(f"eta:{spec}", lambda s=spec: _eta(s))
+                  + [(f"eta:{spec}", cache(lambda s=spec: _eta(s)))
                      for spec in ("path:5", "complete:5")])
+
+
+@pytest.fixture(autouse=True, scope="module")
+def free_shared_manifolds():
+    """The shared manifolds are freed once this module's tests are done."""
+    yield
+    for _, make in GLUED + FOUR_MANIFOLDS:
+        make.cache_clear()
 
 
 @pytest.mark.parametrize("make", [m for _, m in GLUED + FOUR_MANIFOLDS],
@@ -569,6 +615,71 @@ def test_glued_rows_match_the_row_construction(make, layout_oracle):
     for k, verts, faces, labels in layout_oracle.glued(m):
         assert layout_oracle.rows(c, k) == (verts, faces)
     assert c.vertex_labels == labels
+
+
+@pytest.mark.parametrize("make", [m for _, m in GLUED + FOUR_MANIFOLDS],
+                         ids=[name for name, _ in GLUED + FOUR_MANIFOLDS])
+def test_generic_checks_agree_with_the_certificate(make, monkeypatch):
+    # The gluing's certificate, read back without any generic check ...
+    c = make().complex
+    with monkeypatch.context() as patched:
+        patched.setattr(SimplicialCellComplex, "validate", _must_not_run)
+        patched.setattr(SimplicialCellComplex, "_distinct_vertex_sets",
+                        _must_not_run)
+        assert pseudo_manifold_check(c).is_pseudo
+        assert c.is_vertex_determined()
+    # ... against the generic checks on a fresh copy of the columns, which
+    # carries no verdict
+    fresh = SimplicialCellComplex.from_columns(
+        c.n, c.n_cells(0),
+        *([None] + [[list(col) for col in level] for level in levels[1:]]
+          for levels in (c.vertex_columns, c.face_columns)),
+        vertex_labels=c.vertex_labels)
+    assert not passed_pseudo_manifold_check(fresh)
+    assert pseudo_manifold_check(fresh).is_pseudo
+    assert fresh.is_vertex_determined()
+
+
+def _tampered_gluing_is_refused(monkeypatch, m, match):
+    """Reading ``m.complex`` raises a ValidationError matching ``match``,
+    and no copy is assembled."""
+    monkeypatch.setattr(smallcover.GluedManifold, "_glue", _must_not_run)
+    with pytest.raises(ValidationError, match=match):
+        m.complex
+
+
+def test_a_coset_table_that_does_not_compose_is_refused(monkeypatch):
+    m = _cover("path:3/can")
+    vertex = m.poset.vertices[0]
+    # a vertex's columns span everything, so its table is all zeros; g & 1
+    # fixes each value r <= g, but one of the vertex's facets has an odd
+    # column c, whose table sends c to 0: composed, the two tables read 0
+    # at c, where g & 1 alone reads 1
+    assert m._reduced[vertex] == [0] * m.n_copies()
+    m._reduced[vertex] = [g & 1 for g in range(m.n_copies())]
+    _tampered_gluing_is_refused(
+        monkeypatch, m, r"^small cover gluing failed: the coset table of "
+        rf"face {re.escape(str(vertex))} does not compose with that of face")
+
+
+def test_a_facet_table_that_is_not_two_to_one_is_refused(monkeypatch):
+    m = _cover("path:3/can")
+    facet = m.poset.faces_by_size[1][0]
+    # the identity composes with every table, but glues no two copies
+    m._reduced[facet] = list(range(m.n_copies()))
+    _tampered_gluing_is_refused(
+        monkeypatch, m, r"^small cover gluing failed: the coset table of "
+        rf"facet {re.escape(str(facet))} does not take each value twice$")
+
+
+def test_a_poset_missing_a_vertex_breaks_the_diamonds_of_bar(monkeypatch):
+    p, b = _pentagon()
+    levels = list(p.faces_by_size)
+    levels[p.dim] = levels[p.dim][1:]
+    m = small_cover(FacePoset(b, levels), lambda_can(b))
+    _tampered_gluing_is_refused(
+        monkeypatch, m, r"^small cover gluing failed: facet \d+ of bar\(P\) "
+        r"lies in 1 top cells$")
 
 
 @pytest.mark.parametrize("make", [m for _, m in FOUR_MANIFOLDS],
