@@ -25,10 +25,13 @@ structural checks (``validate``, ``is_pure``, ``is_vertex_determined`` and
 the two-hit facet test of ``pseudo_manifold_check``), orientation and the
 boundary matrices read the columns, never one cell at a time.  The
 verdicts of ``pseudo_manifold_check`` and ``is_vertex_determined`` are
-memoised on the complex.  Stock spheres, subdivisions and JSON input run
-the checks themselves; a gluing of mirror copies is certified on bar(P)
-and its coset tables instead, and ``record_passed_checks`` hands the
-verdicts to the glued complex, so the checks never run on it.  Double
+memoised on the complex.  Stock spheres, path subdivisions (which are
+barycentric subdivisions) and JSON input run the checks themselves; a
+gluing of mirror copies is certified on bar(P) and its coset tables
+instead, and a substitution subdivision on bar(Z) and its simplex piece,
+and ``record_passed_checks`` hands the verdicts to the built complex, so
+the checks never run on it (``is_vertex_determined`` still runs on a
+substitution subdivision, whose certificate does not prove it).  Double
 faces are compared only on levels where two (k-2)-cells share a vertex
 tuple: elsewhere the vertex checks already force the identities.
 ``subfaces`` lists all subcells of a cell in one table indexed by the
@@ -399,13 +402,17 @@ def passed_pseudo_manifold_check(c):
     return c._pseudo_failures == ()
 
 
-def record_passed_checks(c):
-    """Memoise on ``c`` that ``pseudo_manifold_check`` and
-    ``is_vertex_determined`` pass, without running them: for a builder
-    that has proved both on smaller data (a gluing, certified on bar(P)
-    and its coset tables)."""
+def record_passed_checks(c, vertex_determined=True):
+    """Memoise on ``c`` that ``pseudo_manifold_check`` passes, and that
+    ``is_vertex_determined`` does unless ``vertex_determined`` is False,
+    without running them: for a builder that has proved them on smaller
+    data.  A gluing, certified on bar(P) and its coset tables, proves
+    both; a substitution subdivision, certified on bar(Z) and its simplex
+    piece, proves the first only, and ``is_vertex_determined`` still runs
+    on it when asked."""
     c._pseudo_failures = ()
-    c._vertex_determined = True
+    if vertex_determined:
+        c._vertex_determined = True
 
 
 def sign_walk(size, neighbours):

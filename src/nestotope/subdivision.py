@@ -28,8 +28,20 @@ entries are evicted so that the memo never holds more than CELL_BUDGET
 cells, the budget being read from ``errors`` on every call.  A call that
 raises stores nothing.  Verdicts are never memoised:
 ``verify_lemma_conditions`` and ``condition_star_check`` run on every
-call.  Callers of a memoised input share one result, so
-``ColouredSubdivision`` is frozen.
+call, the star check of a substitution subdivision on its simplex piece,
+which decides it for the whole.  Callers of a memoised input share one
+result, so ``ColouredSubdivision`` is frozen.
+
+A substitution subdivision y is certified on two smaller objects, not by
+walking y: its simplex piece K, which ``_piece_signs`` shows tiles the
+simplex once with coherent signs, and bar(Z), which ``orient`` passes in
+both modes (in path mode y is bar(Z) itself).  They prove y an oriented
+pseudo-manifold whose signs are the products of bar(Z)'s and K's (see
+``_subdivide_pseudomanifold``), so y carries the pseudo-manifold verdict
+and ``orient`` never runs on it; it also carries K, on which
+``condition_star_check`` answers for it.  How ``_substitute`` assembles
+y's columns is not certified: the tests compare it with an independent
+construction.
 
 Both checks walk the codimension-2 cells in one routine, which reads a
 cell's colours as the OR of ``1 << colour`` over its vertices, and the pair
@@ -40,7 +52,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
 from math import factorial, lcm
-from operator import or_
+from operator import itemgetter, or_
 
 from . import errors
 from .errors import ValidationError, check_budget
@@ -50,6 +62,7 @@ from .cellcomplex import (
     barycentric_subdivide,
     orient,
     passed_pseudo_manifold_check,
+    record_passed_checks,
 )
 from .nestohedron import _int_det
 
@@ -60,8 +73,10 @@ class ColouredSubdivision:
 
     ``coords`` is set for simplex subdivisions (integer barycentric points,
     all summing to one positive scale), ``orientation`` for closed
-    subdivided pseudo-manifolds.  Memoised results are shared between
-    callers, so neither it nor its complex is ever changed.
+    subdivided pseudo-manifolds, and ``piece`` for substitution
+    subdivisions: the simplex subdivision substituted into every
+    barycentric cell.  Memoised results are shared between callers, so
+    neither it nor its complex is ever changed.
     """
     graph: object
     complex: SimplicialCellComplex
@@ -70,6 +85,7 @@ class ColouredSubdivision:
     coords: tuple = None
     orientation: tuple = None
     mode: str = ""
+    piece: object = None
 
 
 class _Memo:
@@ -346,9 +362,9 @@ def _codim2_cofacets(c):
     terms.  Each facet's faces are counted once, and again only on a
     boundary (w_F = 1) or where more than two top cells meet (w_F >= 3),
     and only the cells counted again are revisited.  The w_F are counted
-    over the top cells, unless ``pseudo_manifold_check`` has already passed
-    the complex, as ``orient`` has every subdivision: then every w_F is 2,
-    and the whole count is one pass over the facets.
+    over the top cells, unless the complex carries the verdict that
+    ``pseudo_manifold_check`` passes it, as every closed subdivision does:
+    then every w_F is 2, and the whole count is one pass over the facets.
     """
     n = c.n
     facets = c.face_columns[n - 1]
@@ -394,15 +410,17 @@ def _colour_masks(c, k, colours, full):
 def _codim2_rule(c, colours, coords, g):
     """Codimension-2 cells missing two non-adjacent colours: four top
     cofacets when interior, two on a boundary facet, nothing deeper.
-    Without ``coords`` every cell counts as interior.  Returns the number
-    of such cells and the failures, in the order of ``_codim2_cofacets``."""
+    Without ``coords`` every cell counts as interior.  Returns a
+    ``Counter`` of such cells by depth, the number of slots their
+    coordinates miss (0 for all without ``coords``), and the failures, in
+    the order of ``_codim2_cofacets``."""
+    checked = Counter()
     if c.n < 2:
-        return 0, []
+        return checked, []
     nv = g.n_vertices
     full = (1 << nv) - 1
     pairs = _missing_pairs(g)
     masks = _colour_masks(c, c.n - 2, colours, full)
-    checked = 0
     failures = []
     for (kk, cid), cnt in _codim2_cofacets(c).items():
         pair = pairs.get(masks[cid])
@@ -413,13 +431,13 @@ def _codim2_rule(c, colours, coords, g):
         u, w, adjacent = pair
         if adjacent:
             continue
-        checked += 1
         depth = 0
         if coords is not None:
             support = set()
             for col in c.vertex_columns[kk]:
                 support.update(j for j, x in enumerate(coords[col[cid]]) if x != 0)
             depth = nv - len(support)
+        checked[depth] += 1
         if depth > 1:
             failures.append(
                 f"cell ({kk},{cid}) missing {u},{w} sits {depth} levels deep")
@@ -451,6 +469,41 @@ def subdivide_pseudomanifold(z, g, apex=None):
 
 
 def _subdivide_pseudomanifold(z, g, apex):
+    """Build the subdivision; in substitution mode, certify it on bar(Z)
+    and its piece K without walking it.
+
+    ``orient`` passes bar(Z) and ``_piece_signs`` passes K, which tiles
+    the simplex once.  The substituted complex y has one cell (h, c) per
+    K-cell c and barycentric cell h hosting it: the subcell, in any top
+    cell of bar(Z) around h, on the slots of c's carrier.  Slot i of every
+    top cell of bar(Z) has dimension i, so all top cells around h see the
+    same subcells of h, and:
+
+    - y is valid: the vertices and faces of (h, c) are those of c, read
+      through the subcell table of bar(Z), which is valid, and K is
+      valid.
+    - y is pure, as K is: (h, c) lies in (t, c') for a top cell c' of K
+      holding c and a top cell t of bar(Z) around h.
+    - every facet of y lies in two top cells.  One with full carrier lies
+      inside one top cell t, in the two top cells of K around it.  One
+      whose carrier misses slot j lies in one top cell of K, and on the
+      facet of bar(Z) missing dimension j, which is at slot j of the two
+      top cells around it; bar(Z) is a pseudo-manifold.
+    - the signs sign_bar(t) * sign_K(c) on the top cells (t, c) are
+      coherent.  Inside a top cell t, K's signs obey the slot-parity rule
+      of ``orient``.  Across a facet of bar(Z) the facet of y has one slot
+      of K on both sides, while bar(Z)'s facet sits at slot j in both of
+      its top cells, so bar(Z)'s signs flip.
+    - they are the signs ``orient`` would give.  Every top cell of K has
+      full carrier, so ``_substitute`` numbers the top cells (t, c) as
+      t * |tops of K| + c.  K is facet-connected and every slot is missed
+      by one of its boundary facets, so the components of y are those of
+      bar(Z), each with all of K; the least top cell of one is (t, 0),
+      t least in bar(Z)'s component, and its product sign is +1.
+
+    So y carries the verdict of ``pseudo_manifold_check``, not that of
+    ``is_vertex_determined``, which still runs when asked.
+    """
     if z.n + 1 != g.n_vertices:
         raise ValidationError(
             f"dimension mismatch: a {z.n}-complex needs a graph "
@@ -465,27 +518,109 @@ def _subdivide_pseudomanifold(z, g, apex):
         raise ValidationError("non-orientable input")
 
     po = path_order(g)
-    if po is not None and apex is None:
-        bar = barycentric_subdivide(z)
-        colours = tuple(po[lbl[0]] for lbl in bar.vertex_labels)
-        y, mode = bar, "path"
-    else:
+    substituted = po is None or apex is not None
+    if substituted:
         if apex is None:
             apex = 0
         if not 0 <= apex < g.n_vertices:
             raise ValidationError(f"apex {apex} out of range")
         check_budget("substitution", z.n_cells(z.n) * factorial(z.n + 1)
                      * _lemma_top_count(g, apex))
-        bar = barycentric_subdivide(z)
-        y, colours = _substitute(bar, lemma_subdivision(g, apex))
-        mode = "substitution"
-
-    ocert = orient(y)
-    if not ocert.is_pseudo or ocert.orientation == "non-orientable":
+    bar = barycentric_subdivide(z)
+    bcert = orient(bar)
+    if not bcert.is_pseudo or bcert.orientation == "non-orientable":
         raise ValidationError("subdivision did not stay an oriented "
                               "pseudo-manifold")
+    if not substituted:
+        colours = tuple(po[lbl[0]] for lbl in bar.vertex_labels)
+        return ColouredSubdivision(g, bar, colours,
+                                   orientation=bcert.orientation, mode="path")
+
+    k = lemma_subdivision(g, apex)
+    signs = _piece_signs(k)
+    y, colours = _substitute(bar, k)
+    record_passed_checks(y, vertex_determined=False)
+    flipped = [-s for s in signs]
+    orientation = tuple(chain.from_iterable(
+        signs if s > 0 else flipped for s in bcert.orientation))
     return ColouredSubdivision(g, y, colours, apex=apex,
-                               orientation=ocert.orientation, mode=mode)
+                               orientation=orientation, mode="substitution",
+                               piece=k)
+
+
+def _carriers(k):
+    """The coordinate support of every cell of the simplex subdivision
+    ``k`` as a slot mask, level by level; any two facets of a cell cover
+    all its vertices."""
+    kc = k.complex
+    carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
+    for kk in range(1, kc.n + 1):
+        below = carrier[-1]
+        slot0, slot1 = kc.face_columns[kk][:2]
+        carrier.append(list(map(or_, map(below.__getitem__, slot0),
+                                map(below.__getitem__, slot1))))
+    return carrier
+
+
+def _piece_signs(k):
+    """The signs of the top cells of the simplex subdivision ``k``, +1 on
+    top cell 0, after showing that ``k`` tiles the simplex once with
+    coherent signs; else ``ValidationError``.
+
+    The complex must pass ``validate`` and ``is_pure``; every top cell
+    must have a nonzero integer determinant, and their absolute values
+    must add up to the whole simplex's; every facet must lie either in two
+    top cells, with full carrier, whose determinant signs obey the
+    slot-parity rule of ``orient`` across it, or in one top cell, with a
+    carrier that misses exactly one slot.  The signs are then the
+    determinant signs times that of top cell 0, and they are coherent.
+
+    Signed so, the top cells form a chain whose boundary lies on the
+    coordinate hyperplanes, so each facet-connected component covers every
+    point off them the same number of times within each region the
+    hyperplanes cut out, and no times on the unbounded ones: only the
+    simplex is left, covered d >= 1 times by each component, since all top
+    cells are signed alike by their determinants.  The volumes make the
+    sum of the d one: there is one component, it tiles the simplex once,
+    and its boundary facets cover every facet of the simplex.  Nonzero
+    volume also gives every top cell full carrier.
+    """
+    c = k.complex
+    n = c.n
+
+    def fail(why):
+        raise ValidationError(f"simplex piece cannot be substituted: {why}")
+
+    if not (c.validate() and c.is_pure()):
+        fail("it is not a valid pure complex")
+    dets = [_int_det([k.coords[v] for v in verts])
+            for verts in zip(*c.vertex_columns[n])]
+    if 0 in dets:
+        fail(f"top cell {dets.index(0)} is degenerate")
+    if sum(map(abs, dets)) != sum(k.coords[0]) ** (n + 1):
+        fail("its top cell volumes do not add up to the simplex")
+    sign = [1 if (d > 0) == (dets[0] > 0) else -1 for d in dets]
+
+    full = (1 << (n + 1)) - 1
+    carrier = _carriers(k)[n - 1]
+    hits = [[] for _ in range(c.n_cells(n - 1))]
+    for slot, col in enumerate(c.face_columns[n]):
+        for t, f in enumerate(col):
+            hits[f].append((t, slot))
+    for f, around in enumerate(hits):
+        if len(around) == 2:
+            (t, s), (u, r) = around
+            # slots of equal parity induce equal orientations, so the sign
+            # flips
+            if carrier[f] != full:
+                fail(f"facet {f} lies in two top cells on the boundary")
+            if sign[t] * sign[u] != (1 if (s ^ r) & 1 else -1):
+                fail(f"facet {f} lies in two top cells on one side")
+        elif len(around) != 1:
+            fail(f"facet {f} lies in {len(around)} top cells")
+        elif (full ^ carrier[f]).bit_count() != 1:
+            fail(f"facet {f} lies in one top cell off the boundary")
+    return sign
 
 
 def _substitute(bar, k):
@@ -502,18 +637,13 @@ def _substitute(bar, k):
     every slot lies inside t alone and takes a fresh id; any other piece
     is looked up by the int host id * (piece cells) + piece cell, its
     host's dimension being fixed by its carrier.  The result is not
-    validated here: ``orient`` checks it as a pseudo-manifold.
+    validated: ``_subdivide_pseudomanifold`` certifies it on bar and the
+    piece instead.
     """
     n = bar.n
     kc = k.complex
-    # carrier[kk][cid]: the coordinate support of a piece, as a slot mask;
-    # any two facets of a cell cover all its vertices
-    carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
-    for kk in range(1, n + 1):
-        below = carrier[-1]
-        slot0, slot1 = kc.face_columns[kk][:2]
-        carrier.append(list(map(or_, map(below.__getitem__, slot0),
-                                map(below.__getitem__, slot1))))
+    # carrier[kk][cid]: the coordinate support of a piece, as a slot mask
+    carrier = _carriers(k)
     on_support = {}            # support mask -> piece vertices, ascending
     rank = []                  # each piece vertex's place in its list
     for u, m in enumerate(carrier[0]):
@@ -580,6 +710,31 @@ class StarCertificate:
 
 def condition_star_check(y, g):
     """Every codimension-2 cell missing two non-adjacent colours must lie
-    in exactly four top cells."""
-    checked, failures = _codim2_rule(y.complex, y.colours, None, g)
-    return StarCertificate(not failures, checked, failures)
+    in exactly four top cells.
+
+    A substitution subdivision that still has its piece K's colours,
+    checked against the graph it was built with, is decided on K.  The
+    copy (h, c) of a K-cell c has c's colours and lies in tops_bar(h) *
+    tops_K(c) top cells.  When c's carrier misses no slot, h is one of
+    the T top cells of bar(Z), in one top cell; when it misses one, h is
+    one of the T / 2 facets of bar(Z) missing that dimension (each lies
+    in two top cells, and each top cell has one), in two.  So the copies
+    of c lie in four top cells exactly when ``_codim2_rule``, run on K
+    with its coordinates, finds the four top cofacets it asks for at
+    depth 0 or the two at depth 1.  A pass on K is the answer for y, with
+    T copies of each checked cell at depth 0 and T / 2 of each at depth
+    1.  Otherwise (path mode, a recoloured y, another graph, or a piece
+    that fails) the rule walks y itself, which also words the failures.
+    """
+    k = y.piece
+    if (k is not None and g.adjacency == y.graph.adjacency
+            and y.colours == tuple(map(k.colours.__getitem__, map(
+                itemgetter(1), y.complex.vertex_labels)))):
+        depths, failures = _codim2_rule(k.complex, k.colours, k.coords, g)
+        if not failures:
+            c, kc = y.complex, k.complex
+            tops = c.n_cells(c.n) // kc.n_cells(kc.n)
+            return StarCertificate(True, tops * depths[0]
+                                   + tops // 2 * depths[1], [])
+    depths, failures = _codim2_rule(y.complex, y.colours, None, g)
+    return StarCertificate(not failures, sum(depths.values()), failures)

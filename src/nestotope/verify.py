@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     complete_graph,
     connected_graph_representatives,
+    cycle_graph,
     graph_building_set,
     path_graph,
     path_order,
@@ -279,6 +280,10 @@ def _suite_star(max_n):
     if max_n >= 3:
         cases.append(("3-sphere with the 4-star", simplex_sphere(3), star_graph(4)))
         cases.append(("3-sphere with the 4-path", simplex_sphere(3), path_graph(4)))
+        cases.append(("3-sphere with the 4-cycle", simplex_sphere(3), cycle_graph(4)))
+    if max_n >= 4:
+        cases.append(("4-sphere with the 5-star", simplex_sphere(4), star_graph(5)))
+        cases.append(("4-sphere with the 5-path", simplex_sphere(4), path_graph(5)))
     cases.append(("7-vertex torus with the 3-path", torus7(), path_graph(3)))
     for label, z, g in cases:
         y = subdivide_pseudomanifold(z, g)

@@ -95,6 +95,9 @@ def test_criterion_12_four_cofacet_condition():
     _criterion(12, ["star-condition"], {
         "four-cofacet condition on 3-sphere with the 4-star": "720 cells checked",
         "four-cofacet condition on 3-sphere with the 4-path": "90 cells checked",
+        "four-cofacet condition on 3-sphere with the 4-cycle": "3840 cells checked",
+        "four-cofacet condition on 4-sphere with the 5-star": "17280 cells checked",
+        "four-cofacet condition on 4-sphere with the 5-path": "1080 cells checked",
         "four-cofacet condition on 7-vertex torus with the 3-path":
             "21 cells checked"})
 

@@ -406,6 +406,16 @@ PINNED_REPORTS = {
     "torus7-complete3": ("bb138c4f13b6ab0284acb6fbdf6c019ce3fe73c13276f959ab49d672ceb5c8cc",
                          ["subdivide", "--pseudomanifold", "torus7", "--graph",
                           "complete:3", "--certify"]),
+    "sphere3-cycle4": ("eb94ff952068933993771c1b0658566c8d6841dc14d475e9f465a23d3bac0339",
+                       ["subdivide", "--pseudomanifold", "sphere:3", "--graph",
+                        "cycle:4", "--certify"]),
+    "sphere3-complete4": (
+        "88ce751c89e7994be4582548d48515e5affdcc6a205416181264d14ffef8e52e",
+        ["subdivide", "--pseudomanifold", "sphere:3", "--graph", "complete:4",
+         "--certify"]),
+    "sphere4-star5": ("c17246e23a743e65a9f2b279451e3323b1290b0babb354f94a93505742bd12fb",
+                      ["subdivide", "--pseudomanifold", "sphere:4", "--graph",
+                       "star:5", "--certify"]),
     "realize-sphere2-complete3": (
         "c2a11cf32eefcbfa70e46e1b4998c3592c2a65ac5069d1b85e58831204ab9825",
         ["realize", "--pseudomanifold", "sphere:2", "--graph", "complete:3",

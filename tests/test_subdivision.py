@@ -14,6 +14,9 @@ from nestotope.cellcomplex import (
     homology,
     homology_z2,
     klein_bottle,
+    orient,
+    passed_pseudo_manifold_check,
+    pseudo_manifold_check,
     pseudomanifold_from_spec,
     simplex_sphere,
     torus7,
@@ -231,21 +234,35 @@ def test_condition_star_counts():
     assert cert.ok and cert.cells_checked == 720
 
 
-def test_substituted_complex_is_validated_once(monkeypatch):
+def test_substituted_complex_is_certified_not_validated(monkeypatch):
     calls = []
     validate = SimplicialCellComplex.validate
+    bars = []
+    barycentric = subdivision.barycentric_subdivide
 
     def counting(self):
         calls.append(self)
         return validate(self)
 
+    def kept(c):
+        bars.append(barycentric(c))
+        return bars[-1]
+
     monkeypatch.setattr(SimplicialCellComplex, "validate", counting)
-    y = subdivide_pseudomanifold(simplex_sphere(2), cycle_graph(3))
+    monkeypatch.setattr(subdivision, "barycentric_subdivide", kept)
+    z = simplex_sphere(2)
+    y = subdivide_pseudomanifold(z, cycle_graph(3))
     assert y.mode == "substitution"
-    # the input, each reflected sphere of the simplex subdivision and the
-    # output are each checked once, the output by orient
-    assert calls.count(y.complex) == 1
+    # the output is certified on bar(Z) and its piece, so it is never
+    # validated; the input, bar(Z), the piece and each reflected sphere of
+    # the simplex subdivision are validated once each
+    assert calls.count(y.complex) == 0
     assert len({id(c) for c in calls}) == len(calls)
+    assert calls.count(z) == calls.count(bars[0]) == 1
+    assert calls.count(y.piece.complex) == 1
+    # cycle:3 at apex 0 leaves the edge {1, 2}, whose own recursion leaves
+    # one vertex: two reflected spheres, a circle and a pair of points
+    assert len(calls) == 5
 
 
 def test_substituted_sphere_stays_oriented():
@@ -290,10 +307,12 @@ def test_substitution_matches_keyed_oracle(monkeypatch, covering_oracle,
 
 
 def _recoloured(y, vertex, colour):
+    # the piece is kept: the star check must notice the colours changed
     colours = list(y.colours)
     colours[vertex] = colour
     return ColouredSubdivision(y.graph, y.complex, tuple(colours), apex=y.apex,
-                               orientation=y.orientation, mode=y.mode)
+                               orientation=y.orientation, mode=y.mode,
+                               piece=y.piece)
 
 
 def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
@@ -327,3 +346,140 @@ def test_star_check_failures_match_per_top_oracle(monkeypatch, covering_oracle):
         assert got.failures == sorted(want.failures, key=cell_of)
         text = "\n".join(got.failures).encode()
         assert hashlib.sha256(text).hexdigest() == digest
+
+
+def _two_spheres():
+    tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    return SimplicialCellComplex.from_top_simplices(
+        tops + [tuple(v + 4 for v in t) for t in tops])
+
+
+# every substitution the tests build: the catalogue, the torus, and two
+# disjoint spheres, whose second component is signed on its own
+_CERTIFIED = [(lambda zspec=zspec: pseudomanifold_from_spec(zspec), gspec, apex)
+              for zspec, gspec, apex in _SUBSTITUTIONS] + [
+    (torus7, "complete:3", None),
+    (_two_spheres, "complete:3", None)]
+
+
+def _copy(c):
+    return SimplicialCellComplex.from_columns(
+        c.n, c.n_cells(0), [[list(col) for col in level] for level in c.vertex_columns],
+        [[list(col) for col in level] for level in c.face_columns],
+        vertex_labels=c.vertex_labels)
+
+
+@pytest.mark.parametrize("build,gspec,apex", _CERTIFIED,
+                         ids=[f"{z}-{g}-{a}" for z, g, a in _SUBSTITUTIONS]
+                         + ["torus7-complete:3-None", "two spheres-complete:3-None"])
+def test_substitution_certificate_matches_generic_checks(monkeypatch, build,
+                                                         gspec, apex):
+    z, g = build(), graph_from_spec(gspec)
+    walked = []
+    rule = subdivision._codim2_rule
+    monkeypatch.setattr(subdivision, "_codim2_rule",
+                        lambda c, *args: walked.append(c) or rule(c, *args))
+    # built on the first and second sight, served on the third
+    for _ in range(3):
+        y = subdivide_pseudomanifold(z, g, apex=apex)
+        assert y.mode == "substitution"
+        # the certificate recorded the verdict that the generic check and
+        # orient reach on a fresh copy of the columns, signs included
+        assert passed_pseudo_manifold_check(y.complex)
+        fresh = _copy(y.complex)
+        assert not passed_pseudo_manifold_check(fresh)
+        assert pseudo_manifold_check(fresh).is_pseudo
+        assert orient(fresh).orientation == y.orientation
+        # the star check answers on the piece, as the walk on y does
+        walked.clear()
+        got = condition_star_check(y, g)
+        assert walked == [y.piece.complex]
+        depths, failures = rule(y.complex, y.colours, None, g)
+        assert failures == []
+        assert (got.ok, got.cells_checked, got.failures) == (
+            True, sum(depths.values()), [])
+
+
+def _broken_piece(monkeypatch, breaking):
+    real = subdivision.lemma_subdivision
+
+    def broken(g, a):
+        k = real(g, a)
+        c = k.complex
+        vertex_columns = [[list(col) for col in level] for level in c.vertex_columns]
+        face_columns = [[list(col) for col in level] for level in c.face_columns]
+        breaking(c.n, vertex_columns, face_columns)
+        return ColouredSubdivision(
+            g, SimplicialCellComplex.from_columns(c.n, c.n_cells(0), vertex_columns,
+                                                  face_columns),
+            k.colours, apex=a, coords=k.coords, mode=k.mode)
+
+    monkeypatch.setattr(subdivision, "lemma_subdivision", broken)
+
+
+def _swap_two_vertices(n, vertex_columns, face_columns):
+    top = vertex_columns[n]
+    top[0][0], top[1][0] = top[1][0], top[0][0]
+
+
+def _drop_a_top_cell(n, vertex_columns, face_columns):
+    for col in vertex_columns[n] + face_columns[n]:
+        del col[0]
+
+
+def _must_not_substitute(bar, k):
+    raise AssertionError("substituted a piece that fails its certificate")
+
+
+# both break the piece's validity or purity; the hit and sign rules are
+# exercised one by one on segments below
+@pytest.mark.parametrize("breaking", [_swap_two_vertices, _drop_a_top_cell],
+                         ids=["swapped vertices", "dropped top cell"])
+def test_broken_piece_is_refused_before_substitution(monkeypatch, breaking):
+    _broken_piece(monkeypatch, breaking)
+    monkeypatch.setattr(subdivision, "_substitute", _must_not_substitute)
+    with pytest.raises(ValidationError, match="simplex piece cannot be substituted"):
+        subdivide_pseudomanifold(simplex_sphere(3), star_graph(4))
+
+
+def _segment(points, tops):
+    # a piece for path:2 from integer points summing to 2 and top edges
+    c = SimplicialCellComplex.from_top_simplices(tops)
+    return ColouredSubdivision(path_graph(2), c, (0, 1, 0)[:len(points)], apex=0,
+                               coords=tuple(points), mode="simplex")
+
+
+# pieces on the segment of points summing to 2 that each fail one condition
+@pytest.mark.parametrize("points,tops,why", [
+    ([(2, 0), (1, 1), (0, 2)], [(0, 1), (1, 2), (0, 1)],
+     "volumes do not add up"),
+    ([(2, 0), (1, 1), (2, 0)], [(0, 1), (1, 2)], "two top cells on one side"),
+    ([(3, -1), (1, 1)], [(0, 1)], "one top cell off the boundary"),
+    ([(2, 0), (1, 1), (1, 1)], [(0, 1), (1, 2)], "top cell 1 is degenerate"),
+], ids=["doubled top", "folded", "open end", "degenerate"])
+def test_piece_certificate_refuses(points, tops, why):
+    assert subdivision._piece_signs(
+        _segment([(2, 0), (1, 1), (0, 2)], [(0, 1), (1, 2)])) == [1, 1]
+    with pytest.raises(ValidationError, match=why):
+        subdivision._piece_signs(_segment(points, tops))
+
+
+def test_recoloured_piece_fails_as_the_walk_does(monkeypatch):
+    # piece vertex 4 of star:4 at apex 0 recoloured 0 breaks the rule on the
+    # piece but not its certificate, which reads no colours
+    real = subdivision.lemma_subdivision
+    g = star_graph(4)
+    k = real(g, 0)
+    colours = list(k.colours)
+    colours[4] = 0
+    _, missed = subdivision._codim2_rule(k.complex, colours, k.coords, g)
+    assert missed
+    monkeypatch.setattr(subdivision, "lemma_subdivision",
+                        lambda g, a: ColouredSubdivision(
+                            g, k.complex, tuple(colours), apex=a,
+                            coords=k.coords, mode=k.mode))
+    y = subdivide_pseudomanifold(simplex_sphere(3), g)
+    got = condition_star_check(y, g)
+    depths, failures = subdivision._codim2_rule(y.complex, y.colours, None, g)
+    assert failures and not got.ok
+    assert (got.cells_checked, got.failures) == (sum(depths.values()), failures)
