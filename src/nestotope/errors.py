@@ -30,10 +30,9 @@ class BudgetExceeded(RuntimeError):
 # materialize more cells than CELL_BUDGET, each counted in closed form before
 # anything is built.  A covering certificate's mode is "full" when its label
 # space r * 2^m fits in OMEGA_BUDGET and "sampled" otherwise; that is all it
-# says, since the covering checks run on the per-tube tables and are exact
-# at any r.  Involution closures and their index tables refuse before they
-# store more than CLOSURE_BUDGET cell indexes (each permutation counts its
-# length, each table entry one).
+# says, since the covering checks read the crossing involutions and are
+# exact at any r.  Involution closures refuse before they store more than
+# CLOSURE_BUDGET cell indexes (each permutation counts its length).
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000

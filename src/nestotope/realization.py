@@ -1,27 +1,26 @@
 """Covering-space certificates over glued polytope manifolds.
 
 A coloured subdivision of an oriented closed complex induces, per
-colour, an involution on its top cells: step across the facet missing
-that colour.  Words in these involutions, closed under conjugation
-tube by tube, label the sheets of a covering of the glued manifold.
-This module builds that bookkeeping and certifies the properties that
-make the covering work: the steps are sign-swapping involutions, they
-commute where the graph says they must, and faces act with full orbits.
+colour, an involution xi_i on its top cells: step across the facet
+missing that colour.  Words in these involutions, closed under
+conjugation tube by tube, label the sheets of a covering of the glued
+manifold.  This module builds the closures and certifies the properties
+that make the covering work: the steps are sign-swapping involutions,
+they commute where the graph says they must, and faces act with full
+orbits.
 
-A sheet label is (sigma, mu, g): a top cell, one involution index per
-tube, and a group coordinate g < 2^m.  The face involutions move g by
-one bit and never read it, so every check is made on the fibre g = 0.
-There a tube's face involution (``phi_action``) reads only that tube's
-permutations and conjugation tables, and each output coordinate reads
-only its own input and the tube's index, so every check over all labels
-splits into checks on those per-tube tables: exact at any r, at a cost
-that does not depend on r; see ``build_covering``.  The fibre histogram
-and the degree are closed forms in r, m and the family sizes.  ``mode``
-reads only r * 2^m against the budget and does not say how a check ran.
+A sheet label is (sigma, mu, g): a top cell, one member of each tube's
+family, and a group coordinate g < 2^m.  Every check over the labels
+follows from two relations of the generators, which are read off the
+generators alone, at a cost that does not depend on r: every xi_i is an
+involution that swaps the cell signs, and xi_a xi_b = xi_b xi_a for
+colours a and b that the graph does not join; see ``build_covering``.
+The families are needed only for their sizes: r, the fibre histogram
+and the degree are closed forms in them.  ``mode`` reads only r * 2^m
+against the budget and does not say how a check ran.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from operator import itemgetter
 
@@ -30,11 +29,6 @@ from .errors import CLOSURE_BUDGET, OMEGA_BUDGET, ValidationError, check_budget
 from .graphs import graph_building_set, members
 from .nestohedron import face_poset
 from .subdivision import subdivide_pseudomanifold
-
-
-def compose(p, q):
-    """Permutation product, q applied first."""
-    return tuple(p[x] for x in q)
 
 
 @dataclass
@@ -81,102 +75,42 @@ def build_sigma_system(y):
     return SigmaSystem(y, size, n + 1, tuple(plus), tuple(map(tuple, xi)))
 
 
-@dataclass
-class InvolutionSet:
-    perms: tuple
-    words: tuple
-    conj: dict   # bigger tube t -> rows[i_s][i_t], the index of mu_s.mu_t.mu_s
-
-    def __len__(self):
-        return len(self.perms)
-
-
 def involution_closure(sys, colour_set):
-    """Conjugation closure of the smallest colour's involution.
-
-    Returns (perms, words): each permutation with one witness word over
-    the given colours.  Refuses as soon as the stored permutations would
-    hold more than CLOSURE_BUDGET cell indexes.
+    """Conjugation closure of the smallest colour's involution: every
+    permutation reached from it by mu -> xi_i mu xi_i, i in the colour
+    set, in the order found.  Refuses as soon as the stored permutations
+    would hold more than CLOSURE_BUDGET cell indexes.
     """
     cols = sorted(colour_set)
     seed = sys.xi[cols[0]]
-    words = {seed: (cols[0],)}
+    # xi_i mu xi_i is xi_i read at mu read at xi_i; the cells are two or
+    # more (half of them plus), so each item getter gives a tuple
+    steps = [(sys.xi[i], itemgetter(*sys.xi[i])) for i in cols]
+    found = {seed: None}
     queue = [seed]
     while queue:
         mu = queue.pop()
-        for i in cols:
-            conj = compose(sys.xi[i], compose(mu, sys.xi[i]))
-            if conj not in words:
-                check_budget("involution closure", (len(words) + 1) * sys.size,
+        for xi, at_xi in steps:
+            conj = itemgetter(*at_xi(mu))(xi)
+            if conj not in found:
+                check_budget("involution closure", (len(found) + 1) * sys.size,
                              "stored cell indexes", CLOSURE_BUDGET)
-                words[conj] = (i,) + words[mu] + (i,)
+                found[conj] = None
                 queue.append(conj)
-    perms = tuple(words)
-    return perms, tuple(words[p] for p in perms)
+    return tuple(found)
 
 
 def enumerate_involution_sets(sys, b):
-    """One conjugation-closed involution family per facet tube, with the
-    action of each family on the indexes of every bigger tube's family."""
+    """The conjugation closure of each proper tube's colours, by tube."""
     sets = {}
     total = 0
     for tube in b.proper_tubes:
-        perms, words = involution_closure(sys, members(tube))
+        perms = involution_closure(sys, members(tube))
         total += len(perms) * sys.size
         check_budget("involution closures", total, "stored cell indexes",
                      CLOSURE_BUDGET)
-        for mu in perms:
-            for x in range(sys.size):
-                if mu[mu[x]] != x:
-                    raise ValidationError("closure member is not an involution")
-                if sys.plus[mu[x]] == sys.plus[x]:
-                    raise ValidationError("closure member keeps a sign fixed")
-        sets[tube] = InvolutionSet(perms, words, {})
-    for t in b.proper_tubes:
-        index = {p: i for i, p in enumerate(sets[t].perms)}
-        for s in b.proper_tubes:
-            if s == t or (t & s) != s:
-                continue
-            total += len(sets[s]) * len(sets[t])
-            check_budget("involution closures and their tables", total,
-                         "stored cell indexes", CLOSURE_BUDGET)
-            rows = []
-            for mu_s in sets[s].perms:
-                row = [index.get(compose(mu_s, compose(mu_t, mu_s)))
-                       for mu_t in sets[t].perms]
-                if None in row:
-                    raise ValidationError("conjugation leaves the involution set")
-                rows.append(tuple(row))
-            sets[s].conj[t] = tuple(rows)
+        sets[tube] = perms
     return sets
-
-
-def phi_action(b, sets, s, omega):
-    """The face involution of one tube on a sheet label (sigma, mu, g).
-
-    The tube's own involution moves the cell; families at larger tubes
-    are conjugated; the group coordinate flips the tube's bit.  ``sigma``
-    indexes the tube's permutation, so a slice there returns that part of
-    the permutation instead of one cell.
-    """
-    sigma, mu, g = omega
-    j = b.proper_index[s]
-    tube_set = sets[s]
-    i_s = mu[j]
-    new_mu = list(mu)
-    for t, rows in tube_set.conj.items():
-        k = b.proper_index[t]
-        new_mu[k] = rows[i_s][mu[k]]
-    return tube_set.perms[i_s][sigma], tuple(new_mu), g ^ (1 << j)
-
-
-def epsilon(sys, omega):
-    """Sign of a sheet label: cell sign times group-coordinate parity."""
-    sigma, _, g = omega
-    sign = 1 if sys.plus[sigma] else -1
-    if g.bit_count() & 1:
-        sign = -sign
-    return sign
 
 
 @dataclass
@@ -194,34 +128,46 @@ class CoveringCertificate:
 def build_covering(b, sets, sys, budget=None):
     """Certify that the sheet labels assemble into a covering.
 
-    The checks run on the fibre g = 0 only.  ``phi_action`` sends
-    (sigma, mu, g) to (f_s(sigma, mu), g ^ e_s) with f_s blind to g, and
-    ``epsilon`` flips with the parity of g, so each check on (sigma, mu, g)
-    is the same check as on (sigma, mu, 0).
+    Tube s's face involution sends (sigma, mu, g) to (a sigma, mu', g ^ e_s)
+    with a = mu_s: mu'_t = a mu_t a for every tube t strictly containing
+    s, and every other coordinate, mu_s included, stays.  A label's sign
+    is its cell's sign times the parity of g.  Each member of the family
+    I_s is xi_c, c the least colour of s, or xi_i mu xi_i for a member mu
+    and a colour i of s: a word w xi_c w' in the generators of s, with w'
+    the letters of w reversed.  So every check reads the generators only,
+    in O(n^2 * size) steps, whatever r is:
 
-    On that fibre f_s moves sigma by the permutation pi^s_a, where
-    a = mu_s, and moves mu_t by the row ``sets[s].conj[t][a]`` for each
-    tube t strictly containing s; every other coordinate, mu_s included,
-    stays.  The fibre labels are all of {sigma} x prod I_t, so a check
-    over every label splits into one check per output coordinate, over
-    the inputs that coordinate reads:
-
-    - ``phi_involutions``: every pi^s_a and every conjugation row is an
-      involution;
-    - ``epsilon_class_constant``: every pi^s_a moves each cell to one of
-      the other sign;
-    - ``phi_commutation``: on each 2-face {i, j}, for every (a, c) in
-      I_i x I_j, both orders give the same sigma permutation and the
-      same (mu_i, mu_j), and the same mu_t for every index of every tube
-      t strictly containing i or j.
-
-    Each check runs on states of rows: the cells, one row per tube it
-    steps holding that tube's index, and one row per tube above them
-    holding every index of that tube's family.  A step maps whole rows,
-    so one state stands for every label with those indexes.  The cost is
-    a sum over tubes and 2-faces of their index choices times
-    (size + sum |I_t|) table reads, whatever r is, and nothing is stored
-    beyond the tables that ``enumerate_involution_sets`` bounds.
+    - ``xi_involutions``: every xi_i is an involution and moves each cell
+      to one of the other sign.  ``xi_commutation``: xi_a xi_b = xi_b xi_a
+      for every two colours that are not an edge (the four-cofacet
+      condition).
+    - ``phi_involutions`` is "every xi_i is an involution".  Then each
+      member is a conjugate w xi_c w^-1 of one, so an involution, and so
+      is conjugation by it: each step twice gives the label back.  If
+      some xi_c is none, the step of the tube {c} at the member xi_c
+      moves sigma by it.
+    - ``epsilon_class_constant`` is "every xi_i swaps the cell signs".
+      Then each member, a word of odd length 2|w| + 1, swaps them, and
+      with the bit of g that flips, every step keeps the sign.  If xi_c
+      keeps some cell's sign, the step of the tube {c} at xi_c changes
+      the sign of that cell's labels.
+    - ``phi_commutation``: on every 2-face {i, j}, the two steps commute.
+      Connected graphs only reach here, so the polytope has a 2-face
+      exactly when the graph has three or more vertices, and then the
+      check is ``phi_involutions and xi_commutation``:
+      - For nested i in j, with a = mu_i and c = mu_j, and a^2 = 1, both
+        orders send sigma to a c sigma, mu_j to a c a, mu_t to
+        (ac) mu_t (ac)^-1 for every t strictly containing j, and mu_t to
+        a mu_t a for the other t strictly containing i.  Without a^2 = 1,
+        i's step first sends mu_j to a c a and then sigma to a c a^2 sigma,
+        so an xi_c that is no involution fails on the 2-face {c} in
+        {c, d}, for a neighbour d of c, at a = xi_c.
+      - For disjoint i and j whose union is no tube, no colour of i is a
+        neighbour of one of j, so mu_i and mu_j are words in generators
+        that commute pairwise, and so do the steps.  Two colours a and b
+        that are not an edge form such a 2-face, {a} and {b}, whose steps
+        at the members xi_a and xi_b move sigma by xi_a xi_b in one order
+        and xi_b xi_a in the other.
 
     ``covering_fibers`` asks that a face F's walk over its group
     coordinates, from any label at g = 0, reach one label per g.  It is
@@ -239,11 +185,11 @@ def build_covering(b, sets, sys, budget=None):
       the route j, j back to g = 0 for s_j^2 on the face {j}, and the
       routes i, j and j, i for (s_i s_j)^2 on the face {i, j}.
     - ``phi_involutions`` checks s_j^2 and ``phi_commutation`` checks
-      s_i s_j = s_j s_i at every fibre label, for every tube and every
-      2-face.  With s_j^2 trivial, the second is (s_i s_j)^2 acting
-      trivially; without it, both sides are false.  So every relator
-      holds at every fibre label, the labels any face's walk reaches
-      among them, exactly when both checks hold.
+      s_i s_j = s_j s_i at every label, for every tube and every 2-face.
+      With s_j^2 trivial, the second is (s_i s_j)^2 acting trivially;
+      without it, both sides are false.  So every relator holds at every
+      label, the labels any face's walk reaches among them, exactly when
+      both checks hold.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -264,63 +210,23 @@ def build_covering(b, sets, sys, budget=None):
     mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
-    ident = tuple(range(size))
-    checks["xi_involutions"] = all(
-        compose(x, x) == ident
-        and all(sys.plus[x[t]] != sys.plus[t] for t in range(size))
-        for x in sys.xi)
+    # itemgetter(*q)(p) is the product p q, q applied first
+    xi = sys.xi
+    involutions = all(itemgetter(*x)(x) == tuple(range(size)) for x in xi)
+    flips = all(sys.plus[y] != plus for x in xi
+                for y, plus in zip(x, sys.plus))
     graph = sys.y.graph
-    checks["xi_commutation"] = all(
-        compose(sys.xi[i], sys.xi[j]) == compose(sys.xi[j], sys.xi[i])
+    commute = all(
+        itemgetter(*xi[j])(xi[i]) == itemgetter(*xi[i])(xi[j])
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
-
-    def states(own):
-        """Row positions, by tube, and the start states for the steps of
-        the ``own`` tubes: one state per choice of their indexes, holding
-        every cell and every index of each tube strictly above them."""
-        above = {t for s in own for t in sets[s].conj}.difference(own)
-        at = {t: q for q, t in enumerate((*own, *above), 1)}
-        rows = [tuple(range(len(sets[t]))) for t in above]
-        return at, ([ident, *((k,) for k in ks), *rows]
-                    for ks in product(*(range(len(sets[s])) for s in own)))
-
-    def step(s, state, at):
-        """Tube s's face involution on every label a state stands for.  The
-        cells are two or more (half of them plus), so the item getter
-        gives a tuple."""
-        a = state[at[s]][0]
-        new = list(state)
-        new[0] = itemgetter(*state[0])(sets[s].perms[a])
-        for t, rows in sets[s].conj.items():
-            new[at[t]] = tuple(map(rows[a].__getitem__, state[at[t]]))
-        return new
-
-    # epsilon reads sigma and the parity of g only: each cell's sign at
-    # g = 0, and at the odd g = e_s where every tube's step lands
-    at_zero = tuple(epsilon(sys, (c, None, 0)) for c in range(size))
-    landed = tuple(epsilon(sys, (c, None, 1)) for c in range(size))
-    involutions = class_constant = True
-    for s in tubes:
-        at, starts = states((s,))
-        for w in starts:
-            image = step(s, w, at)
-            involutions = involutions and step(s, image, at) == w
-            class_constant = class_constant and (
-                tuple(map(landed.__getitem__, image[0])) == at_zero)
+    checks["xi_involutions"] = involutions and flips
+    checks["xi_commutation"] = commute
     checks["phi_involutions"] = involutions
-    checks["epsilon_class_constant"] = class_constant
-
-    pairs = p.faces_by_size[2] if p.dim >= 2 else ()
-    commutation = True
-    for i, j in pairs:
-        at, starts = states((tubes[i], tubes[j]))
-        commutation = commutation and all(
-            step(tubes[i], step(tubes[j], w, at), at)
-            == step(tubes[j], step(tubes[i], w, at), at) for w in starts)
-    checks["phi_commutation"] = commutation
+    checks["epsilon_class_constant"] = flips
+    checks["phi_commutation"] = p.dim < 2 or (involutions and commute)
     # the relator argument in the docstring
-    checks["covering_fibers"] = involutions and commutation
+    checks["covering_fibers"] = involutions and checks["phi_commutation"]
     checks["degree_independent"] = True
 
     faces = [face for level in p.faces_by_size for face in level]

@@ -313,6 +313,12 @@ def _suite_realization(max_n):
                and cert3.s == 2 ** (cert3.m - 1) * prod(cert3.i_sizes.values()))
         out.append(("4-sphere with the 5-path: exact certificate",
                     ok3, f"r={cert3.r} s={cert3.s} m={cert3.m}"))
+    if max_n >= 5:
+        cert5 = realize(simplex_sphere(5), path_graph(6))
+        ok5 = (all(cert5.checks.values())
+               and cert5.s == 2 ** (cert5.m - 1) * prod(cert5.i_sizes.values()))
+        out.append(("5-sphere with the 6-path: exact certificate",
+                    ok5, f"r={cert5.r} s={cert5.s} m={cert5.m}"))
     return out
 
 

@@ -1,10 +1,11 @@
 """Oracles shared between test modules, and a fixture that empties the
 subdivision memo before every test."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from types import SimpleNamespace
 
 import pytest
@@ -18,12 +19,7 @@ from nestotope import subdivision
 from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, components_minus_vertex, members
 from nestotope.nestohedron import _flags, _int_det, face_poset
-from nestotope.realization import (
-    CoveringCertificate,
-    compose,
-    epsilon,
-    phi_action,
-)
+from nestotope.realization import CoveringCertificate
 
 
 @pytest.fixture(autouse=True)
@@ -649,20 +645,108 @@ def lambda_to_json_dict():
 
 # The covering chain walked label by label, and per-top walks: the tube and
 # pair pools walked over every fibre label, one whole permutation of the
-# cells per mu index and step, each step filled from ``phi_action``; every
-# face orbit walked from every label where that is small; the barycentric
-# substitution with one dict lookup per piece cell; and the codimension-2
-# cofacet count from the pairs of facet slots of every top cell.  The
-# library's table checks, keyed substitution and half-sum count must give
-# the same certificates and complexes.
+# cells per mu index and step, each step filled from ``phi_action`` on the
+# families' conjugation tables; every face orbit walked from every label
+# where that is small; the barycentric substitution with one dict lookup
+# per piece cell; and the codimension-2 cofacet count from the pairs of
+# facet slots of every top cell.  The library's generator checks, keyed
+# substitution and half-sum count must give the same certificates and
+# complexes.
 
 # The oracle walks every face from every fibre label when r times the face
 # count is at most this: every 2-dimensional input of the tests, not the
 # 3-sphere (116,640 labels times 45 faces).
 _FACE_WALK_LABELS = 30_000
 
+# The oracle walks the pools label by label when r is at most this, as on
+# the 3-sphere with path:4 (116,640 labels), and on the families' tables
+# above it, as on the 4-sphere with path:5 (1,259,712,000 labels).
+_LABEL_WALK_LABELS = 200_000
 
-def _orbit_check(b, sets, sys, omega, face):
+
+def _compose(p, q):
+    """Permutation product, q applied first."""
+    return tuple(p[x] for x in q)
+
+
+def _involution_closure(sys, colour_set):
+    """Conjugation closure of the smallest colour's involution, composed
+    tuple by tuple: each permutation, in the order found, with one witness
+    word over the given colours; the word's involutions, composed, give
+    the permutation."""
+    cols = sorted(colour_set)
+    seed = sys.xi[cols[0]]
+    words = {seed: (cols[0],)}
+    queue = [seed]
+    while queue:
+        mu = queue.pop()
+        for i in cols:
+            conj = _compose(sys.xi[i], _compose(mu, sys.xi[i]))
+            if conj not in words:
+                words[conj] = (i,) + words[mu] + (i,)
+                queue.append(conj)
+    perms = tuple(words)
+    return perms, tuple(words[p] for p in perms)
+
+
+@dataclass
+class _InvolutionSet:
+    perms: tuple
+    conj: dict   # bigger tube t -> rows[i_s][i_t], the index of mu_s.mu_t.mu_s
+
+    def __len__(self):
+        return len(self.perms)
+
+
+def _involution_tables(b, sets):
+    """Each tube's family of ``sets`` with the index table of its
+    conjugation action on the family of every bigger tube."""
+    tables = {t: _InvolutionSet(sets[t], {}) for t in b.proper_tubes}
+    for t in b.proper_tubes:
+        index = {p: i for i, p in enumerate(sets[t])}
+        for s in b.proper_tubes:
+            if s == t or (t & s) != s:
+                continue
+            rows = []
+            for mu_s in sets[s]:
+                row = [index.get(_compose(mu_s, _compose(mu_t, mu_s)))
+                       for mu_t in sets[t]]
+                if None in row:
+                    raise ValidationError("conjugation leaves the involution set")
+                rows.append(tuple(row))
+            tables[s].conj[t] = tuple(rows)
+    return tables
+
+
+def _phi_action(b, tables, s, omega):
+    """The face involution of one tube on a sheet label (sigma, mu, g).
+
+    The tube's own involution moves the cell; families at larger tubes
+    are conjugated; the group coordinate flips the tube's bit.  ``sigma``
+    indexes the tube's permutation, so a slice there returns that part of
+    the permutation instead of one cell.
+    """
+    sigma, mu, g = omega
+    j = b.proper_index[s]
+    tube_set = tables[s]
+    i_s = mu[j]
+    new_mu = list(mu)
+    for t, rows in tube_set.conj.items():
+        k = b.proper_index[t]
+        new_mu[k] = rows[i_s][mu[k]]
+    return tube_set.perms[i_s][sigma], tuple(new_mu), g ^ (1 << j)
+
+
+def _epsilon(sys, omega):
+    """Sign of a sheet label: cell sign times group-coordinate parity."""
+    sigma, _, g = omega
+    sign = 1 if sys.plus[sigma] else -1
+    if g.bit_count() & 1:
+        sign = -sign
+    return sign
+
+
+def _orbit_check(b, tables, sys, omega, face):
     """Face orbit must have size 2^k and hit each group coset element once."""
     tubes = [b.proper_tubes[i] for i in face]
     k = len(tubes)
@@ -671,7 +755,7 @@ def _orbit_check(b, sets, sys, omega, face):
     while frontier:
         w = frontier.pop()
         for s in tubes:
-            nxt = phi_action(b, sets, s, w)
+            nxt = _phi_action(b, tables, s, w)
             if nxt not in seen:
                 if len(seen) >= (1 << k):
                     return False
@@ -686,20 +770,125 @@ def _orbit_check(b, sets, sys, omega, face):
     return {w[2] for w in seen} == {omega[2] ^ d for d in span}
 
 
-def build_covering(b, sets, sys, budget=None):
-    """Certify that the sheet labels assemble into a covering, by walking
-    the fibre g = 0.
+def _pairs(b):
+    """The 2-faces of the nestohedron, as pairs of tube positions."""
+    p = face_poset(b)
+    return p.faces_by_size[2] if p.dim >= 2 else ()
 
-    The tube and the pair pools are walked over every fibre label x =
-    sigma + size * u, u the mixed-radix index of mu with mu[0] fastest.
+
+def _label_walk(b, tables, sys):
+    """``phi_involutions``, ``epsilon_class_constant`` and
+    ``phi_commutation`` over every fibre label x = sigma + size * u, u the
+    mixed-radix index of mu with mu[0] fastest.
+
     The walk runs once per mu index on a state (permutation, base) that
     carries every sigma of that mu at once; each tube's step at a base is
     ``phi_action`` with a full slice for sigma, stored the first time the
-    base is reached.  Every face is walked from every fibre label with
-    ``_orbit_check`` when r * faces is at most _FACE_WALK_LABELS; above
-    that, ``covering_fibers`` is ``phi_involutions and phi_commutation``,
-    by the relator argument of the library's ``build_covering``, which
-    the smaller inputs cross-check.
+    base is reached.
+    """
+    tubes = b.proper_tubes
+    size = sys.size
+    sizes = [len(tables[t]) for t in tubes]
+    weights = [size * prod(sizes[:k]) for k in range(len(tubes))]
+    steps = [{} for _ in tubes]
+
+    def move(j, state):
+        """Tube j's step on a (sigma permutation, base) state."""
+        cells, base = state
+        if base not in steps[j]:
+            u = base // size
+            mu = []
+            for n_i in sizes:
+                u, i = divmod(u, n_i)
+                mu.append(i)
+            perm, mu, _ = _phi_action(b, tables, tubes[j],
+                                      (slice(None), tuple(mu), 0))
+            steps[j][base] = perm, sum(map(mul, mu, weights))
+        perm, nxt = steps[j][base]
+        return tuple(perm[c] for c in cells), nxt
+
+    ident = tuple(range(size))
+    states = [(ident, base) for base in range(0, size * prod(sizes), size)]
+    # each cell's sign at g = 0, and at the odd g = e_j where a step lands
+    at_zero = [_epsilon(sys, (c, None, 0)) for c in range(size)]
+    landed = [_epsilon(sys, (c, None, 1)) for c in range(size)]
+    involutions = class_constant = True
+    for w in states:
+        for j in range(len(tubes)):
+            image = move(j, w)
+            involutions = involutions and move(j, image) == w
+            class_constant = class_constant and all(
+                landed[c] == at_zero[x] for c, x in zip(image[0], ident))
+    commutation = all(move(i, move(j, w)) == move(j, move(i, w))
+                      for w in states for i, j in _pairs(b))
+    return involutions, class_constant, commutation
+
+
+def _table_walk(b, tables, sys):
+    """The checks of ``_label_walk`` on the families' tables, at a cost
+    that does not depend on r.
+
+    On the fibre g = 0 tube s's step moves sigma by the permutation
+    pi^s_a, a = mu_s, and mu_t by the row ``tables[s].conj[t][a]`` for
+    each tube t strictly containing s.  Each check runs on states of rows:
+    the cells, one row per tube it steps holding that tube's index, and
+    one row per tube above them holding every index of that tube's
+    family.  A step maps whole rows, so one state stands for every label
+    with those indexes.
+    """
+    size = sys.size
+    tubes = b.proper_tubes
+    ident = tuple(range(size))
+
+    def states(own):
+        """Row positions, by tube, and the start states for the steps of
+        the ``own`` tubes: one state per choice of their indexes, holding
+        every cell and every index of each tube strictly above them."""
+        above = {t for s in own for t in tables[s].conj}.difference(own)
+        at = {t: q for q, t in enumerate((*own, *above), 1)}
+        rows = [tuple(range(len(tables[t]))) for t in above]
+        return at, ([ident, *((k,) for k in ks), *rows]
+                    for ks in product(*(range(len(tables[s])) for s in own)))
+
+    def step(s, state, at):
+        """Tube s's face involution on every label a state stands for."""
+        a = state[at[s]][0]
+        new = list(state)
+        new[0] = itemgetter(*state[0])(tables[s].perms[a])
+        for t, rows in tables[s].conj.items():
+            new[at[t]] = tuple(map(rows[a].__getitem__, state[at[t]]))
+        return new
+
+    involutions = class_constant = True
+    for s in tubes:
+        at, starts = states((s,))
+        for w in starts:
+            image = step(s, w, at)
+            involutions = involutions and step(s, image, at) == w
+            class_constant = class_constant and all(
+                sys.plus[c] != sys.plus[x] for c, x in zip(image[0], ident))
+    commutation = True
+    for i, j in _pairs(b):
+        at, starts = states((tubes[i], tubes[j]))
+        commutation = commutation and all(
+            step(tubes[i], step(tubes[j], w, at), at)
+            == step(tubes[j], step(tubes[i], w, at), at) for w in starts)
+    return involutions, class_constant, commutation
+
+
+def build_covering(b, tables, sys, budget=None):
+    """Certify that the sheet labels assemble into a covering, by walking
+    the fibre g = 0 on the families and conjugation tables of
+    ``_involution_tables``.
+
+    The tube and the pair pools are walked label by label (``_label_walk``)
+    when r is at most _LABEL_WALK_LABELS, and on the tables
+    (``_table_walk``) above that.  Every face is walked from every fibre
+    label with ``_orbit_check`` when r * faces is at most
+    _FACE_WALK_LABELS; above that, ``covering_fibers`` is
+    ``phi_involutions and phi_commutation``, by the relator argument of
+    the library's ``build_covering``, which the smaller inputs
+    cross-check.
 
     Two entries are closed forms, not counts: every face F splits the
     labels into classes of r * 2^|F|, so the fibre histogram is
@@ -714,66 +903,32 @@ def build_covering(b, sets, sys, budget=None):
     tubes = b.proper_tubes
     m = len(tubes)
     size = sys.size
-    sizes = [len(sets[t]) for t in tubes]
+    sizes = [len(tables[t]) for t in tubes]
     prod_i = prod(sizes)
     r = size * prod_i
     mode = "full" if r << m <= budget else "sampled"
     checks = {}
 
     checks["xi_involutions"] = all(
-        compose(x, x) == tuple(range(size))
+        _compose(x, x) == tuple(range(size))
         and all(sys.plus[x[t]] != sys.plus[t] for t in range(size))
         for x in sys.xi)
     graph = sys.y.graph
     checks["xi_commutation"] = all(
-        compose(sys.xi[i], sys.xi[j]) == compose(sys.xi[j], sys.xi[i])
+        _compose(sys.xi[i], sys.xi[j]) == _compose(sys.xi[j], sys.xi[i])
         for i in range(sys.n_colours) for j in range(i + 1, sys.n_colours)
         if not graph.has_edge(i, j))
 
-    weights = [size * prod(sizes[:k]) for k in range(m)]
-    steps = [{} for _ in tubes]
-
-    def move(j, state):
-        """Tube j's step on a (sigma permutation, base) state."""
-        cells, base = state
-        if base not in steps[j]:
-            u = base // size
-            mu = []
-            for n_i in sizes:
-                u, i = divmod(u, n_i)
-                mu.append(i)
-            perm, mu, _ = phi_action(b, sets, tubes[j],
-                                     (slice(None), tuple(mu), 0))
-            steps[j][base] = perm, sum(map(mul, mu, weights))
-        perm, nxt = steps[j][base]
-        return tuple(perm[c] for c in cells), nxt
-
-    ident = tuple(range(size))
-    states = [(ident, base) for base in range(0, r, size)]
-    # each cell's sign at g = 0, and at the odd g = e_j where a step lands
-    at_zero = [epsilon(sys, (c, None, 0)) for c in range(size)]
-    landed = [epsilon(sys, (c, None, 1)) for c in range(size)]
-    involutions = class_constant = True
-    for w in states:
-        for j in range(m):
-            image = move(j, w)
-            involutions = involutions and move(j, image) == w
-            class_constant = class_constant and all(
-                landed[c] == at_zero[x] for c, x in zip(image[0], ident))
-    checks["phi_involutions"] = involutions
-    checks["epsilon_class_constant"] = class_constant
-
-    pairs = p.faces_by_size[2] if p.dim >= 2 else ()
-    checks["phi_commutation"] = all(
-        move(i, move(j, w)) == move(j, move(i, w))
-        for w in states for i, j in pairs)
+    walk = _label_walk if r <= _LABEL_WALK_LABELS else _table_walk
+    (checks["phi_involutions"], checks["epsilon_class_constant"],
+     checks["phi_commutation"]) = walk(b, tables, sys)
 
     faces = [face for level in p.faces_by_size for face in level]
     if r * len(faces) <= _FACE_WALK_LABELS:
         labels = [(sigma, mu, 0) for mu in product(*map(range, sizes))
                   for sigma in range(size)]
         checks["covering_fibers"] = all(
-            _orbit_check(b, sets, sys, w, face)
+            _orbit_check(b, tables, sys, w, face)
             for w in labels for face in faces)
     else:
         checks["covering_fibers"] = (checks["phi_involutions"]
@@ -781,7 +936,7 @@ def build_covering(b, sets, sys, budget=None):
     checks["degree_independent"] = True
 
     histogram = {r: sum(1 << (m - len(face)) for face in faces)}
-    i_sizes = {",".join(str(v) for v in members(t)): len(sets[t])
+    i_sizes = {",".join(str(v) for v in members(t)): len(tables[t])
                for t in tubes}
     return CoveringCertificate(r, (1 << (m - 1)) * prod_i, m, size,
                                i_sizes, histogram, checks, mode)
@@ -880,6 +1035,13 @@ def _codim2_cofacets(c):
 @pytest.fixture
 def covering_oracle():
     return SimpleNamespace(build_covering=build_covering,
+                           label_walk=_label_walk,
+                           table_walk=_table_walk,
+                           closure=_involution_closure,
+                           tables=_involution_tables,
+                           compose=_compose,
+                           phi_action=_phi_action,
+                           epsilon=_epsilon,
                            orbit_check=_orbit_check,
                            substitute=_substitute,
                            codim2_cofacets=_codim2_cofacets)

@@ -108,7 +108,9 @@ def test_criterion_13_realization_pipeline():
         "3-sphere with the 4-path: certificate within budget":
             "r=116640 s=248832 mode=sampled",
         "4-sphere with the 5-path: exact certificate":
-            "r=1259712000 s=14332723200 m=14"})
+            "r=1259712000 s=14332723200 m=14",
+        "5-sphere with the 6-path: exact certificate":
+            "r=357128352000000 s=37150418534400000 m=20"})
 
 
 def test_criterion_14_closed_forms():

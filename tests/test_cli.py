@@ -420,6 +420,12 @@ PINNED_REPORTS = {
         "c2a11cf32eefcbfa70e46e1b4998c3592c2a65ac5069d1b85e58831204ab9825",
         ["realize", "--pseudomanifold", "sphere:2", "--graph", "complete:3",
          "--budget", "1000"]),
+    "realize-sphere3-path4": (
+        "bfcabd16ccc1d95f24266d1d405d00393ab75ac074a52956ff785f99e5087832",
+        ["realize", "--pseudomanifold", "sphere:3", "--graph", "path:4"]),
+    "realize-sphere4-path5": (
+        "7e2637eeb01f096a9522b255aa30e46220d9171a224deaa1362f912ab3b804ef",
+        ["realize", "--pseudomanifold", "sphere:4", "--graph", "path:5"]),
 }
 
 

@@ -2,6 +2,8 @@
 on its second sight, the memo stays within CELL_BUDGET cells, and nothing
 it keeps hides a broken check."""
 
+from dataclasses import replace
+
 import pytest
 
 from nestotope import cli, errors, realization, subdivision, verify
@@ -114,14 +116,20 @@ def test_memo_stays_within_the_cell_budget(monkeypatch):
     assert len(builds) == 3
 
 
+def _first_sign_flipped(sys):
+    """The sigma system with its first cell's sign flipped, so no crossing
+    involution swaps the signs there."""
+    return replace(sys, plus=(not sys.plus[0],) + sys.plus[1:])
+
+
 # suite -> (module, name, the replacement made from the real function),
 # the breaks of tests/test_verify.py that a memoised subdivision could hide
 _BREAKS = {
     "star-condition": (subdivision, "_codim2_cofacets",
                        lambda real: lambda c: {key: cnt + 1 for key, cnt
                                                in real(c).items()}),
-    "realization": (realization, "epsilon",
-                    lambda real: lambda sys, omega: omega[2]),
+    "realization": (realization, "build_sigma_system",
+                    lambda real: lambda y: _first_sign_flipped(real(y))),
     "lemma-certificates": (subdivision, "_int_det",
                            lambda real: lambda rows: 0),
 }

@@ -1,6 +1,8 @@
 """The verify suites are not vacuous: breaking one library value that a
 suite reads makes it report a failing item."""
 
+from dataclasses import replace
+
 import pytest
 
 from nestotope import formulas as fm
@@ -13,6 +15,14 @@ def _shifted(module, name):
 
 
 _cofacets = subdivision._codim2_cofacets
+_sigma_system = realization.build_sigma_system
+
+
+def _first_sign_flipped(sys):
+    """The sigma system with its first cell's sign flipped, so no crossing
+    involution swaps the signs there."""
+    return replace(sys, plus=(not sys.plus[0],) + sys.plus[1:])
+
 
 # suite -> (module, name, replacement, smallest max_n that reaches it)
 BREAKS = {
@@ -28,8 +38,9 @@ BREAKS = {
     "star-condition": (subdivision, "_codim2_cofacets",
                        lambda c: {key: cnt + 1 for key, cnt in _cofacets(c).items()},
                        1),
-    # the sign of a label must not depend on its group coordinate
-    "realization": (realization, "epsilon", lambda sys, omega: omega[2], 1),
+    # every crossing involution must swap the cell signs
+    "realization": (realization, "build_sigma_system",
+                    lambda y: _first_sign_flipped(_sigma_system(y)), 1),
     "formulas": (fm, "zigzag", lambda m: 0, 1),
 }
 
