@@ -35,22 +35,25 @@ result, so ``ColouredSubdivision`` is frozen.
 A substitution subdivision y is certified on two smaller objects, not by
 walking y: its simplex piece K, which ``_piece_signs`` shows tiles the
 simplex once with coherent signs, and bar(Z), which ``orient`` passes in
-both modes (in path mode y is bar(Z) itself).  They prove y an oriented
+both modes (in path mode y is bar(Z) itself), and both are
+vertex-determined.  They prove y a vertex-determined oriented
 pseudo-manifold whose signs are the products of bar(Z)'s and K's (see
-``_subdivide_pseudomanifold``), so y carries the pseudo-manifold verdict
-and ``orient`` never runs on it; it also carries K, on which
+``_subdivide_pseudomanifold``), so y carries the verdicts of
+``pseudo_manifold_check`` and ``is_vertex_determined``, and neither they
+nor ``orient`` run on it; it also carries K, on which
 ``condition_star_check`` answers for it.  How ``_substitute`` assembles
 y's columns is not certified: the tests compare it with an independent
 construction.
 
 Both checks walk the codimension-2 cells in one routine, which reads a
 cell's colours as the OR of ``1 << colour`` over its vertices, and the pair
-of colours it misses from a table keyed by that mask.
+of colours it misses from a table keyed by that mask; its depth in the
+simplex comes from the OR of its vertices' coordinate supports.
 """
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations
 from math import factorial, lcm
 from operator import itemgetter, or_
 
@@ -61,7 +64,6 @@ from .cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
     orient,
-    passed_pseudo_manifold_check,
     record_passed_checks,
 )
 from .nestohedron import _int_det
@@ -347,46 +349,22 @@ def verify_lemma_conditions(k, g, a):
 
 def _codim2_cofacets(c):
     """Top-cell count of every codimension-2 cell, in first-seen order
-    over the facets.
+    over the facets that lie in a top cell.
 
     A top cell holding a codimension-2 cell C holds exactly two of its
-    facets through C, so twice(C) = 2 * tops(C) is the sum of w_F over the
-    facets F through C, w_F being F's top count.  That holds with or
-    without boundary: a boundary facet simply counts one top cell.  The
-    sum splits by levels, #{F through C : w_F >= j} for j = 1, 2, ..., and
-    folds into
-
-        twice(C) = 2 #{w_F >= 1} - #{w_F = 1} + sum over j >= 3 of #{w_F >= j},
-
-    so tops(C) is #{w_F >= 1} plus half the difference of the other two
-    terms.  Each facet's faces are counted once, and again only on a
-    boundary (w_F = 1) or where more than two top cells meet (w_F >= 3),
-    and only the cells counted again are revisited.  The w_F are counted
-    over the top cells, unless the complex carries the verdict that
-    ``pseudo_manifold_check`` passes it, as every closed subdivision does:
-    then every w_F is 2, and the whole count is one pass over the facets.
+    facets through C, so 2 tops(C) is the sum of w_F over the facets F
+    through C, w_F being F's top count.  That holds with or without
+    boundary: a boundary facet simply counts one top cell.
     """
     n = c.n
-    facets = c.face_columns[n - 1]
-    if passed_pseudo_manifold_check(c):
-        weights = [2] * c.n_cells(n - 1)
-    else:
-        tops = Counter(chain.from_iterable(c.face_columns[n]))
-        weights = list(map(tops.__getitem__, range(c.n_cells(n - 1))))
-
-    def faces(keep):
-        # facet by facet, so that cells are first seen in that order
-        return chain.from_iterable(compress(zip(*facets), keep))
-
-    once = Counter(faces(weights))
-    out = dict(zip(zip(repeat(n - 2), once), once.values()))
-    ones = Counter(faces(map((1).__eq__, weights)))
-    deep = Counter()
-    for j in range(3, max(weights, default=0) + 1):
-        deep.update(faces(map((j).__le__, weights)))
-    for cid in ones.keys() | deep.keys():
-        out[n - 2, cid] += (deep[cid] - ones[cid]) // 2
-    return out
+    weights = Counter(chain.from_iterable(c.face_columns[n]))
+    twice = {}
+    for f, faces in enumerate(zip(*c.face_columns[n - 1])):
+        w = weights[f]
+        if w:
+            for cid in faces:
+                twice[cid] = twice.get(cid, 0) + w
+    return {(n - 2, cid): t // 2 for cid, t in twice.items()}
 
 
 def _missing_pairs(g):
@@ -397,10 +375,14 @@ def _missing_pairs(g):
             for u, w in combinations(range(g.n_vertices), 2)}
 
 
-def _colour_masks(c, k, colours, full):
-    """The OR of ``1 << colour`` over the vertices of every k-cell, one
-    vertex column at a time, kept to the colours in ``full``."""
-    bits = [(1 << col) & full for col in colours]
+def _supports(coords):
+    """The coordinate support of every point, as a slot mask."""
+    return [sum(1 << j for j, x in enumerate(p) if x) for p in coords]
+
+
+def _vertex_masks(c, k, bits):
+    """The OR of ``bits[v]`` over the vertices v of every k-cell, one vertex
+    column at a time."""
     masks = [0] * c.n_cells(k)
     for col in c.vertex_columns[k]:
         masks = list(map(or_, masks, map(bits.__getitem__, col)))
@@ -413,14 +395,18 @@ def _codim2_rule(c, colours, coords, g):
     Without ``coords`` every cell counts as interior.  Returns a
     ``Counter`` of such cells by depth, the number of slots their
     coordinates miss (0 for all without ``coords``), and the failures, in
-    the order of ``_codim2_cofacets``."""
+    the order of ``_codim2_cofacets``.  A cell's colours and support are
+    the ORs of its vertices' colour bits and support masks."""
     checked = Counter()
     if c.n < 2:
         return checked, []
     nv = g.n_vertices
     full = (1 << nv) - 1
     pairs = _missing_pairs(g)
-    masks = _colour_masks(c, c.n - 2, colours, full)
+    k = c.n - 2
+    masks = _vertex_masks(c, k, [(1 << col) & full for col in colours])
+    supports = _vertex_masks(c, k, [full] * c.n_cells(0) if coords is None
+                             else _supports(coords))
     failures = []
     for (kk, cid), cnt in _codim2_cofacets(c).items():
         pair = pairs.get(masks[cid])
@@ -431,12 +417,7 @@ def _codim2_rule(c, colours, coords, g):
         u, w, adjacent = pair
         if adjacent:
             continue
-        depth = 0
-        if coords is not None:
-            support = set()
-            for col in c.vertex_columns[kk]:
-                support.update(j for j, x in enumerate(coords[col[cid]]) if x != 0)
-            depth = nv - len(support)
+        depth = nv - supports[cid].bit_count()
         checked[depth] += 1
         if depth > 1:
             failures.append(
@@ -500,9 +481,15 @@ def _subdivide_pseudomanifold(z, g, apex):
       by one of its boundary facets, so the components of y are those of
       bar(Z), each with all of K; the least top cell of one is (t, 0),
       t least in bar(Z)'s component, and its product sign is +1.
+    - y is vertex-determined, as K and bar(Z) are.  The vertex labels of
+      (h, c) hold c's K-vertices, and K is vertex-determined, so the
+      vertex set fixes c.  The hosts of those vertices are faces of h
+      whose slot sets cover carrier(c), which is all of h's slots, so
+      their vertices are all of h's, and bar(Z), a simplicial complex,
+      fixes h.
 
-    So y carries the verdict of ``pseudo_manifold_check``, not that of
-    ``is_vertex_determined``, which still runs when asked.
+    So y carries the verdicts of ``pseudo_manifold_check`` and
+    ``is_vertex_determined``, and neither runs on it.
     """
     if z.n + 1 != g.n_vertices:
         raise ValidationError(
@@ -538,8 +525,11 @@ def _subdivide_pseudomanifold(z, g, apex):
 
     k = lemma_subdivision(g, apex)
     signs = _piece_signs(k)
+    if not (bar.is_vertex_determined() and k.complex.is_vertex_determined()):
+        raise ValidationError("two cells of the barycentric subdivision or "
+                              "of the simplex piece share a vertex set")
     y, colours = _substitute(bar, k)
-    record_passed_checks(y, vertex_determined=False)
+    record_passed_checks(y)
     flipped = [-s for s in signs]
     orientation = tuple(chain.from_iterable(
         signs if s > 0 else flipped for s in bcert.orientation))
@@ -550,16 +540,9 @@ def _subdivide_pseudomanifold(z, g, apex):
 
 def _carriers(k):
     """The coordinate support of every cell of the simplex subdivision
-    ``k`` as a slot mask, level by level; any two facets of a cell cover
-    all its vertices."""
-    kc = k.complex
-    carrier = [[sum(1 << j for j, x in enumerate(p) if x) for p in k.coords]]
-    for kk in range(1, kc.n + 1):
-        below = carrier[-1]
-        slot0, slot1 = kc.face_columns[kk][:2]
-        carrier.append(list(map(or_, map(below.__getitem__, slot0),
-                                map(below.__getitem__, slot1))))
-    return carrier
+    ``k`` as a slot mask, level by level."""
+    kc, supports = k.complex, _supports(k.coords)
+    return [_vertex_masks(kc, kk, supports) for kk in range(kc.n + 1)]
 
 
 def _piece_signs(k):

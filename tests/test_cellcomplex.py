@@ -111,9 +111,15 @@ def test_codim2_cofacets_match_vertex_sets():
             continue
         want = Counter(frozenset(sub) for verts in zip(*c.vertex_columns[c.n])
                        for sub in combinations(verts, c.n - 1))
+        counted = _codim2_cofacets(c)
         got = {frozenset(col[cid] for col in c.vertex_columns[k]): cnt
-               for (k, cid), cnt in _codim2_cofacets(c).items()}
+               for (k, cid), cnt in counted.items()}
         assert got == dict(want)
+        # listed in first-seen order over the facets that lie in a top cell
+        held = set(chain.from_iterable(c.face_columns[c.n]))
+        facets = enumerate(zip(*c.face_columns[c.n - 1]))
+        assert [cid for _, cid in counted] == list(dict.fromkeys(
+            cid for f, faces in facets if f in held for cid in faces))
 
 
 def test_subcell_tables_match_gluing_instances(gluing):

@@ -13,7 +13,7 @@ import pytest
 
 import nestotope
 from nestotope.errors import BudgetExceeded
-from nestotope import cli, verify
+from nestotope import cli, subdivision, verify
 from nestotope import formulas as fm
 
 
@@ -109,6 +109,20 @@ def test_subdivide_certifies_the_apex_it_substituted(monkeypatch, tmp_path,
     assert data["mode"] == "substitution"
     assert data["certificate"]["simplex_ok"] is True
     assert seen == [(want, want)]
+
+
+def test_subdivide_certify_builds_the_piece_once(monkeypatch, tmp_path):
+    # the certificate reads the piece the subdivision was built from: a
+    # one-off input, on its first sight in the memo, builds it once
+    builds = []
+    real = subdivision._lemma_subdivision
+    monkeypatch.setattr(subdivision, "_lemma_subdivision",
+                        lambda g, a: builds.append(a) or real(g, a))
+    subdivision._MEMO.clear()
+    assert cli.run(["subdivide", "--pseudomanifold", "sphere:2", "--graph",
+                    "cycle:3", "--certify", "--emit",
+                    str(tmp_path / "y.json")]) == 0
+    assert builds == [0]
 
 
 def test_realize_certificate(tmp_path):
@@ -416,6 +430,11 @@ PINNED_REPORTS = {
     "sphere4-star5": ("c17246e23a743e65a9f2b279451e3323b1290b0babb354f94a93505742bd12fb",
                       ["subdivide", "--pseudomanifold", "sphere:4", "--graph",
                        "star:5", "--certify"]),
+    # the largest substitution report: its piece has 128 top cells
+    "sphere4-star5-apex1": (
+        "b8d6f23700ce3dc42f4055c1d8c4d3423f85a0e53c94e6cc0a7bf7fe55cda09a",
+        ["subdivide", "--pseudomanifold", "sphere:4", "--graph", "star:5",
+         "--apex", "1", "--certify"]),
     "realize-sphere2-complete3": (
         "c2a11cf32eefcbfa70e46e1b4998c3592c2a65ac5069d1b85e58831204ab9825",
         ["realize", "--pseudomanifold", "sphere:2", "--graph", "complete:3",

@@ -11,6 +11,8 @@ from nestotope import subdivision
 from nestotope.errors import CELL_BUDGET, BudgetExceeded, ValidationError
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
+    barycentric_subdivide,
+    complex_to_json_dict,
     homology,
     homology_z2,
     klein_bottle,
@@ -379,17 +381,32 @@ def test_substitution_certificate_matches_generic_checks(monkeypatch, build,
     rule = subdivision._codim2_rule
     monkeypatch.setattr(subdivision, "_codim2_rule",
                         lambda c, *args: walked.append(c) or rule(c, *args))
+    sorted_ = []
+    distinct = SimplicialCellComplex._distinct_vertex_sets
+    monkeypatch.setattr(SimplicialCellComplex, "_distinct_vertex_sets",
+                        lambda c: sorted_.append(c) or distinct(c))
+    bar_counts = barycentric_subdivide(z).cell_counts()
     # built on the first and second sight, served on the third
-    for _ in range(3):
+    for built in (True, True, False):
+        sorted_.clear()
         y = subdivide_pseudomanifold(z, g, apex=apex)
         assert y.mode == "substitution"
-        # the certificate recorded the verdict that the generic check and
+        # each build sorts the vertex sets of bar(Z) and the piece, and
+        # neither the build nor the JSON report sorts y's
+        complex_to_json_dict(y.complex, orientation=y.orientation)
+        assert all(c is not y.complex for c in sorted_)
+        assert [c.cell_counts() for c in sorted_] == (
+            [bar_counts, y.piece.complex.cell_counts()] if built else [])
+        # the certificate recorded the verdicts that the generic checks and
         # orient reach on a fresh copy of the columns, signs included
         assert passed_pseudo_manifold_check(y.complex)
         fresh = _copy(y.complex)
         assert not passed_pseudo_manifold_check(fresh)
         assert pseudo_manifold_check(fresh).is_pseudo
         assert orient(fresh).orientation == y.orientation
+        assert (fresh.is_vertex_determined()
+                is y.complex.is_vertex_determined() is True)
+        assert sorted_[-1] is fresh
         # the star check answers on the piece, as the walk on y does
         walked.clear()
         got = condition_star_check(y, g)
@@ -440,6 +457,21 @@ def test_broken_piece_is_refused_before_substitution(monkeypatch, breaking):
     monkeypatch.setattr(subdivision, "_substitute", _must_not_substitute)
     with pytest.raises(ValidationError, match="simplex piece cannot be substituted"):
         subdivide_pseudomanifold(simplex_sphere(3), star_graph(4))
+
+
+def test_repeated_vertex_set_is_refused_before_substitution(monkeypatch,
+                                                           gluing):
+    # two triangles glued along their whole boundary: an oriented
+    # pseudo-manifold whose top cells share one vertex set, put in place of
+    # bar(Z); no piece that passes its certificate repeats a vertex set
+    def two_triangles(z):
+        return gluing.complex_from_gluings(2, 2, [((0, i), (1, i))
+                                                  for i in range(3)])[0]
+
+    monkeypatch.setattr(subdivision, "barycentric_subdivide", two_triangles)
+    monkeypatch.setattr(subdivision, "_substitute", _must_not_substitute)
+    with pytest.raises(ValidationError, match="share a vertex set"):
+        subdivide_pseudomanifold(simplex_sphere(2), cycle_graph(3))
 
 
 def _segment(points, tops):
