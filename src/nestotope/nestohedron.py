@@ -20,20 +20,23 @@ over the Minkowski summands.
 
 The last third of the module studies the simplicial projection onto the
 simplex spanned by the ground set: a face maps to the barycentre of the
-coordinate simplex on the elements its tubes leave uncovered, and the
-mapping degree is computed by signed counting of nondegenerate flags.
+coordinate simplex on the elements its tubes leave uncovered.  Each flag
+of the simplex has exactly one chain of faces over it, so once the face
+poset is checked against the tubings and the vertex points against their
+tubes, the mapping degree is the orientation sign of one chain, read from
+one determinant (``pi_degree``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from math import comb, factorial
+from itertools import accumulate, permutations
+from math import comb
 from operator import add
 
 from .errors import ValidationError
-from .graphs import bits_of, members
+from .graphs import bits_of, members, validate_building_set
 
 _MAX_POSET_VERTICES = 10  # clique enumeration above this is not worth having
 
@@ -150,6 +153,11 @@ def face_poset(b):
     case).  Every maximal tubing must have full size; anything else means the
     input was not a building set and raises.
     """
+    return FacePoset(b, _tubing_levels(b))
+
+
+def _tubing_levels(b):
+    """The levels of ``face_poset(b)``, each a list of sorted tuples."""
     if not b.contains_ground:
         raise ValidationError("face poset needs the ground set among the tubes")
     if b.n_vertices > _MAX_POSET_VERTICES:
@@ -170,19 +178,21 @@ def face_poset(b):
     if any(commons):
         raise ValidationError(
             "found more pairwise compatible tubes than the dimension")
-    return FacePoset(b, levels)
+    return levels
 
 
 def check_simple_and_flag(p):
     """Verify the stored face list against the clique model.
 
-    True when each level of ``p.face_sets`` equals the cliques of the pair
-    relation that the stored 2-faces record, and every maximal clique is a
-    full-size tubing.  Levels 1 and 2, which the relation is read from, are
-    first checked for shape and for indexes in range; the cliques, rebuilt
-    level by level, are sorted and subset-closed, so equality implies the
-    same of the store.  A hand-built poset missing the top of a clique
-    (three compatible tubes, no triple face) fails here.
+    True when each level of ``p.faces_by_size`` lists the cliques of the
+    pair relation that the stored 2-faces record, each once, and every
+    maximal clique is a full-size tubing.  Levels 1 and 2, which the
+    relation is read from, are first checked for shape and for indexes in
+    range; the cliques, rebuilt level by level, are distinct, sorted and
+    subset-closed, so a level as long as its cliques that contains them all
+    is the same list with no face twice, and is subset-closed too.  A
+    hand-built poset missing the top of a clique (three compatible tubes,
+    no triple face) or listing a face twice fails here.
     """
     n = p.dim
     stored = p.face_sets
@@ -201,7 +211,8 @@ def check_simple_and_flag(p):
     start = sum(1 << f[0] for f in stored[1]) if n >= 1 else 0
     for k, (faces, commons) in enumerate(_clique_levels(start, adj, n)):
         # the cliques are distinct, so equal counts and containment suffice
-        if (len(faces) != len(stored[k]) or not stored[k].issuperset(faces)
+        if (len(faces) != len(p.faces_by_size[k])
+                or not stored[k].issuperset(faces)
                 or k < n and not all(commons)):
             return False
     return not any(commons)
@@ -222,8 +233,8 @@ def face_incidences(p):
     up to the sign of each cell (Lundell and Weingram, "The Topology of CW
     Complexes", 1969), and a gluing of copies along faces takes the same
     numbers in every copy, so its cellular homology does not depend on the
-    choice.  A face with dim-1 tubes is an edge and must have exactly two
-    ends, or this raises.
+    choice.  A face under a stored face must be stored, and a face with
+    dim-1 tubes is an edge and must have exactly two ends, or this raises.
 
     >>> from nestotope.graphs import path_graph, graph_building_set
     >>> p = face_poset(graph_building_set(path_graph(2)))
@@ -232,10 +243,14 @@ def face_incidences(p):
     """
     n = p.dim
     out = {face: [] for level in p.faces_by_size[:n] for face in level}
-    for level in p.faces_by_size[1:]:
-        for facet in level:
-            for i in range(len(facet)):
-                out[facet[:i] + facet[i + 1:]].append((facet, (-1) ** i))
+    try:
+        for level in p.faces_by_size[1:]:
+            for facet in level:
+                for i in range(len(facet)):
+                    out[facet[:i] + facet[i + 1:]].append((facet, (-1) ** i))
+    except KeyError as missing:
+        raise ValidationError(f"face {missing.args[0]} under face {facet} is "
+                              "missing from the face poset") from None
     if n and any(len(out[edge]) != 2 for edge in p.faces_by_size[n - 1]):
         raise ValidationError("an edge of the polytope does not have two ends")
     return {face: tuple(facets) for face, facets in out.items()}
@@ -459,107 +474,104 @@ def _det_sign(rows):
     return (d > 0) - (d < 0)
 
 
-def _signed_flag_counts(p, coords):
-    """Signed counts of the nondegenerate complete face chains, per image.
-
-    Returns ``acc``, which maps each image flag, the tuple of uncovered
-    masks u(F) of the chain's faces from vertex to the whole polytope, to
-    the sum over the chains above it of the source orientation sign times
-    the image flag's sign.  Source points are face barycentres scaled by
-    vertex counts: each vertex's point is added into every face of its
-    tubing.  The image flag's 0/1 rows differ by the rows of a permutation
-    matrix, so its sign is the permutation's, read off the walk: each step
-    uncovers one element x after the elements u already uncovered, and adds
-    one inversion per element of u above x.
-
-    A chain counts only when u grows by one element at each step: its face
-    at step i, which has dim - i tubes, must leave i + 1 elements uncovered.
-    So a chain is nondegenerate exactly when every face F on it is good,
-    |u(F)| = n_vertices - |F|, and the walk down from each vertex, which
-    descends only into good faces, reaches exactly the nondegenerate chains
-    of ``_flags``.  Every key is then a nested chain of masks of sizes 1 to
-    n_vertices ending at the ground set, the chain of one ordering of the
-    ground set, so ``acc`` has at most n_vertices! keys.  A stored tubing
-    that covers the whole ground set (it has no image), a face under a good
-    face that the poset does not store, and a stored face that no vertex
-    contains, raise.
-    """
-    b = p.b
-    nv = b.n_vertices
-    proper = b.proper_tubes
-    uncovered = {}
-    bary = {}
-    for level in p.faces_by_size:
+def _check_tubings(p, levels):
+    """Raise unless each level of ``p`` lists the faces of ``levels`` (the
+    tubings of ``p.b``), each once and nothing else, naming the first face
+    missing, stored but no tubing, or stored twice.  Containment and equal
+    lengths suffice, and only a failing level is searched for the face."""
+    if len(p.faces_by_size) != len(levels):
+        raise ValidationError(f"face poset has {len(p.faces_by_size)} "
+                              f"levels, not {len(levels)}")
+    for stored, have, level in zip(p.faces_by_size, p.face_sets, levels):
+        if len(stored) == len(level) and have.issuperset(level):
+            continue
+        tubings = set(level)
+        seen = set()
         for face in level:
-            covered = 0
-            for i in face:
-                covered |= proper[i]
-            uncovered[face] = b.ground_mask & ~covered
-            if not uncovered[face]:
-                raise ValidationError("tubing covers the whole ground set")
-            bary[face] = None
-    for v in p.vertices:
-        pt = coords[v]
-        under = [()]
-        for i in v:
-            under += [face + (i,) for face in under]
-        for face in under:
-            if face in bary:
-                row = bary[face]
-                bary[face] = pt if row is None else tuple(map(add, row, pt))
-    if any(row is None for row in bary.values()):
-        raise ValidationError("face with no vertices")
-    good = {face for face, u in uncovered.items()
-            if u.bit_count() == nv - len(face)}
-
-    acc = {}
-
-    def descend(face, key, rows, inversions):
-        if not face:
-            sdom = _det_sign(rows)
-            if sdom == 0:
+            if face not in have:
                 raise ValidationError(
-                    "degenerate source flag with nondegenerate image")
-            acc[key] = acc.get(key, 0) + (-sdom if inversions & 1 else sdom)
-            return
-        u = key[-1]
-        for drop in range(len(face)):
-            child = face[:drop] + face[drop + 1:]
-            if child in good:
-                grown = uncovered[child]
-                descend(child, key + (grown,), rows + (bary[child],),
-                        inversions + (u >> (grown & ~u).bit_length()).bit_count())
-            elif child not in uncovered:
+                    f"face {face} is missing from the face poset")
+        for face in stored:
+            if face not in tubings:
                 raise ValidationError(
-                    f"face {child} under face {face} is missing from the "
-                    "face poset")
-
-    for v in p.vertices:
-        if v in good:
-            descend(v, (uncovered[v],), (bary[v],), 0)
-    return acc
+                    f"stored face {face} is no tubing of the building set")
+            if face in seen:
+                raise ValidationError(
+                    f"face {face} is stored twice in the face poset")
+            seen.add(face)
 
 
 def pi_degree(p):
-    """Degree of the barycentric projection onto the ground-set simplex.
+    """Degree of the barycentric projection onto the ground-set simplex,
+    read off the one face chain over one image flag.
 
-    A face maps to the barycentre of the coordinate simplex on the elements
-    its tubes leave uncovered, so every complete face chain maps to a chain
-    of coordinate subsets; chains whose subset sizes fail to grow one by one
-    are degenerate and count zero.  For the rest, the product of the two
-    orientation signs is accumulated per image flag
-    (``_signed_flag_counts``, which builds the face barycentres from the
-    vertex coordinates, refuses a tubing that covers the whole ground set
-    and prunes the chain walk at the first degenerate face).  Every image
-    flag is the chain of one ordering of the ground set, so the image flags
-    exhaust all orderings exactly when there are n_vertices! of them; and
-    the count must come out the same for every image flag.  Any failure
-    raises.
+    A face F maps to the barycentre of the coordinate simplex on u(F), the
+    elements its tubes leave uncovered; u(F) is never empty, since the
+    union of a tubing's maximal tubes is no tube and the ground set is one.
+    On the barycentric subdivisions, one vertex per face of the polytope
+    and one per nonempty subset of the ground set, this is a simplicial
+    map: a chain of faces goes to the chain of their uncovered sets.  A
+    proper face leaves a proper subset uncovered, so the boundary sphere,
+    the chains without the whole polytope, goes into the boundary of the
+    simplex.  For a simplicial map of (ball, sphere) pairs the degree is
+    the signed count of the preimages of any one top simplex of the image:
+    each chain mapped onto it counts its orientation sign times the
+    image's, and a chain mapped to lower dimension counts nothing.  The
+    signs are determinant signs of points: face barycentres on the source
+    (scaled by vertex counts, which keeps the sign) and 0/1 indicator rows
+    on the image.  They are coherent because the checked vertex points
+    (``all_vertex_coordinates``) and the checked face poset make the chains
+    a geometric triangulation of the polytope, so every determinant is
+    taken in the one orientation of its hyperplane.
+
+    The top simplex read is the image flag of the ground set's own order:
+    u grows through {0}, {0, 1}, ..., whose rows form a unitriangular
+    matrix of determinant 1.  Its preimage chain is forced (Carr and
+    Devadoss, Topology Appl. 153, 2006, for the tubings of a graph).  Read
+    from the whole polytope down, the face with k tubes leaves 0 to n - k
+    uncovered (n = dim), so its tubes cover exactly C_k = {n-k+1, ..., n}.
+    Going from C_(k-1) to C_k adds x = n - k + 1 and one tube T, which holds
+    x and lies in C_k.  The maximal tubes of the face with k - 1 tubes are
+    the components of C_(k-1), and each of them that meets or touches T
+    lies inside it, or the two are not compatible.  So T is the component of x in the graph
+    induced on C_k; for a building set, the largest tube inside C_k that
+    holds x.  Those tubes are pairwise compatible, so each image flag has
+    exactly one preimage chain, and the degree is its sign: n + 1 faces
+    and one determinant.
+
+    The argument needs ``p.b`` to be a building set and the poset to hold
+    its tubings and only them, while the chain reads n + 1 faces, so both
+    are checked first: ``validate_building_set``, then a fresh enumeration
+    that every level must match (``_check_tubings``), which refuses a face
+    dropped, listed twice or not a tubing, and so every face of the chain
+    is stored.  A vertex point off its tubes' equations or inequalities
+    raises in ``all_vertex_coordinates``, and a chain whose barycentres are
+    degenerate raises here.
     """
-    acc = _signed_flag_counts(p, all_vertex_coordinates(p))
-    if len(acc) != factorial(p.b.n_vertices):
-        raise ValidationError("projection misses some full flags of the simplex")
-    degs = set(acc.values())
-    if len(degs) != 1:
-        raise ValidationError(f"local degrees disagree: {sorted(degs)}")
-    return degs.pop()
+    b = p.b
+    n = p.dim
+    validate_building_set(b)
+    _check_tubings(p, _tubing_levels(b))
+    coords = all_vertex_coordinates(p)
+    chain = []  # chain[k - 1]: the tube the face with k tubes adds
+    for x in range(n, 0, -1):
+        c_k = b.ground_mask >> x << x
+        chain.append(b.proper_index[next(
+            t for t in reversed(b.proper_tubes)
+            if t >> x & 1 and t & ~c_k == 0)])
+    # a vertex's point goes into the faces of the chain it contains: the
+    # first ``depth`` below the whole polytope, and the whole polytope
+    depth_sums = [[0] * b.n_vertices for _ in range(n + 1)]
+    for vertex, point in coords.items():
+        tubes = set(vertex)
+        depth = 0
+        while depth < n and chain[depth] in tubes:
+            depth += 1
+        depth_sums[depth] = list(map(add, depth_sums[depth], point))
+    # rows[i]: the scaled barycentre of the face with n - i tubes
+    rows = list(accumulate(reversed(depth_sums),
+                           lambda a, r: list(map(add, a, r))))
+    sign = _det_sign(rows)
+    if sign == 0:
+        raise ValidationError("degenerate source flag with nondegenerate image")
+    return sign

@@ -137,14 +137,23 @@ def _suite_minkowski(max_n):
     return out
 
 
+def _degree(g):
+    return pi_degree(face_poset(graph_building_set(g)))
+
+
 def _suite_degree(max_n):
     out = []
-    for k in range(2, min(max_n, 4) + 2):
-        degrees = set()
-        for g in connected_graph_representatives(k):
-            degrees.add(pi_degree(face_poset(graph_building_set(g))))
+    for k in range(2, min(max_n, 5) + 2):
+        degrees = {_degree(g) for g in connected_graph_representatives(k)}
         out.append((f"projection degree on {k} vertices",
                     degrees == {1}, f"degrees {sorted(degrees)}"))
+    if max_n >= 6:
+        degrees = {name: _degree(make(7)) for name, make in (
+            ("path", path_graph), ("cycle", cycle_graph),
+            ("star", star_graph), ("complete", complete_graph))}
+        out.append(("projection degree on the 7-vertex path, cycle, star "
+                    "and complete graph", set(degrees.values()) == {1},
+                    ", ".join(f"{name} {d}" for name, d in degrees.items())))
     return out
 
 

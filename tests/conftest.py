@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product, repeat
 from math import lcm, prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +18,7 @@ from nestotope.cellcomplex import (
 from nestotope import subdivision
 from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, components_minus_vertex, members
-from nestotope.nestohedron import _flags, _int_det, face_poset
+from nestotope.nestohedron import _det_sign, _flags, _int_det, face_poset
 from nestotope.realization import CoveringCertificate
 
 
@@ -213,14 +213,16 @@ def snf_oracle():
 def check_simple_and_flag(p):
     """Verify the stored face list against the clique model.
 
-    True when faces are subset-closed, coincide with the cliques of the
-    stored pair relation, and every maximal face is a full-size tubing.  A
-    hand-built poset missing the top of a clique (three mutually compatible
-    tubes with no triple face) fails here.
+    True when faces are subset-closed, listed once each, coincide with the
+    cliques of the stored pair relation, and every maximal face is a
+    full-size tubing.  A hand-built poset missing the top of a clique (three
+    mutually compatible tubes with no triple face) fails here.
     """
     n = p.dim
     stored = [set(level) for level in p.faces_by_size]
-    if stored[0] != {()}:
+    if stored[0] != {()} or any(
+            len(level) != len(faces)
+            for level, faces in zip(p.faces_by_size, stored)):
         return False
     for k in range(1, n + 1):
         for face in stored[k]:
@@ -270,6 +272,98 @@ def check_simple_and_flag(p):
 @pytest.fixture
 def flag_check_oracle():
     return check_simple_and_flag
+
+
+# The projection degree by the pruned walk over every nondegenerate chain of
+# faces, which ``pi_degree`` computed before it read one forced chain: a
+# signed count per image flag, with its own refusals of a broken poset.
+
+
+def _signed_flag_counts(p, coords):
+    """Signed counts of the nondegenerate complete face chains, per image.
+
+    Returns ``acc``, which maps each image flag, the tuple of uncovered
+    masks u(F) of the chain's faces from vertex to the whole polytope, to
+    the sum over the chains above it of the source orientation sign times
+    the image flag's sign.  Source points are face barycentres scaled by
+    vertex counts: each vertex's point is added into every face of its
+    tubing.  The image flag's 0/1 rows differ by the rows of a permutation
+    matrix, so its sign is the permutation's, read off the walk: each step
+    uncovers one element x after the elements u already uncovered, and adds
+    one inversion per element of u above x.
+
+    A chain counts only when u grows by one element at each step: its face
+    at step i, which has dim - i tubes, must leave i + 1 elements uncovered.
+    So a chain is nondegenerate exactly when every face F on it is good,
+    |u(F)| = n_vertices - |F|, and the walk down from each vertex, which
+    descends only into good faces, reaches exactly the nondegenerate chains
+    of ``_flags``.  Every key is then a nested chain of masks of sizes 1 to
+    n_vertices ending at the ground set, the chain of one ordering of the
+    ground set, so ``acc`` has at most n_vertices! keys.  A stored tubing
+    that covers the whole ground set (it has no image), a face under a good
+    face that the poset does not store, a stored face that no vertex
+    contains, and a degenerate source chain over a nondegenerate image,
+    raise.
+    """
+    b = p.b
+    nv = b.n_vertices
+    proper = b.proper_tubes
+    uncovered = {}
+    bary = {}
+    for level in p.faces_by_size:
+        for face in level:
+            covered = 0
+            for i in face:
+                covered |= proper[i]
+            uncovered[face] = b.ground_mask & ~covered
+            if not uncovered[face]:
+                raise ValidationError("tubing covers the whole ground set")
+            bary[face] = None
+    for v in p.vertices:
+        pt = coords[v]
+        under = [()]
+        for i in v:
+            under += [face + (i,) for face in under]
+        for face in under:
+            if face in bary:
+                row = bary[face]
+                bary[face] = pt if row is None else tuple(map(add, row, pt))
+    if any(row is None for row in bary.values()):
+        raise ValidationError("face with no vertices")
+    good = {face for face, u in uncovered.items()
+            if u.bit_count() == nv - len(face)}
+
+    acc = {}
+
+    def descend(face, key, rows, inversions):
+        if not face:
+            sdom = _det_sign(rows)
+            if sdom == 0:
+                raise ValidationError(
+                    "degenerate source flag with nondegenerate image")
+            acc[key] = acc.get(key, 0) + (-sdom if inversions & 1 else sdom)
+            return
+        u = key[-1]
+        for drop in range(len(face)):
+            child = face[:drop] + face[drop + 1:]
+            if child in good:
+                grown = uncovered[child]
+                descend(child, key + (grown,), rows + (bary[child],),
+                        inversions + (u >> (grown & ~u).bit_length()).bit_count())
+            elif child not in uncovered:
+                raise ValidationError(
+                    f"face {child} under face {face} is missing from the "
+                    "face poset")
+
+    for v in p.vertices:
+        if v in good:
+            descend(v, (uncovered[v],), (bary[v],), 0)
+    return acc
+
+
+@pytest.fixture
+def signed_flag_oracle():
+    return _signed_flag_counts
 
 
 # The vertex check one vertex at a time: the point from the coordinate

@@ -49,7 +49,10 @@ def test_criterion_04_minkowski_oracle():
 
 def test_criterion_05_projection_degree():
     _criterion(5, ["projection-degree"], {
-        "projection degree on 5 vertices": "degrees [1]"})
+        "projection degree on 5 vertices": "degrees [1]",
+        "projection degree on 6 vertices": "degrees [1]",
+        "projection degree on the 7-vertex path, cycle, star and complete "
+        "graph": "path 1, cycle 1, star 1, complete 1"})
 
 
 def test_criterion_06_z2_betti_equals_h():

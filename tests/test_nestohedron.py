@@ -1,7 +1,10 @@
 """Face lattice, vectors, exact coordinates and the simplex projection."""
 
 import gc
+import random
+import re
 from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -23,7 +26,7 @@ from nestotope.nestohedron import (
     FacePoset,
     _det_sign,
     _flags,
-    _signed_flag_counts,
+    _int_det,
     all_vertex_coordinates,
     barycentric_complex,
     check_simple_and_flag,
@@ -111,6 +114,15 @@ def test_check_simple_and_flag():
     broken = FacePoset(p.b, [p.faces_by_size[0], p.faces_by_size[1],
                              p.faces_by_size[2][1:], p.faces_by_size[3]])
     assert not check_simple_and_flag(broken)
+    # a face listed twice leaves the stored sets as they were, but not the
+    # face counts: a doubled vertex, then a doubled facet
+    q = _poset(path_graph(3))
+    f0, f1, f2 = q.faces_by_size
+    for levels, f in (([f0, f1, f2 + f2[:1]], (1, 5, 6)),
+                      ([f0, f1 + f1[:1], f2], (1, 6, 5))):
+        doubled = FacePoset(q.b, levels)
+        assert doubled.f_counts() == f
+        assert not check_simple_and_flag(doubled)
 
 
 def _outcome(check, p):
@@ -124,8 +136,9 @@ def _mutated_posets(p):
     """``(poset, verdict)`` for ``p`` broken at each level in the ways a
     hand-built face list can go wrong: a face dropped, listed twice,
     unsorted, with a repeated index, or taken from the level above (a
-    3-tuple in level 2) or below (an empty tuple in level 1).  Only a face
-    listed twice leaves the stored sets, and so the verdict, as they were."""
+    3-tuple in level 2) or below (an empty tuple in level 1).  Each is
+    refused; a face listed twice leaves the stored sets as they were, and
+    is refused by its level's length."""
     levels = p.faces_by_size
 
     def at(k, level):
@@ -134,7 +147,7 @@ def _mutated_posets(p):
     for k, level in enumerate(levels):
         for drop in range(len(level)):
             yield at(k, level[:drop] + level[drop + 1:]), False
-        yield at(k, level + level[:1]), True
+        yield at(k, level + level[:1]), False
         if k >= 2:
             yield at(k, level + (level[0][::-1],)), False
             yield at(k, level + ((level[0][0],) + level[0][:-1],)), False
@@ -379,10 +392,56 @@ def test_barycentric_complex_leaves_no_garbage_cycles(g):
         gc.enable()
 
 
-def test_projection_degree_is_one():
-    for k in range(2, 6):
-        for g in connected_graph_representatives(k):
-            assert pi_degree(_poset(g)) == 1
+def _forced_key(nv):
+    """The image flag ``pi_degree`` reads, as the walk keys it: the ground
+    set's own order, uncovering {0}, {0, 1}, ..., the ground set."""
+    return tuple((2 << i) - 1 for i in range(nv))
+
+
+def test_projection_degree_is_one(signed_flag_oracle):
+    # the walk over every nondegenerate chain finds every ordering of the
+    # ground set as an image flag, each of local degree 1; pi_degree reads
+    # the one chain over the first flag and must give the walk's value
+    graphs = [path_graph(7), complete_graph(7)]
+    for k in range(2, 7):
+        graphs.extend(connected_graph_representatives(k))
+    for g in graphs:
+        p = _poset(g)
+        acc = signed_flag_oracle(p, all_vertex_coordinates(p))
+        assert len(acc) == factorial(g.n_vertices), g
+        assert set(acc.values()) == {1}, g
+        assert pi_degree(p) == acc[_forced_key(g.n_vertices)] == 1, g
+
+
+def _leibniz_det(a):
+    n = len(a)
+    return sum((-1) ** sum(s[i] > s[j] for i, j in combinations(range(n), 2))
+               * prod(a[i][s[i]] for i in range(n))
+               for s in permutations(range(n)))
+
+
+def test_int_det_matches_leibniz():
+    # pi_degree decides the degree with one determinant.  Seeded integer
+    # matrices of size 1 to 6, in turn: plain; with the first column zero
+    # above the last row, so the first pivot search swaps rows; singular,
+    # the last row being the sum of the first and the one before it (zero
+    # at size 1)
+    rng = random.Random(51)
+    swapped = singular = 0
+    for size in range(1, 7):
+        for trial in range(90):
+            a = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            if trial % 3 == 1:
+                for row in a[:-1]:
+                    row[0] = 0
+            elif trial % 3 == 2:
+                a[-1] = ([x + y for x, y in zip(a[0], a[-2])] if size > 1
+                         else [0])
+            det = _int_det(a)
+            assert det == _leibniz_det(a), a
+            swapped += size > 1 and trial % 3 == 1 and det != 0
+            singular += det == 0
+    assert swapped > 100 and singular > 200
 
 
 def _every_chain_flag_counts(p, coords):
@@ -417,25 +476,25 @@ def _every_chain_flag_counts(p, coords):
     return acc
 
 
-def test_signed_flag_counts_match_every_chain():
+def test_signed_flag_counts_match_every_chain(signed_flag_oracle):
     graphs = [complete_graph(6)]
     for k in range(2, 6):
         graphs.extend(connected_graph_representatives(k))
     for g in graphs:
         p = _poset(g)
         coords = all_vertex_coordinates(p)
-        assert _signed_flag_counts(p, coords) == _every_chain_flag_counts(
+        assert signed_flag_oracle(p, coords) == _every_chain_flag_counts(
             p, coords), g
 
 
-def test_signed_flag_keys_are_orderings_of_the_ground_set():
-    # pi_degree counts the image flags instead of comparing them with every
-    # ordering of the ground set; the two agree because each key is a
-    # nested chain of masks of sizes 1 to n_vertices ending at the ground set
+def test_signed_flag_keys_are_orderings_of_the_ground_set(signed_flag_oracle):
+    # the walk's keys are compared by count with the orderings of the ground
+    # set; the two agree because each key is a nested chain of masks of
+    # sizes 1 to n_vertices ending at the ground set
     for k in range(2, 6):
         for g in connected_graph_representatives(k):
             p = _poset(g)
-            for key in _signed_flag_counts(p, all_vertex_coordinates(p)):
+            for key in signed_flag_oracle(p, all_vertex_coordinates(p)):
                 assert [m.bit_count() for m in key] == list(range(1, k + 1))
                 assert all(a & ~b == 0 for a, b in zip(key, key[1:]))
                 assert key[-1] == p.b.ground_mask
@@ -450,30 +509,49 @@ def _drop_vertices(p, drop):
     return FacePoset(p.b, levels + [tuple(keep)])
 
 
-def test_pi_degree_guards():
-    # No image needs a guard: a face's image is the simplex on its uncovered
-    # set, off its tubes by definition, and an image flag is a chain of
-    # nested subsets growing one element at a time, whose sign is its
-    # permutation's.  Every refusal is reached below; a tubing that covers
-    # the whole ground set has no image, and _signed_flag_counts refuses it.
+def test_pi_degree_guards(signed_flag_oracle):
+    # pi_degree reads one chain, so it first checks its premise: p.b is a
+    # building set and every level lists its tubings, each once, and
+    # nothing else.  The walk over every chain refused each tamper below
+    # too; each comment gives the walk's refusal.
+    def face(f):
+        return re.escape(str(f))
+
     p = _poset(path_graph(3))
     f0, f1, f2 = p.faces_by_size
-    with pytest.raises(ValidationError, match=r"face \(0,\) under .* missing"):
+    # walk: IndexError, reading the vertices
+    with pytest.raises(ValidationError,
+                       match="face poset has 2 levels, not 3"):
+        pi_degree(FacePoset(p.b, [f0, f1]))
+    # walk: face (0,) under a vertex is missing
+    with pytest.raises(ValidationError,
+                       match=r"face \(0,\) is missing from the face poset"):
         pi_degree(FacePoset(p.b, [f0, f1[1:], f2]))
-    with pytest.raises(ValidationError, match=r"face \(\) under .* missing"):
+    # walk: face () under a facet is missing
+    with pytest.raises(ValidationError,
+                       match=r"face \(\) is missing from the face poset"):
         pi_degree(FacePoset(p.b, [(), f1, f2]))
-    with pytest.raises(ValidationError, match="degenerate source flag with "
-                                              "nondegenerate image"):
+    # walk: degenerate source flag with nondegenerate image
+    with pytest.raises(ValidationError, match=f"face {face(f2[0])} is missing"):
         pi_degree(FacePoset(p.b, [f0, f1, f2[1:]]))
-    with pytest.raises(ValidationError, match="misses some full flags"):
-        pi_degree(_drop_vertices(p, (2, 3)))
-    with pytest.raises(ValidationError, match=r"local degrees disagree: \[1, 2\]"):
+    # walk: misses some full flags (two vertices and their edge dropped)
+    dropped = _drop_vertices(p, (2, 3))
+    edge = next(f for f in f1 if f not in dropped.face_sets[1])
+    with pytest.raises(ValidationError, match=f"face {face(edge)} is missing"):
+        pi_degree(dropped)
+    # walk: local degrees disagree: [1, 2]
+    with pytest.raises(ValidationError,
+                       match=f"face {face(f2[0])} is stored twice"):
         pi_degree(FacePoset(p.b, [f0, f1, f2 + f2[:1]]))
-    with pytest.raises(ValidationError, match="face with no vertices"):
+    # walk: face with no vertices
+    gone = next(v for v in f2 if 0 in v)
+    with pytest.raises(ValidationError, match=f"face {face(gone)} is missing"):
         pi_degree(FacePoset(p.b, [f0, f1, tuple(v for v in f2 if 0 not in v)]))
+    # walk (all_vertex_coordinates): vertex equations failed to hold.
     # {0} and {1,2} are not compatible, so (0, 4) is no vertex
     assert p.b.proper_tubes[0] | p.b.proper_tubes[4] == p.b.ground_mask
-    with pytest.raises(ValidationError, match="vertex equations failed"):
+    with pytest.raises(ValidationError,
+                       match=r"stored face \(0, 4\) is no tubing"):
         pi_degree(FacePoset(p.b, [f0, f1, f2 + ((0, 4),)]))
     q = _poset(path_graph(4))
     g0, g1, g2, g3 = q.faces_by_size
@@ -482,10 +560,27 @@ def test_pi_degree_guards():
                     for j in range(i + 1, len(proper))
                     if proper[i] | proper[j] == q.b.ground_mask)
     covered = FacePoset(q.b, [g0, g1, g2 + (covering,), g3])
-    with pytest.raises(ValidationError, match="covers the whole ground set"):
+    # walk: tubing covers the whole ground set
+    with pytest.raises(ValidationError,
+                       match=f"stored face {face(covering)} is no tubing"):
         pi_degree(covered)
     with pytest.raises(ValidationError, match="covers the whole ground set"):
-        _signed_flag_counts(covered, all_vertex_coordinates(covered))
+        signed_flag_oracle(covered, all_vertex_coordinates(covered))
+    # each face of the chain pi_degree reads, dropped alone: on path:4 the
+    # face with k tubes holds the intervals ending at 3 of lengths 1 to k
+    for k in range(q.dim + 1):
+        chain_face = tuple(sorted(q.b.proper_index[mask_of(range(j, 4))]
+                                  for j in range(4 - k, 4)))
+        levels = list(q.faces_by_size)
+        levels[k] = tuple(f for f in levels[k] if f != chain_face)
+        with pytest.raises(ValidationError,
+                           match=f"face {face(chain_face)} is missing"):
+            pi_degree(FacePoset(q.b, levels))
+    # walk: misses some full flags.  These tubes miss the singleton {1}, so
+    # they are no building set, though every maximal clique has full size
+    b = BuildingSet(3, [0b001, 0b011, 0b100, 0b110, 0b111])
+    with pytest.raises(ValidationError, match=r"missing singleton \{1\}"):
+        pi_degree(face_poset(b))
 
 
 def test_gamma_vector_nonnegative_small():
@@ -533,6 +628,18 @@ def test_polytope_cells_form_a_ball():
             prof = homology(ChainComplex(p.f_counts()[::-1], boundaries))
             assert prof.betti_q == (1,) + (0,) * n
             assert prof.torsion == ((),) * (n + 1)
+
+
+def test_face_incidences_refuse_a_missing_face():
+    p = _poset(path_graph(3))
+    f0, f1, f2 = p.faces_by_size
+    above = next(v for v in f2 if 0 in v)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"face (0,) under face {above} is missing from the face poset")):
+        face_incidences(FacePoset(p.b, [f0, f1[1:], f2]))
+    with pytest.raises(ValidationError, match=re.escape(
+            "face () under face (0,) is missing from the face poset")):
+        face_incidences(FacePoset(p.b, [(), f1, f2]))
 
 
 def test_face_incidences_refuse_an_edge_with_one_end():
