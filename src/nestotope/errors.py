@@ -32,10 +32,15 @@ class BudgetExceeded(RuntimeError):
 # space r * 2^m fits in OMEGA_BUDGET and "sampled" otherwise; that is all it
 # says, since the covering checks read the crossing involutions and are
 # exact at any r.  Involution closures refuse before they store more than
-# CLOSURE_BUDGET cell indexes (each permutation counts its length).
+# CLOSURE_BUDGET cell indexes (each permutation counts its length).  A face
+# poset refuses before it stores more than FACE_BUDGET faces, each level
+# counted before it is built, and the vertex points' check refuses before
+# its table of sums over tube masks holds more than SUMS_BUDGET entries.
 CELL_BUDGET = 200_000
 OMEGA_BUDGET = 1_000_000
 CLOSURE_BUDGET = 1_000_000
+FACE_BUDGET = 2_000_000
+SUMS_BUDGET = 20_000_000
 
 
 def check_budget(what, count, unit="top simplices", budget=CELL_BUDGET):

@@ -174,16 +174,25 @@ def validate_building_set(b):
     Every singleton must be present, and the union of any two intersecting
     members must again be a member.
     """
+    _check_singletons(b)
+    for s, t in combinations(b.tubes, 2):
+        if s & t and (s | t) not in b.tube_index:
+            raise _missing_union(s, t)
+    return True
+
+
+def _check_singletons(b):
+    """Raise for the first singleton missing from ``b``."""
     for v in range(b.n_vertices):
         if (1 << v) not in b.tube_index:
             raise ValidationError(f"missing singleton {{{v}}}")
-    for s, t in combinations(b.tubes, 2):
-        if s & t and (s | t) not in b.tube_index:
-            raise ValidationError(
-                f"union {members(s | t)} of intersecting members "
-                f"{members(s)} and {members(t)} is missing"
-            )
-    return True
+
+
+def _missing_union(s, t):
+    """The error for intersecting members ``s`` and ``t`` whose union is
+    missing."""
+    return ValidationError(f"union {members(s | t)} of intersecting members "
+                           f"{members(s)} and {members(t)} is missing")
 
 
 def components_minus_vertex(g, v):

@@ -6,7 +6,13 @@ with union outside the building set.  Faces are enumerated as cliques of the
 compatibility relation, one level per size, each level extended into the
 next in lexicographic order.  ``check_simple_and_flag`` rebuilds the
 cliques of the stored pair relation the same way and compares each stored
-level with them rather than taking the clique property on faith.
+level with them rather than taking the clique property on faith.  The
+enumeration checks the building-set axioms on the way, counts each level
+before building it, and refuses past FACE_BUDGET faces.  ``face_poset``
+memoises its result on the building set (``memo``), so a poset is shared
+by the callers of a repeated building set and is frozen: nothing changes
+it after its constructor, and its incidences and coordinate table are
+computed once, on first use.
 
 Vertex coordinates come from Postnikov's closed form for the Minkowski sum
 of the simplices Delta_S over the tubes S (Postnikov, "Permutohedra,
@@ -35,8 +41,16 @@ from itertools import accumulate, permutations
 from math import comb
 from operator import add
 
-from .errors import ValidationError
-from .graphs import bits_of, members, validate_building_set
+from . import errors
+from .errors import ValidationError, check_budget
+from .graphs import (
+    _check_singletons,
+    _missing_union,
+    bits_of,
+    members,
+    validate_building_set,
+)
+from .memo import _MEMO
 
 _MAX_POSET_VERTICES = 10  # clique enumeration above this is not worth having
 
@@ -55,11 +69,6 @@ def compatible(b, s, t):
         raise ValidationError("compatibility needs two distinct tubes")
     if s not in b.tube_index or t not in b.tube_index:
         raise ValidationError("arguments must be tubes of the building set")
-    return _compatible(b, s, t)
-
-
-def _compatible(b, s, t):
-    """``compatible`` without the argument checks."""
     if s & ~t == 0 or t & ~s == 0:
         return True
     if s & t:
@@ -74,7 +83,11 @@ class FacePoset:
     ``building_set.proper_tubes``; size 0 is the whole polytope and size
     ``dim`` the vertices; ``support[i]`` is ``support_constant`` of proper tube
     i.  The raw constructor trusts its input; use ``face_poset`` to build
-    from scratch.
+    from scratch.  ``face_poset`` shares one poset between the callers of
+    a repeated building set, so a poset is never changed after its
+    constructor: its levels are tuples, ``face_sets`` frozensets, and
+    ``incidences`` and ``coordinate_table`` are computed once, on first
+    use.
     """
 
     def __init__(self, building_set, faces_by_size):
@@ -83,7 +96,7 @@ class FacePoset:
         self.support = tuple(support_constant(building_set, s)
                              for s in building_set.proper_tubes)
         self.faces_by_size = tuple(tuple(level) for level in faces_by_size)
-        self.face_sets = tuple(set(level) for level in self.faces_by_size)
+        self.face_sets = tuple(map(frozenset, self.faces_by_size))
 
     @property
     def vertices(self):
@@ -126,11 +139,16 @@ def _clique_levels(start, adj, n):
     Each level is a list of cliques, in lexicographic order, and the list
     of their common neighbours.  A clique carries its candidates, the
     common neighbours above its last index, and is extended by each of
-    them in increasing order.
+    them in increasing order, so the next level has one clique per
+    candidate bit.  That count is added to the cliques already yielded
+    before the level is built, and a total over FACE_BUDGET is refused.
     """
     faces, cands, commons = [()], [start], [start]
+    total = 1
     for _ in range(n):
         yield faces, commons
+        total += sum(map(int.bit_count, cands))
+        check_budget("face poset", total, "faces", errors.FACE_BUDGET)
         next_faces, next_cands, next_commons = [], [], []
         for face, cand, common in zip(faces, cands, commons):
             while cand:
@@ -150,14 +168,38 @@ def face_poset(b):
     The cliques are built one level per size, each level in lexicographic
     order (``_clique_levels``), which ``face_incidences`` relies on.
     Requires the ground set to be a tube (connected graph, in the graphical
-    case).  Every maximal tubing must have full size; anything else means the
-    input was not a building set and raises.
+    case) and ``b`` to be a building set.  Every maximal tubing must have
+    full size; anything else means the input was not a building set and
+    raises.
+
+    The poset is memoised on the building set's vertex count and tubes
+    (``memo``), so a repeated building set is enumerated and checked
+    twice, then shared.
     """
-    return FacePoset(b, _tubing_levels(b))
+    return _MEMO.fetch(("face_poset", b.n_vertices, b.tubes), len(b.tubes),
+                       lambda: FacePoset(b, _tubing_levels(b)), _poset_cells)
+
+
+def _poset_cells(p):
+    """The memo's count of a stored poset, taken before it computes its
+    incidences or its coordinate table: each face once, and once more for
+    each incidence that lists it (a face with k tubes is a facet of k
+    faces), and the table's entries."""
+    return (sum(k * f for k, f in enumerate(p.f_counts(), 1))
+            + (len(p.b.proper_tubes) + 1) * p.b.n_vertices)
 
 
 def _tubing_levels(b):
-    """The levels of ``face_poset(b)``, each a list of sorted tuples."""
+    """The levels of ``face_poset(b)``, each a list of sorted tuples.
+
+    The compatibility rows apply the rule of ``compatible`` to every pair
+    of proper tubes, inline, as this pass is the enumeration's m² part.
+    ``b`` is checked against the building-set axioms on the way, with the
+    errors of ``validate_building_set``: the union of two overlapping
+    tubes on that pass (the ground set's unions are the ground set), and
+    the singletons after the levels, so that a family the clique model
+    refuses keeps that refusal.
+    """
     if not b.contains_ground:
         raise ValidationError("face poset needs the ground set among the tubes")
     if b.n_vertices > _MAX_POSET_VERTICES:
@@ -165,9 +207,20 @@ def _tubing_levels(b):
             f"face enumeration is capped at {_MAX_POSET_VERTICES} vertices")
     n = b.n_vertices - 1
     proper = b.proper_tubes
-    compat = [sum(1 << j for j, t in enumerate(proper)
-                  if j != i and _compatible(b, s, t))
-              for i, s in enumerate(proper)]
+    index = b.tube_index
+    compat = []   # compat[i]: the tubes compatible with tube i, as bits
+    for i, s in enumerate(proper):
+        row = 0
+        for j, t in enumerate(proper):
+            if s & t:
+                if s & ~t and t & ~s:
+                    if s | t not in index:
+                        raise _missing_union(s, t)
+                elif i != j:
+                    row |= 1 << j
+            elif s | t not in index:
+                row |= 1 << j
+        compat.append(row)
     levels = []
     for k, (faces, commons) in enumerate(
             _clique_levels((1 << len(proper)) - 1, compat, n)):
@@ -178,6 +231,7 @@ def _tubing_levels(b):
     if any(commons):
         raise ValidationError(
             "found more pairwise compatible tubes than the dimension")
+    _check_singletons(b)
     return levels
 
 
@@ -342,8 +396,16 @@ def _checked_points(p, vertices):
     """The checked points of ``vertices``, in order (see
     ``all_vertex_coordinates``)."""
     b = p.b
-    table = p.coordinate_table
     proper = b.proper_tubes
+    masks = set()
+    for s in proper + (b.ground_mask,):
+        while s:
+            masks.add(s)
+            s &= s - 1
+    # one sums list per mask and for the empty mask, one entry per point
+    check_budget("vertex coordinates", (len(masks) + 1) * len(vertices),
+                 "mask sums", errors.SUMS_BUDGET)
+    table = p.coordinate_table
     tube_members = [members(t) for t in proper]
     points = []
     own_rows = [[] for _ in proper]  # own_rows[i]: points whose tubing holds i
@@ -356,11 +418,6 @@ def _checked_points(p, vertices):
             own_rows[i].append(r)
         points.append(tuple(x))
     sums = {0: [0] * len(points)}  # sums[mask][r]: sum of x_j over j in mask
-    masks = set()
-    for s in proper + (b.ground_mask,):
-        while s:
-            masks.add(s)
-            s &= s - 1
     columns = list(zip(*points)) or [()] * b.n_vertices
     for s in sorted(masks):
         low = s & -s

@@ -25,7 +25,11 @@ tables retract, compose along facets, fix every copy on P and pair the
 copies on each facet, implies that the glued complex is a
 vertex-determined pseudomanifold.  The complex carries those verdicts,
 so the generic checks of ``cellcomplex``, whose cost grows with
-2^rank * |bar(P)|, never run on it.
+2^rank * |bar(P)|, never run on it.  Every gluing over one polytope
+shares bar(P) and its half of the certificate, so both are built once
+per polytope and kept in the shared memo (``memo``) from the polytope's
+second sight; each gluing builds and checks only its coset tables, and
+assembles its copies.
 """
 
 from collections import Counter
@@ -37,6 +41,7 @@ from operator import getitem, le
 
 from .errors import ValidationError, check_budget, json_int, read_json
 from .graphs import members
+from .memo import _MEMO
 from .nestohedron import barycentric_complex
 from .cellcomplex import (
     ChainComplex,
@@ -204,7 +209,7 @@ class GluedManifold:
         # A vertex of the simple polytope lies on p.dim! complete flags.
         check_budget(self.what,
                      len(p.vertices) * factorial(p.dim) << self.rank)
-        bar = barycentric_complex(p)
+        bar = _certified_bar(p, self.what)
         self._certify(bar)
         complex_ = self._glue(bar)
         record_passed_checks(complex_)
@@ -213,7 +218,9 @@ class GluedManifold:
     def _certify(self, bar):
         """Raise ``ValidationError`` unless the gluing of copies of
         ``bar`` = bar(P) through the coset tables is a vertex-determined
-        pseudomanifold, shown on bar(P) and the tables alone:
+        pseudomanifold, shown on bar(P) and the tables alone.  Condition 1
+        is bar(P)'s half, which ``_certified_bar`` has checked once per
+        polytope; this checks the tables' half, 2 to 4, on every gluing:
 
         1. bar(P) passes ``validate``, ``is_pure`` and
            ``is_vertex_determined``, every top cell ends in P, and each
@@ -241,29 +248,17 @@ class GluedManifold:
         (g, c + P) for the two copies g with r_F(c)(g) = r, by 4: every
         glued facet is hit twice.  Two glued cells on one vertex set have
         one bar cell b, and the vertex on F(b) carries r_F(b)(g) itself,
-        so the gluing is vertex-determined as bar(P) is.  Cost:
-        O(|bar(P)| + sum over faces F of facets(F) * 2^rank), against
+        so the gluing is vertex-determined as bar(P) is.  Cost per
+        gluing: O(sum over faces F of facets(F) * 2^rank), and O(|bar(P)|)
+        on a polytope's first two sights only, against
         O(2^rank * |bar(P)|) for the generic checks on the glued complex.
         """
-        p, n, reduced = self.poset, self.poset.dim, self._reduced
+        reduced = self._reduced
 
         def fail(why):
             raise ValidationError(f"{self.what} gluing failed: {why}")
 
-        if not (bar.validate() and bar.is_pure() and bar.is_vertex_determined()):
-            fail("bar(P) is not a vertex-determined pure complex")
         faces = [label[1] for label in bar.vertex_labels]
-        whole = faces.index(p.faces_by_size[0][0])
-        # a chain's last vertex is its largest face
-        if any(v != whole for v in bar.vertex_columns[n][-1]):
-            fail("a top cell of bar(P) misses the whole polytope")
-        hits = [0] * bar.n_cells(n - 1)
-        for f in chain.from_iterable(bar.face_columns[n]):
-            hits[f] += 1
-        for f, (v, count) in enumerate(zip(bar.vertex_columns[n - 1][-1],
-                                           hits)):
-            if count != 1 + (v == whole):
-                fail(f"facet {f} of bar(P) lies in {count} top cells")
         copies = range(1 << self.rank)
         for face in faces:
             table = reduced.get(face)
@@ -278,7 +273,7 @@ class GluedManifold:
                 if list(map(table.__getitem__, reduced[parent])) != table:
                     fail(f"the coset table of face {face} does not compose "
                          f"with that of face {parent}")
-        if reduced[faces[whole]] != list(copies):
+        if reduced[self.poset.faces_by_size[0][0]] != list(copies):
             fail("the whole polytope's coset table is not the identity")
         for face in faces:
             if len(face) == 1 and set(Counter(reduced[face]).values()) != {2}:
@@ -409,6 +404,47 @@ class GluedManifold:
             raise ValidationError(f"{self.what}: the signed copies have "
                                   "a nonzero cellular boundary")
         return tuple(sign)
+
+
+def _certified_bar(p, what):
+    """bar(P) of the poset ``p``, once it has passed condition 1 of
+    ``GluedManifold._certify``: ``validate``, ``is_pure`` and
+    ``is_vertex_determined``, every top cell ending in P, and each facet
+    in two top cells when its chain contains P and in one otherwise.  A
+    failure raises, naming the gluing ``what``.
+
+    bar(P) is a function of the poset's dimension and faces, and the
+    memo keys it on them, so a hand-built poset with other faces gets its
+    own; a stored bar(P) has passed, and is counted at its cells and the
+    faces of its key.
+    """
+    n = p.dim
+
+    def certified():
+        def fail(why):
+            raise ValidationError(f"{what} gluing failed: {why}")
+
+        bar = barycentric_complex(p)
+        if not (bar.validate() and bar.is_pure()
+                and bar.is_vertex_determined()):
+            fail("bar(P) is not a vertex-determined pure complex")
+        whole = [label[1] for label in bar.vertex_labels].index(
+            p.faces_by_size[0][0])
+        # a chain's last vertex is its largest face
+        if any(v != whole for v in bar.vertex_columns[n][-1]):
+            fail("a top cell of bar(P) misses the whole polytope")
+        hits = [0] * bar.n_cells(n - 1)
+        for f in chain.from_iterable(bar.face_columns[n]):
+            hits[f] += 1
+        for f, (v, count) in enumerate(zip(bar.vertex_columns[n - 1][-1],
+                                           hits)):
+            if count != 1 + (v == whole):
+                fail(f"facet {f} of bar(P) lies in {count} top cells")
+        return bar
+
+    faces = sum(p.f_counts())
+    return _MEMO.fetch(("bar", n, p.faces_by_size), faces, certified,
+                       lambda bar: bar.total_cells() + faces)
 
 
 def _mirror_copies(p, columns, rank, what):

@@ -16,17 +16,8 @@ orientable complex: barycentric vertices are coloured through the
 graph, either directly along a path or by substituting the simplex
 subdivision into every barycentric cell.
 
-Both builders are memoised on the exact content of their input: the
-graph's vertex count and adjacency masks with the apex for
-``lemma_subdivision``; the complex's dimension, vertex and face
-columns, the graph and the apex exactly as passed for
-``subdivide_pseudomanifold``.  A key is admitted on its second sight: the
-first call that returns records only the key, counted at its input's cell
-count, and the second stores the result, counted at its complex's cell
-count, so a one-off input is never retained.  The least recently used
-entries are evicted so that the memo never holds more than CELL_BUDGET
-cells, the budget being read from ``errors`` on every call.  A call that
-raises stores nothing.  Verdicts are never memoised:
+Both builders are memoised on the exact content of their input, from
+its second sight, in the shared memo (``memo``).  Verdicts are not:
 ``verify_lemma_conditions`` and ``condition_star_check`` run on every
 call, the star check of a substitution subdivision on its simplex piece,
 which decides it for the whole.  Callers of a memoised input share one
@@ -51,13 +42,12 @@ of colours it misses from a table keyed by that mask; its depth in the
 simplex comes from the OR of its vertices' coordinate supports.
 """
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import factorial, lcm
 from operator import itemgetter, or_
 
-from . import errors
 from .errors import ValidationError, check_budget
 from .graphs import components_minus_vertex, members, path_order
 from .cellcomplex import (
@@ -66,6 +56,7 @@ from .cellcomplex import (
     orient,
     record_passed_checks,
 )
+from .memo import _MEMO
 from .nestohedron import _int_det
 
 
@@ -90,54 +81,16 @@ class ColouredSubdivision:
     piece: object = None
 
 
-class _Memo:
-    """Results keyed by input content, admitted on a key's second sight and
-    evicted least recently used beyond CELL_BUDGET cells in all."""
-
-    def __init__(self):
-        self.entries = OrderedDict()   # key -> (cells, result or None)
-        self.cells = 0
-
-    def clear(self):
-        self.entries.clear()
-        self.cells = 0
-
-    def fetch(self, key, input_cells, build):
-        """The stored result for ``key``, or ``build()``; a first sight
-        records the key at ``input_cells``, a second stores the result."""
-        budget = errors.CELL_BUDGET
-        self._trim(budget)
-        seen = self.entries.get(key)
-        if seen is not None and seen[1] is not None:
-            self.entries.move_to_end(key)
-            return seen[1]
-        result = build()
-        if seen is None:
-            cells, kept = input_cells, None
-        else:
-            cells, kept = result.complex.total_cells(), result
-        # the build may have evicted the key through a nested fetch
-        old = self.entries.pop(key, None)
-        if old is not None:
-            self.cells -= old[0]
-        if cells <= budget:
-            self.entries[key] = (cells, kept)
-            self.cells += cells
-            self._trim(budget)
-        return result
-
-    def _trim(self, budget):
-        while self.cells > budget:
-            self.cells -= self.entries.popitem(last=False)[1][0]
-
-
-_MEMO = _Memo()
+def _subdivision_cells(y):
+    """The memo's count of a stored subdivision: its complex's cells."""
+    return y.complex.total_cells()
 
 
 def lemma_subdivision(g, a):
     """Colour-subdivide the simplex on the graph's vertices, apex first."""
-    return _MEMO.fetch((g.n_vertices, g.adjacency, a), g.n_vertices,
-                       lambda: _lemma_subdivision(g, a))
+    return _MEMO.fetch(("lemma_subdivision", g.n_vertices, g.adjacency, a),
+                       g.n_vertices, lambda: _lemma_subdivision(g, a),
+                       _subdivision_cells)
 
 
 def _lemma_subdivision(g, a):
@@ -442,11 +395,13 @@ def subdivide_pseudomanifold(z, g, apex=None):
     result records the apex the substitution used (0 unless given); a
     path subdivision has none.
     """
-    key = (z.n, *(tuple(tuple(map(tuple, cols)) for cols in levels)
-                  for levels in (z.vertex_columns, z.face_columns)),
+    key = ("subdivide_pseudomanifold", z.n,
+           *(tuple(tuple(map(tuple, cols)) for cols in levels)
+             for levels in (z.vertex_columns, z.face_columns)),
            g.n_vertices, g.adjacency, apex)
     return _MEMO.fetch(key, z.total_cells(),
-                       lambda: _subdivide_pseudomanifold(z, g, apex))
+                       lambda: _subdivide_pseudomanifold(z, g, apex),
+                       _subdivision_cells)
 
 
 def _subdivide_pseudomanifold(z, g, apex):

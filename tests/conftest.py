@@ -1,5 +1,5 @@
 """Oracles shared between test modules, and a fixture that empties the
-subdivision memo before every test."""
+shared memo before every test."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +16,7 @@ from nestotope.cellcomplex import (
     pseudo_manifold_check,
 )
 from nestotope import subdivision
+from nestotope.memo import _MEMO
 from nestotope.errors import OMEGA_BUDGET, ValidationError
 from nestotope.graphs import bits_of, components_minus_vertex, members
 from nestotope.nestohedron import _det_sign, _flags, _int_det, face_poset
@@ -23,10 +24,10 @@ from nestotope.realization import CoveringCertificate
 
 
 @pytest.fixture(autouse=True)
-def empty_subdivision_memo():
-    """Every test starts with an empty subdivision memo, so a test that
-    patches a builder or counts its calls sees the build itself."""
-    subdivision._MEMO.clear()
+def empty_memo():
+    """Every test starts with an empty memo, so a test that patches a
+    builder or counts its calls sees the build itself."""
+    _MEMO.clear()
 
 
 def _cell_rows(c, k):

@@ -14,6 +14,7 @@ import pytest
 import nestotope
 from nestotope.errors import BudgetExceeded
 from nestotope import cli, subdivision, verify
+from nestotope.memo import _MEMO
 from nestotope import formulas as fm
 
 
@@ -118,7 +119,7 @@ def test_subdivide_certify_builds_the_piece_once(monkeypatch, tmp_path):
     real = subdivision._lemma_subdivision
     monkeypatch.setattr(subdivision, "_lemma_subdivision",
                         lambda g, a: builds.append(a) or real(g, a))
-    subdivision._MEMO.clear()
+    _MEMO.clear()
     assert cli.run(["subdivide", "--pseudomanifold", "sphere:2", "--graph",
                     "cycle:3", "--certify", "--emit",
                     str(tmp_path / "y.json")]) == 0
@@ -499,6 +500,26 @@ def test_subdivision_budget_refuses_under_memory_cap(argv, what):
                           preexec_fn=_cap_memory)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"budget: {what}, over the 200000 budget\n"
+
+
+# The face poset counts each level before building it: complete:9 has
+# 1,039,261 faces up to its 834,120 four-tubings and 1,905,120 five-tubings
+# next, complete:10 has 875,523 up to its 818,520 three-tubings and
+# 5,103,000 four-tubings next.
+@pytest.mark.parametrize("spec, count", [("complete:9", 2_944_381),
+                                         ("complete:10", 5_978_523)])
+def test_face_budget_refuses_under_memory_cap(spec, count):
+    env = dict(os.environ)
+    src = str(Path(nestotope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "nestotope.cli", "poset",
+                           "--graph", spec],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_cap_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"budget: face poset needs {count} faces, "
+                           "over the 2000000 budget\n")
 
 
 @pytest.mark.skipif(shutil.which("nestotope") is None,

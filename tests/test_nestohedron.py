@@ -8,8 +8,9 @@ from math import factorial, prod
 
 import pytest
 
+from nestotope import errors
 from nestotope.cellcomplex import ChainComplex, homology
-from nestotope.errors import ValidationError
+from nestotope.errors import BudgetExceeded, ValidationError
 from nestotope.graphs import (
     BuildingSet,
     Graph,
@@ -21,6 +22,7 @@ from nestotope.graphs import (
     mask_of,
     path_graph,
     star_graph,
+    validate_building_set,
 )
 from nestotope.nestohedron import (
     FacePoset,
@@ -91,6 +93,57 @@ def test_face_poset_rejects_non_graphical_input():
         face_poset(BuildingSet(3, [0b11, 0b110, 0b111]))
     with pytest.raises(ValidationError, match="ground"):
         face_poset(graph_building_set(Graph(3, [(0, 1)])))
+
+
+_UNION = "union (0, 1, 2) of intersecting members (0, 1) and (1, 2) is missing"
+
+
+@pytest.mark.parametrize("n, tubes, message", [
+    # no singleton {1}: the cliques alone give f = (1, 4, 3)
+    (3, [0b1, 0b11, 0b100, 0b110, 0b111], "missing singleton {1}"),
+    # {0, 1} and {1, 2} meet, and {0, 1, 2} is missing
+    (4, [0b1, 0b10, 0b100, 0b1000, 0b11, 0b110, 0b1111], _UNION),
+], ids=["singleton", "union"])
+def test_face_poset_refuses_what_is_not_a_building_set(n, tubes, message):
+    b = BuildingSet(n, tubes)
+    for check in (validate_building_set, face_poset):
+        with pytest.raises(ValidationError) as refused:
+            check(b)
+        assert str(refused.value) == message
+
+
+def test_face_poset_checks_the_union_before_the_singletons():
+    # validate_building_set names the missing singleton {1} first; the
+    # poset meets the union on its pass over pairs, before the levels
+    with pytest.raises(ValidationError, match=re.escape(_UNION)):
+        face_poset(BuildingSet(4, [0b1, 0b100, 0b1000, 0b11, 0b110, 0b1111]))
+
+
+def test_face_budget_refuses_before_a_level_is_built(monkeypatch):
+    # path:4 has f = (1, 9, 21, 14): 31 faces up to the edges, 45 in all
+    b = graph_building_set(path_graph(4))
+    monkeypatch.setattr(errors, "FACE_BUDGET", 30)
+    with pytest.raises(BudgetExceeded) as refused:
+        face_poset(b)
+    assert str(refused.value) == "face poset needs 31 faces, over the 30 budget"
+    assert (refused.value.count, refused.value.unit) == (31, "faces")
+    monkeypatch.setattr(errors, "FACE_BUDGET", 45)
+    assert face_poset(b).f_counts() == (1, 9, 21, 14)
+
+
+def test_sums_budget_refuses_before_the_table_is_built(monkeypatch):
+    # path:4's tubes and ground set strip down to 10 nonempty masks; with
+    # the empty one, each holds a sum for each of the 14 vertices
+    p = face_poset(graph_building_set(path_graph(4)))
+    monkeypatch.setattr(errors, "SUMS_BUDGET", 153)
+    with pytest.raises(BudgetExceeded) as refused:
+        all_vertex_coordinates(p)
+    assert str(refused.value) == ("vertex coordinates needs 154 mask sums, "
+                                  "over the 153 budget")
+    # one vertex needs one sum per mask
+    assert len(vertex_coordinates(p, p.vertices[0])) == 4
+    monkeypatch.setattr(errors, "SUMS_BUDGET", 154)
+    assert len(all_vertex_coordinates(p)) == 14
 
 
 def test_face_poset_levels_are_lexicographic():

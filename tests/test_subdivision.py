@@ -9,6 +9,7 @@ import pytest
 
 from nestotope import subdivision
 from nestotope.errors import CELL_BUDGET, BudgetExceeded, ValidationError
+from nestotope.memo import _MEMO
 from nestotope.cellcomplex import (
     SimplicialCellComplex,
     barycentric_subdivide,
@@ -139,7 +140,7 @@ def test_lemma_needs_every_block_on_the_common_scale(monkeypatch):
     # longer fill the simplex and the certificate fails
     g = path_graph(4)
     assert verify_lemma_conditions(lemma_subdivision(g, 1), g, 1).ok
-    subdivision._MEMO.clear()
+    _MEMO.clear()
     embed = subdivision._embed
     monkeypatch.setattr(subdivision, "_embed",
                         lambda c, positions, width, factor:

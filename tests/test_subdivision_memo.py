@@ -15,11 +15,8 @@ from nestotope.cellcomplex import (
 )
 from nestotope.errors import BudgetExceeded, ValidationError
 from nestotope.graphs import cycle_graph, graph_from_spec, path_graph, star_graph
-from nestotope.subdivision import (
-    _MEMO,
-    lemma_subdivision,
-    subdivide_pseudomanifold,
-)
+from nestotope.memo import _MEMO
+from nestotope.subdivision import lemma_subdivision, subdivide_pseudomanifold
 
 # the covering benchmark's catalogue, as CLI arguments
 _CATALOGUE = [
