@@ -48,7 +48,6 @@ from .graphs import (
     _missing_union,
     bits_of,
     members,
-    validate_building_set,
 )
 from .memo import _MEMO
 
@@ -597,17 +596,16 @@ def pi_degree(p):
     and one determinant.
 
     The argument needs ``p.b`` to be a building set and the poset to hold
-    its tubings and only them, while the chain reads n + 1 faces, so both
-    are checked first: ``validate_building_set``, then a fresh enumeration
-    that every level must match (``_check_tubings``), which refuses a face
-    dropped, listed twice or not a tubing, and so every face of the chain
-    is stored.  A vertex point off its tubes' equations or inequalities
-    raises in ``all_vertex_coordinates``, and a chain whose barycentres are
-    degenerate raises here.
+    its tubings and only them, while the chain reads n + 1 faces, so the
+    enumeration checks the axioms: a fresh ``_tubing_levels`` refuses a
+    family that breaks either, and every level must match it
+    (``_check_tubings``), which refuses a face dropped, listed twice or not
+    a tubing, so every face of the chain is stored.  A vertex point off its
+    tubes' equations or inequalities raises in ``all_vertex_coordinates``,
+    and a chain whose barycentres are degenerate raises here.
     """
     b = p.b
     n = p.dim
-    validate_building_set(b)
     _check_tubings(p, _tubing_levels(b))
     coords = all_vertex_coordinates(p)
     chain = []  # chain[k - 1]: the tube the face with k tubes adds

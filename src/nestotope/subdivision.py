@@ -25,9 +25,10 @@ result, so ``ColouredSubdivision`` is frozen.
 
 A substitution subdivision y is certified on two smaller objects, not by
 walking y: its simplex piece K, which ``_piece_signs`` shows tiles the
-simplex once with coherent signs, and bar(Z), which ``orient`` passes in
-both modes (in path mode y is bar(Z) itself), and both are
-vertex-determined.  They prove y a vertex-determined oriented
+simplex once with coherent signs (so its blocks tile their spheres and no
+two of its cells share a vertex set), and bar(Z), which ``orient`` passes
+in both modes (in path mode y is bar(Z) itself) and whose vertex sets are
+checked.  They prove y a vertex-determined oriented
 pseudo-manifold whose signs are the products of bar(Z)'s and K's (see
 ``_subdivide_pseudomanifold``), so y carries the verdicts of
 ``pseudo_manifold_check`` and ``is_vertex_determined``, and neither they
@@ -163,10 +164,6 @@ def _lemma_tops(g, a):
     return [tuple(map(image.__getitem__, top)) for top in tops]
 
 
-def _flip(coords, pattern):
-    return tuple(-c if (pattern >> j) & 1 else c for j, c in enumerate(coords))
-
-
 def _embed(coords, positions, width, factor):
     out = [0] * width
     for c, j in zip(coords, positions):
@@ -175,19 +172,15 @@ def _embed(coords, positions, width, factor):
 
 
 def _reflect_block(tops, k):
-    """All 2^k sign-reflected copies; they must tile a (k-1)-sphere."""
+    """All 2^k sign-reflected copies, unchecked: ``_piece_signs`` on the
+    piece, which cones their join, shows they tile a (k-1)-sphere once."""
     points = {c for top in tops for c, _ in top}
     out = []
     for pattern in range(1 << k):
-        flipped = {c: _flip(c, pattern) for c in points}
+        flipped = {c: tuple(-x if pattern >> j & 1 else x
+                            for j, x in enumerate(c)) for c in points}
         for top in tops:
             out.append(tuple((flipped[c], col) for c, col in top))
-    sphere = SimplicialCellComplex.from_top_simplices(out)
-    cert = orient(sphere)
-    if not cert.is_pseudo or cert.orientation == "non-orientable":
-        raise ValidationError("reflected copies do not close up into a sphere")
-    if sphere.euler_characteristic() != 1 + (-1) ** (k - 1):
-        raise ValidationError("reflected copies have the wrong Euler number")
     return out
 
 
@@ -436,11 +429,13 @@ def _subdivide_pseudomanifold(z, g, apex):
       by one of its boundary facets, so the components of y are those of
       bar(Z), each with all of K; the least top cell of one is (t, 0),
       t least in bar(Z)'s component, and its product sign is +1.
-    - y is vertex-determined, as K and bar(Z) are.  The vertex labels of
-      (h, c) hold c's K-vertices, and K is vertex-determined, so the
-      vertex set fixes c.  The hosts of those vertices are faces of h
-      whose slot sets cover carrier(c), which is all of h's slots, so
-      their vertices are all of h's, and bar(Z), a simplicial complex,
+    - y is vertex-determined.  Two K-cells on one vertex set would lie in
+      disjoint sets of top cells (a valid complex names one face of a top
+      cell per vertex subset), each covering the points next to that
+      face, which K covers once.  So the vertex labels of (h, c), which
+      hold c's K-vertices, fix c.  The hosts of those vertices are faces
+      of h whose slot sets cover carrier(c), which is all of h's slots, so
+      their vertices are all of h's, and bar(Z), checked vertex-determined,
       fixes h.
 
     So y carries the verdicts of ``pseudo_manifold_check`` and
@@ -480,9 +475,8 @@ def _subdivide_pseudomanifold(z, g, apex):
 
     k = lemma_subdivision(g, apex)
     signs = _piece_signs(k)
-    if not (bar.is_vertex_determined() and k.complex.is_vertex_determined()):
-        raise ValidationError("two cells of the barycentric subdivision or "
-                              "of the simplex piece share a vertex set")
+    if not bar.is_vertex_determined():
+        raise ValidationError("two barycentric cells share a vertex set")
     y, colours = _substitute(bar, k)
     record_passed_checks(y)
     flipped = [-s for s in signs]
@@ -521,7 +515,10 @@ def _piece_signs(k):
     cells are signed alike by their determinants.  The volumes make the
     sum of the d one: there is one component, it tiles the simplex once,
     and its boundary facets cover every facet of the simplex.  Nonzero
-    volume also gives every top cell full carrier.
+    volume also gives every top cell full carrier.  The piece cones the
+    join of its blocks, so each block tiles its sphere once
+    (``_reflect_block``), and no two of its cells share a vertex set
+    (``_subdivide_pseudomanifold``).
     """
     c = k.complex
     n = c.n

@@ -90,6 +90,7 @@ def test_criterion_11_simplex_subdivision_certificates():
     _criterion(11, ["lemma-certificates"], {
         "simplex subdivision certificates, 3 vertices": "12 runs",
         "simplex subdivision certificates, 4 vertices": "152 runs",
+        "simplex subdivision certificates, 5 vertices": "21 classes, 105 runs",
         "3-path, middle apex: four triangles around the centre":
             "4 triangles, 4 cofacets"})
 

@@ -636,6 +636,47 @@ def test_pi_degree_guards(signed_flag_oracle):
         pi_degree(face_poset(b))
 
 
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except ValidationError as refused:
+        return str(refused)
+    return None
+
+
+def test_pi_degree_refuses_what_the_enumeration_refuses():
+    # pi_degree leaves the building-set axioms to its fresh enumeration.
+    # Over every tube family holding the ground set on at most 3 elements,
+    # it refuses each family validate_building_set refuses, and it accepts
+    # a family exactly when face_poset does, refusing the others with
+    # face_poset's message; a poset face_poset will not build is built by
+    # hand from the pairwise compatible tubes.  The simplex's building set
+    # on 3 elements is refused by both, as its three singletons are
+    # pairwise compatible: the clique model covers flag nestohedra only.
+    seen = {"refused": 0, "degree 1": 0}
+    for n in range(1, 4):
+        ground = (1 << n) - 1
+        for bits in range(1 << ground - 1):
+            b = BuildingSet(n, [ground] + [t for t in range(1, ground)
+                                           if bits >> (t - 1) & 1])
+            axioms = _refusal(validate_building_set, b)
+            enumerated = _refusal(face_poset, b)
+            if enumerated is None:
+                assert axioms is None and pi_degree(face_poset(b)) == 1, b
+                seen["degree 1"] += 1
+                continue
+            proper = b.proper_tubes
+            p = FacePoset(b, [
+                [f for f in combinations(range(len(proper)), k)
+                 if all(compatible(b, proper[i], proper[j])
+                        for i, j in combinations(f, 2))]
+                for k in range(n)])
+            assert _refusal(pi_degree, p) == enumerated, b
+            seen["refused"] += 1
+            assert axioms is not None or b.tubes == (1, 2, 4, 7), b
+    assert seen == {"refused": 60, "degree 1": 9}
+
+
 def test_gamma_vector_nonnegative_small():
     for k in range(2, 6):
         for g in connected_graph_representatives(k):

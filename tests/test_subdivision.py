@@ -115,10 +115,18 @@ _ORACLE_INPUTS = [(g, a) for k in range(1, 5) for g in _labeled_connected(k)
     for name in ("path", "star", "cycle", "complete")]
 
 
-def test_lemma_matches_the_rational_oracle(fraction_lemma_oracle):
+def test_lemma_matches_the_rational_oracle(monkeypatch, fraction_lemma_oracle):
     # the integer points, scaled back, are the rational ones: same cells,
     # same colours, and a certificate that passes where the rational
     # volumes add up to the simplex
+    blocks = []
+    reflect = subdivision._reflect_block
+
+    def kept(tops, k):
+        blocks.append((reflect(tops, k), k))
+        return blocks[-1][0]
+
+    monkeypatch.setattr(subdivision, "_reflect_block", kept)
     for g, a in _ORACLE_INPUTS:
         k = lemma_subdivision(g, a)
         want = fraction_lemma_oracle.lemma(g, a)
@@ -132,6 +140,28 @@ def test_lemma_matches_the_rational_oracle(fraction_lemma_oracle):
         cert = verify_lemma_conditions(k, g, a)
         assert cert.ok, (g, a, cert.failures)
         assert fraction_lemma_oracle.volumes(want)
+        # the certificate a substitution runs passes every piece
+        assert subdivision._piece_signs(k)[0] == 1
+    # the build leaves its reflected blocks to the piece certificate; by
+    # the generic checks each closes up into an orientable (k-1)-sphere
+    assert blocks
+    for tops, k in blocks:
+        sphere = SimplicialCellComplex.from_top_simplices(tops)
+        cert = orient(sphere)
+        assert cert.is_pseudo and cert.orientation != "non-orientable"
+        assert sphere.euler_characteristic() == 1 + (-1) ** (k - 1)
+
+
+def test_lemma_builds_one_complex(monkeypatch):
+    # the reflected blocks stay lists of top simplices: only the finished
+    # piece becomes a complex
+    built = []
+    from_top_simplices = SimplicialCellComplex.from_top_simplices
+    monkeypatch.setattr(SimplicialCellComplex, "from_top_simplices",
+                        lambda tops, **kw: built.append(tops)
+                        or from_top_simplices(tops, **kw))
+    k = lemma_subdivision(graph_from_spec("star:5"), 0)
+    assert len(built) == 1 and len(built[0]) == k.complex.n_cells(4)
 
 
 def test_lemma_needs_every_block_on_the_common_scale(monkeypatch):
@@ -257,15 +287,14 @@ def test_substituted_complex_is_certified_not_validated(monkeypatch):
     y = subdivide_pseudomanifold(z, cycle_graph(3))
     assert y.mode == "substitution"
     # the output is certified on bar(Z) and its piece, so it is never
-    # validated; the input, bar(Z), the piece and each reflected sphere of
-    # the simplex subdivision are validated once each
+    # validated; the input, bar(Z) and the piece are validated once each,
+    # and the reflected blocks of the simplex subdivision, which the
+    # piece's certificate covers, are never built into complexes
     assert calls.count(y.complex) == 0
     assert len({id(c) for c in calls}) == len(calls)
     assert calls.count(z) == calls.count(bars[0]) == 1
     assert calls.count(y.piece.complex) == 1
-    # cycle:3 at apex 0 leaves the edge {1, 2}, whose own recursion leaves
-    # one vertex: two reflected spheres, a circle and a pair of points
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 def test_substituted_sphere_stays_oriented():
@@ -392,12 +421,13 @@ def test_substitution_certificate_matches_generic_checks(monkeypatch, build,
         sorted_.clear()
         y = subdivide_pseudomanifold(z, g, apex=apex)
         assert y.mode == "substitution"
-        # each build sorts the vertex sets of bar(Z) and the piece, and
-        # neither the build nor the JSON report sorts y's
+        # each build sorts the vertex sets of bar(Z) only, since the
+        # piece's certificate shows it vertex-determined, and neither the
+        # build nor the JSON report sorts y's
         complex_to_json_dict(y.complex, orientation=y.orientation)
         assert all(c is not y.complex for c in sorted_)
         assert [c.cell_counts() for c in sorted_] == (
-            [bar_counts, y.piece.complex.cell_counts()] if built else [])
+            [bar_counts] if built else [])
         # the certificate recorded the verdicts that the generic checks and
         # orient reach on a fresh copy of the columns, signs included
         assert passed_pseudo_manifold_check(y.complex)
