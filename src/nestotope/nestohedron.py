@@ -4,15 +4,19 @@ Proper tubes become facets; a set of tubes spans a face exactly when the
 tubes are pairwise compatible, where compatibility means nested, or disjoint
 with union outside the building set.  Faces are enumerated as cliques of the
 compatibility relation, one level per size, each level extended into the
-next in lexicographic order.  ``check_simple_and_flag`` rebuilds the
-cliques of the stored pair relation the same way and compares each stored
-level with them rather than taking the clique property on faith.  The
-enumeration checks the building-set axioms on the way, counts each level
-before building it, and refuses past FACE_BUDGET faces.  ``face_poset``
-memoises its result on the building set (``memo``), so a poset is shared
-by the callers of a repeated building set and is frozen: nothing changes
-it after its constructor, and its incidences and coordinate table are
-computed once, on first use.
+next in lexicographic order.  The cliques are the tubings because the
+nested-set complex of a graphical building set is flag; one with more
+pairwise compatible tubes than the dimension is refused.  The enumeration
+checks the building-set axioms on the way, counts each level before
+building it, and refuses past FACE_BUDGET faces.  ``face_poset`` marks
+the poset it builds as enumerated, and memoises it on the building set
+(``memo``), so a poset is shared by the callers of a repeated building
+set and is frozen: nothing changes it after its constructor, and its
+incidences and coordinate table are computed once, on first use.  On a
+hand-built poset, or one assigned to after it was built,
+``check_simple_and_flag`` rebuilds the cliques of the stored pair
+relation the same way and compares each stored level with them; on a
+marked one it returns True, as the enumeration has already shown it.
 
 Vertex coordinates come from Postnikov's closed form for the Minkowski sum
 of the simplices Delta_S over the tubes S (Postnikov, "Permutohedra,
@@ -27,18 +31,22 @@ over the Minkowski summands.
 The last third of the module studies the simplicial projection onto the
 simplex spanned by the ground set: a face maps to the barycentre of the
 coordinate simplex on the elements its tubes leave uncovered.  Each flag
-of the simplex has exactly one chain of faces over it, so once the face
-poset is checked against the tubings and the vertex points against their
-tubes, the mapping degree is the orientation sign of one chain, read from
-one determinant (``pi_degree``).
+of the simplex has exactly one chain of faces over it, so the mapping
+degree is the orientation sign of one chain, read from one determinant
+of n + 1 face centres (``pi_degree``).  A face's centre is the sum of
+the barycentres of the faces of the Minkowski summands that lie on it,
+in closed form and integral after scaling; each is checked against every
+tube, and the face lattice of the Minkowski sum is cited (Postnikov 2009,
+Theorem 7.4; Feichtner and Sturmfels 2005).  A hand-built poset is first
+checked against a fresh enumeration of the tubings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, permutations
-from math import comb
+from itertools import permutations
+from math import comb, lcm
 from operator import add
 
 from . import errors
@@ -87,6 +95,15 @@ class FacePoset:
     constructor: its levels are tuples, ``face_sets`` frozensets, and
     ``incidences`` and ``coordinate_table`` are computed once, on first
     use.
+
+    ``_enumerated`` is True only on a poset that ``face_poset`` built, whose
+    levels are the enumeration's, so ``check_simple_and_flag`` and
+    ``pi_degree`` skip what the enumeration has shown.  Assigning any other
+    attribute (``b``, ``support``, ``faces_by_size``, ``face_sets`` or
+    another) sets it back to False, so a changed poset is checked in full
+    again; the computed-once properties write around ``__setattr__``.  The
+    mark also relies on the building set itself, which it does not watch,
+    being left as built.
     """
 
     def __init__(self, building_set, faces_by_size):
@@ -96,6 +113,10 @@ class FacePoset:
                              for s in building_set.proper_tubes)
         self.faces_by_size = tuple(tuple(level) for level in faces_by_size)
         self.face_sets = tuple(map(frozenset, self.faces_by_size))
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, "_enumerated", False)
+        object.__setattr__(self, name, value)
 
     @property
     def vertices(self):
@@ -169,14 +190,28 @@ def face_poset(b):
     Requires the ground set to be a tube (connected graph, in the graphical
     case) and ``b`` to be a building set.  Every maximal tubing must have
     full size; anything else means the input was not a building set and
-    raises.
+    raises.  The cliques are the nested sets only when the nested-set
+    complex is flag, that is when every family of pairwise compatible
+    tubes is a nested set (Feichtner and Sturmfels, Portugal. Math. 62,
+    2005).  Every graphical building set is flag, since a union of
+    pairwise disjoint tubes no two of which are adjacent is disconnected;
+    a building set with more pairwise compatible tubes than the dimension
+    is not, and is refused.
 
-    The poset is memoised on the building set's vertex count and tubes
+    The poset is marked as enumerated (``FacePoset``), which is what
+    ``check_simple_and_flag`` and ``pi_degree`` would establish again.
+    It is memoised on the building set's vertex count and tubes
     (``memo``), so a repeated building set is enumerated and checked
     twice, then shared.
     """
     return _MEMO.fetch(("face_poset", b.n_vertices, b.tubes), len(b.tubes),
-                       lambda: FacePoset(b, _tubing_levels(b)), _poset_cells)
+                       lambda: _enumerated_poset(b), _poset_cells)
+
+
+def _enumerated_poset(b):
+    p = FacePoset(b, _tubing_levels(b))
+    p._enumerated = True
+    return p
 
 
 def _poset_cells(p):
@@ -229,7 +264,8 @@ def _tubing_levels(b):
         levels.append(faces)
     if any(commons):
         raise ValidationError(
-            "found more pairwise compatible tubes than the dimension")
+            "nested-set complex is not flag: more pairwise compatible tubes "
+            "than the dimension, so the clique model does not apply")
     _check_singletons(b)
     return levels
 
@@ -246,7 +282,16 @@ def check_simple_and_flag(p):
     is the same list with no face twice, and is subset-closed too.  A
     hand-built poset missing the top of a clique (three compatible tubes,
     no triple face) or listing a face twice fails here.
+
+    A poset that ``face_poset`` built, and that has not been assigned to
+    since (``FacePoset``), returns True without the rebuild, which would
+    repeat the enumeration's own pass: its level 1 lists every proper
+    tube, its level 2 every compatible pair, and its levels are the
+    cliques of that relation as ``_clique_levels`` builds them, each
+    maximal one checked there to have full size.
     """
+    if p._enumerated:
+        return True
     n = p.dim
     stored = p.face_sets
     m = len(p.b.proper_tubes)
@@ -557,6 +602,68 @@ def _check_tubings(p, levels):
             seen.add(face)
 
 
+def _face_centres(b, faces, scale):
+    """One integer point in the relative interior of each face of
+    ``faces`` (tubings, as tuples of proper tube indexes): ``scale`` times
+    the sum over the tubes S of the barycentre of the simplex on S minus
+    the union of the face's tubes that do not contain S.
+
+    The nestohedron is the Minkowski sum of the simplices Delta_S over the
+    tubes S, and its face on a tubing F is where w, the sum over F's tubes
+    T of the coordinates in T, is least (Postnikov, IMRN 2009, section 7
+    and Theorem 7.4).  The face of a Minkowski sum where w is least is the
+    sum of the summands' faces where it is least, and on Delta_S that is
+    the simplex above, so the sum of its barycentres lies in the relative
+    interior of F.  The simplex is never empty: the tubes of F that meet S
+    without containing it cover S only if their maximal ones, pairwise
+    disjoint, have a union that is a tube (unioning them one by one with
+    S, which meets each), which a nested set allows for none of two or
+    more, while one alone would contain S.  With ``scale`` a multiple of
+    lcm(1, ..., n_vertices), every point is integral.
+    """
+    proper = b.proper_tubes
+    centres = []
+    for face in faces:
+        masks = [proper[i] for i in face]
+        x = [0] * b.n_vertices
+        for s in b.tubes:
+            face_of_s = s
+            for t in masks:
+                if s & ~t:
+                    face_of_s &= ~t
+            share = scale // face_of_s.bit_count()
+            for j in bits_of(face_of_s):
+                x[j] += share
+        centres.append(x)
+    return centres
+
+
+def _checked_centres(p, faces):
+    """The centres of ``faces`` (``_face_centres``, scaled by L = lcm(1,
+    ..., n_vertices)), each checked against every tube: its sum is
+    ``len(p.b.tubes)`` * L over the ground set and ``p.support`` * L over
+    each tube of its face, and more than ``p.support`` * L over every other
+    proper tube.  A failure raises for the first failing face, worded as
+    an equation when the ground set or an own tube fails."""
+    b = p.b
+    scale = lcm(*range(1, b.n_vertices + 1))
+    centres = _face_centres(b, faces, scale)
+    for face, x in zip(faces, centres):
+        sums = [0]  # sums[mask]: the sum of x over the bits of mask
+        for xj in x:
+            sums += [s + xj for s in sums]
+        if sums[b.ground_mask] != len(b.tubes) * scale or any(
+                sums[b.proper_tubes[i]] != p.support[i] * scale for i in face):
+            raise ValidationError("face centre equations failed to hold")
+        own = set(face)
+        if any(sums[t] <= c * scale
+               for i, (t, c) in enumerate(zip(b.proper_tubes, p.support))
+               if i not in own):
+            raise ValidationError(
+                "support inequality not strict off the face's own tubes")
+    return centres
+
+
 def pi_degree(p):
     """Degree of the barycentric projection onto the ground-set simplex,
     read off the one face chain over one image flag.
@@ -573,12 +680,13 @@ def pi_degree(p):
     the signed count of the preimages of any one top simplex of the image:
     each chain mapped onto it counts its orientation sign times the
     image's, and a chain mapped to lower dimension counts nothing.  The
-    signs are determinant signs of points: face barycentres on the source
-    (scaled by vertex counts, which keeps the sign) and 0/1 indicator rows
-    on the image.  They are coherent because the checked vertex points
-    (``all_vertex_coordinates``) and the checked face poset make the chains
-    a geometric triangulation of the polytope, so every determinant is
-    taken in the one orientation of its hyperplane.
+    signs are determinant signs of points: one relative-interior point per
+    face on the source (its integer centre, ``_face_centres``) and 0/1
+    indicator rows on the image.  Any choice of relative-interior points
+    gives a triangulation isomorphic to the barycentric subdivision, and
+    the relative interiors are convex, so the maps are homotopic and the
+    degree does not depend on the choice; every determinant is taken in
+    the one orientation of the hyperplane of the points.
 
     The top simplex read is the image flag of the ground set's own order:
     u grows through {0}, {0, 1}, ..., whose rows form a unitriangular
@@ -595,37 +703,36 @@ def pi_degree(p):
     exactly one preimage chain, and the degree is its sign: n + 1 faces
     and one determinant.
 
-    The argument needs ``p.b`` to be a building set and the poset to hold
-    its tubings and only them, while the chain reads n + 1 faces, so the
-    enumeration checks the axioms: a fresh ``_tubing_levels`` refuses a
-    family that breaks either, and every level must match it
-    (``_check_tubings``), which refuses a face dropped, listed twice or not
-    a tubing, so every face of the chain is stored.  A vertex point off its
-    tubes' equations or inequalities raises in ``all_vertex_coordinates``,
-    and a chain whose barycentres are degenerate raises here.
+    Cited, not checked: the nestohedron is the polytope on which the sum
+    over the ground set is ``len(b.tubes)`` and the sum over each proper
+    tube T at least its support constant, and its faces are the tubings,
+    the face of F lying on exactly the facets of F's tubes (Postnikov,
+    IMRN 2009, Theorem 7.4; Feichtner and Sturmfels, Portugal. Math. 62,
+    2005).  Checked: each centre of the chain meets the equations of the
+    ground set and of its face's tubes, and every other proper tube's
+    inequality strictly (``_checked_centres``, against ``p.support``), so
+    it lies in the relative interior of its face; and the n + 1 centres
+    span a simplex, as a zero determinant raises.  The chain argument
+    needs ``p.b`` to be a building set and the poset to hold its tubings
+    and only them.  A poset that ``face_poset`` built holds them by
+    construction: its enumeration refuses a family that breaks either
+    axiom.  On any other poset, or one assigned to since (``FacePoset``),
+    a fresh ``_tubing_levels`` refuses such a family, and every level must
+    match it (``_check_tubings``), which refuses a face dropped, listed
+    twice or not a tubing, so every face of the chain is stored.
     """
     b = p.b
     n = p.dim
-    _check_tubings(p, _tubing_levels(b))
-    coords = all_vertex_coordinates(p)
+    if not p._enumerated:
+        _check_tubings(p, _tubing_levels(b))
     chain = []  # chain[k - 1]: the tube the face with k tubes adds
     for x in range(n, 0, -1):
         c_k = b.ground_mask >> x << x
         chain.append(b.proper_index[next(
             t for t in reversed(b.proper_tubes)
             if t >> x & 1 and t & ~c_k == 0)])
-    # a vertex's point goes into the faces of the chain it contains: the
-    # first ``depth`` below the whole polytope, and the whole polytope
-    depth_sums = [[0] * b.n_vertices for _ in range(n + 1)]
-    for vertex, point in coords.items():
-        tubes = set(vertex)
-        depth = 0
-        while depth < n and chain[depth] in tubes:
-            depth += 1
-        depth_sums[depth] = list(map(add, depth_sums[depth], point))
-    # rows[i]: the scaled barycentre of the face with n - i tubes
-    rows = list(accumulate(reversed(depth_sums),
-                           lambda a, r: list(map(add, a, r))))
+    # rows[i]: the centre of the face with n - i tubes
+    rows = _checked_centres(p, [chain[:n - i] for i in range(n + 1)])
     sign = _det_sign(rows)
     if sign == 0:
         raise ValidationError("degenerate source flag with nondegenerate image")

@@ -367,6 +367,46 @@ def signed_flag_oracle():
     return _signed_flag_counts
 
 
+# The projection degree from face barycentres over every vertex point,
+# which ``pi_degree`` computed before it read closed-form face centres: the
+# same forced chain, each vertex's point summed into the faces of the chain
+# that it contains, and one determinant of the n + 1 scaled barycentres.
+
+
+def _vertex_point_degree(p, coords):
+    """The sign of the forced chain's scaled face barycentres, read from
+    the vertex points ``coords`` (``all_vertex_coordinates``)."""
+    b = p.b
+    n = p.dim
+    chain = []  # chain[k - 1]: the tube the face with k tubes adds
+    for x in range(n, 0, -1):
+        c_k = b.ground_mask >> x << x
+        chain.append(b.proper_index[next(
+            t for t in reversed(b.proper_tubes)
+            if t >> x & 1 and t & ~c_k == 0)])
+    # a vertex's point goes into the faces of the chain it contains: the
+    # first ``depth`` below the whole polytope, and the whole polytope
+    depth_sums = [[0] * b.n_vertices for _ in range(n + 1)]
+    for vertex, point in coords.items():
+        tubes = set(vertex)
+        depth = 0
+        while depth < n and chain[depth] in tubes:
+            depth += 1
+        depth_sums[depth] = list(map(add, depth_sums[depth], point))
+    # rows[i]: the scaled barycentre of the face with n - i tubes
+    rows = list(accumulate(reversed(depth_sums),
+                           lambda a, r: list(map(add, a, r))))
+    sign = _det_sign(rows)
+    if sign == 0:
+        raise ValidationError("degenerate source flag with nondegenerate image")
+    return sign
+
+
+@pytest.fixture
+def vertex_point_degree():
+    return _vertex_point_degree
+
+
 # The vertex check one vertex at a time: the point from the coordinate
 # table, a subset-sum table of it over all masks, then every tube in index
 # order.  The library checks each tube once over the columns of all the

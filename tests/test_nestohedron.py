@@ -4,11 +4,11 @@ import gc
 import random
 import re
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
-from nestotope import errors
+from nestotope import errors, nestohedron
 from nestotope.cellcomplex import ChainComplex, homology
 from nestotope.errors import BudgetExceeded, ValidationError
 from nestotope.graphs import (
@@ -18,6 +18,7 @@ from nestotope.graphs import (
     connected_graph_representatives,
     cycle_graph,
     graph_building_set,
+    graph_from_spec,
     bits_of,
     mask_of,
     path_graph,
@@ -41,6 +42,7 @@ from nestotope.nestohedron import (
     support_constant,
     vertex_coordinates,
 )
+from nestotope.memo import _MEMO
 
 
 def _poset(g):
@@ -79,14 +81,20 @@ def test_face_counts_small():
     assert _poset(star_graph(4)).f_counts() == (1, 10, 24, 16)
 
 
+_NOT_FLAG = ("nested-set complex is not flag: more pairwise compatible "
+             "tubes than the dimension, so the clique model does not apply")
+
+
 def test_face_poset_rejects_non_graphical_input():
-    # singletons plus the ground set satisfy the axioms but the clique
-    # model only covers building sets coming from graphs: the three
-    # singletons are pairwise compatible, one more than the dimension
+    # singletons plus the ground set (the simplex's building set) satisfy
+    # the axioms, but the three singletons are pairwise compatible, one
+    # more than the dimension, and no nested set as their union is a tube:
+    # the clique model covers flag nested-set complexes only
     b = BuildingSet(3, [0b1, 0b10, 0b100, 0b111])
-    with pytest.raises(ValidationError, match="found more pairwise "
-                                              "compatible tubes than the dimension"):
+    assert validate_building_set(b) is True
+    with pytest.raises(ValidationError) as refused:
         face_poset(b)
+    assert str(refused.value) == _NOT_FLAG
     # {0,1} and {1,2} overlap, so each alone is a maximal tubing
     with pytest.raises(ValidationError, match="maximal tubing smaller than "
                                               "the dimension"):
@@ -306,8 +314,11 @@ def test_vertex_support_check_catches_tampering():
     assert sum(x[j] for j in bits_of(proper[own])) == p.support[own]
     with pytest.raises(ValidationError, match="vertex equations failed"):
         vertex_coordinates(tampered(own, p.support[own] + 1), v)
-    with pytest.raises(ValidationError, match="not strict off the vertex"):
+    # pi_degree checks its face centres, not the vertex, against the tubes
+    with pytest.raises(ValidationError) as refused:
         pi_degree(tampered(off, total))
+    assert str(refused.value) == (
+        "support inequality not strict off the face's own tubes")
 
 
 def test_vertex_check_words_the_first_failing_tube():
@@ -451,19 +462,160 @@ def _forced_key(nv):
     return tuple((2 << i) - 1 for i in range(nv))
 
 
-def test_projection_degree_is_one(signed_flag_oracle):
-    # the walk over every nondegenerate chain finds every ordering of the
-    # ground set as an image flag, each of local degree 1; pi_degree reads
-    # the one chain over the first flag and must give the walk's value
+@pytest.fixture(scope="module")
+def degree_classes():
+    """``(graph, poset, vertex points)`` for every connected class on 2 to
+    6 vertices and for path:7 and complete:7, built once for the tests of
+    this module that compare the library with its oracles there."""
     graphs = [path_graph(7), complete_graph(7)]
     for k in range(2, 7):
         graphs.extend(connected_graph_representatives(k))
+    out = []
     for g in graphs:
         p = _poset(g)
-        acc = signed_flag_oracle(p, all_vertex_coordinates(p))
+        out.append((g, p, all_vertex_coordinates(p)))
+    return out
+
+
+def test_projection_degree_is_one(signed_flag_oracle, vertex_point_degree,
+                                  degree_classes):
+    # the walk over every nondegenerate chain finds every ordering of the
+    # ground set as an image flag, each of local degree 1; pi_degree reads
+    # the one chain over the first flag, from its face centres, and must
+    # give the walk's value and that of the same chain's barycentres
+    for g, p, coords in degree_classes:
+        acc = signed_flag_oracle(p, coords)
         assert len(acc) == factorial(g.n_vertices), g
         assert set(acc.values()) == {1}, g
-        assert pi_degree(p) == acc[_forced_key(g.n_vertices)] == 1, g
+        assert (pi_degree(p) == acc[_forced_key(g.n_vertices)]
+                == vertex_point_degree(p, coords) == 1), g
+
+
+def test_the_rebuilt_flag_check_passes_on_every_class(degree_classes):
+    # a poset from face_poset passes without the rebuild; the same levels
+    # built by hand carry no mark, so the clique rebuild runs and must pass
+    for g, p, _ in degree_classes:
+        assert p._enumerated and check_simple_and_flag(p), g
+        q = FacePoset(p.b, p.faces_by_size)
+        assert not q._enumerated and check_simple_and_flag(q), g
+
+
+def _passes(monkeypatch):
+    """The calls of ``_clique_levels`` from now on, one per pass of the
+    clique enumeration."""
+    calls = []
+    real = nestohedron._clique_levels
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nestohedron, "_clique_levels", counted)
+    return calls
+
+
+def _must_not_run(*args):
+    raise AssertionError("called where the enumeration already decides")
+
+
+@pytest.mark.parametrize("spec", ["path:4", "cycle:5", "complete:5", "star:6"])
+def test_a_poset_request_enumerates_the_cliques_once(monkeypatch, spec):
+    # the poset command's calls, from an empty memo: the enumeration is the
+    # one pass, and check_simple_and_flag reads its mark
+    b = graph_building_set(graph_from_spec(spec))
+    passes = _passes(monkeypatch)
+    p = face_poset(b)
+    assert check_simple_and_flag(p)
+    assert face_vectors(p).f == p.f_counts()
+    assert len(all_vertex_coordinates(p)) == len(p.vertices)
+    assert len(passes) == 1
+    # the projection degree of a fresh poset reads no vertex point and
+    # enumerates nothing again
+    _MEMO.clear()
+    passes.clear()
+    monkeypatch.setattr(nestohedron, "all_vertex_coordinates", _must_not_run)
+    monkeypatch.setattr(nestohedron, "_checked_points", _must_not_run)
+    assert pi_degree(face_poset(b)) == 1
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("name", ["b", "support", "faces_by_size",
+                                  "face_sets"])
+def test_an_assigned_poset_is_checked_in_full_again(monkeypatch, name):
+    p = _poset(path_graph(4))
+    passes = _passes(monkeypatch)
+    assert check_simple_and_flag(p) and pi_degree(p) == 1
+    assert passes == []
+    setattr(p, name, getattr(p, name))
+    assert not p._enumerated
+    # the rebuild in the check, then pi_degree's fresh enumeration
+    assert check_simple_and_flag(p)
+    assert len(passes) == 1
+    assert pi_degree(p) == 1
+    assert len(passes) == 2
+
+
+def test_a_poset_changed_by_assignment_is_refused():
+    p = _poset(path_graph(3))
+    f0, f1, f2 = p.faces_by_size
+    p.faces_by_size = (f0, f1, f2 + f2[:1])
+    assert not check_simple_and_flag(p)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"face {f2[0]} is stored twice")):
+        pi_degree(p)
+    q = _poset(path_graph(3))
+    q.face_sets = q.face_sets[:2] + (q.face_sets[2] - {f2[0]},)
+    assert not check_simple_and_flag(q)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"face {f2[0]} is missing")):
+        pi_degree(q)
+
+
+@pytest.mark.parametrize("spec", ["path:4", "star:4", "cycle:4",
+                                  "complete:4"])
+def test_a_moved_face_centre_is_refused(monkeypatch, spec):
+    # rows[k], the centre of the face with n - k tubes, with one coordinate
+    # moved up: the ground set's equation fails, the whole polytope's
+    # included, whose centre has no equation of its own.  Then one moved
+    # from below n to n: the ground set's sum stays, and the equation of
+    # the singleton {n} fails, the first tube of every face on the chain.
+    p = _poset(graph_from_spec(spec))
+    n = p.dim
+    moves = [(k, {j: 1}) for k in range(n + 1) for j in range(n + 1)]
+    moves += [(k, {n: 1, j: -1}) for k in range(n) for j in range(n)]
+    real = nestohedron._face_centres
+    equations = "face centre equations failed to hold"
+    refusals = [(k, move, equations) for k, move in moves]
+    # the whole polytope's centre x with x_j moved down to L, the support
+    # of {j} times the scale, and the rest to x_i: refused where {j} is the
+    # one proper tube whose sum then equals its support times L
+    b = p.b
+    scale = lcm(*range(1, n + 2))
+    x = real(b, [()], scale)[0]
+    strict = 0
+    for j, i in permutations(range(n + 1), 2):
+        y = list(x)
+        y[i] += y[j] - scale
+        y[j] = scale
+        slack = [sum(y[v] for v in bits_of(t)) - c * scale
+                 for t, c in zip(b.proper_tubes, p.support)]
+        if min(slack) == 0 and slack.count(0) == 1:
+            strict += 1
+            refusals.append((n, {j: scale - x[j], i: x[j] - scale},
+                             "support inequality not strict off the face's "
+                             "own tubes"))
+    assert strict
+    for k, move, message in refusals:
+        def moved(b, faces, scale, k=k, move=move):
+            centres = real(b, faces, scale)
+            for j, d in move.items():
+                centres[k][j] += d
+            return centres
+
+        monkeypatch.setattr(nestohedron, "_face_centres", moved)
+        with pytest.raises(ValidationError) as refused:
+            pi_degree(p)
+        assert str(refused.value) == message
 
 
 def _leibniz_det(a):

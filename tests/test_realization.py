@@ -568,6 +568,32 @@ def test_a_generator_that_breaks_a_commutation_is_caught(covering_oracle,
     assert not checks["covering_fibers"]
 
 
+@pytest.mark.parametrize("zspec", ["sphere:2", "torus7"])
+def test_consecutive_colours_off_an_edge_are_checked_to_commute(
+        covering_oracle, zspec):
+    # On star:3, colours 1 and 2 are consecutive but no edge; on a path,
+    # consecutive colours are always an edge.  xi_1 with the partners of
+    # two plus cells swapped is a sign-swapping involution that no longer
+    # commutes with xi_2, and it commutes with xi_0 unchecked (an edge).
+    sys, b = _system(pseudomanifold_from_spec(zspec), graph_from_spec("star:3"))
+    graph = sys.y.graph
+    assert graph.has_edge(0, 1) and graph.has_edge(0, 2)
+    assert not graph.has_edge(1, 2)
+    a, c = [cell for cell in range(sys.size) if sys.plus[cell]][:2]
+    xi = sys.xi
+    broken = replace(sys, xi=(xi[0], _swap_partners(xi[1], a, c), xi[2]))
+    sets = enumerate_involution_sets(broken, b)
+    cert = build_covering(b, sets, broken)
+    assert cert == covering_oracle.build_covering(
+        b, covering_oracle.tables(b, sets), broken)
+    checks = cert.checks
+    assert checks["xi_involutions"] and checks["phi_involutions"]
+    assert checks["epsilon_class_constant"]
+    assert not checks["xi_commutation"]
+    assert not checks["phi_commutation"]
+    assert not checks["covering_fibers"]
+
+
 def test_certificates_are_deterministic():
     a = certificate_to_json_dict(realize(simplex_sphere(3), path_graph(4)))
     b = certificate_to_json_dict(realize(simplex_sphere(3), path_graph(4)))
